@@ -17,6 +17,7 @@ from .builder import (
     KernelSpec,
     RawSolution,
     build,
+    build_pair,
     build_raw,
     normalize_F,
     normalize_H,
@@ -60,6 +61,7 @@ __all__ = [
     "StencilOutOfDomainError",
     "biharmonic",
     "build",
+    "build_pair",
     "build_raw",
     "conjectured_kernel",
     "eval_kernel",

@@ -75,23 +75,31 @@ class RawSolution:
     boundary: BoundaryData
 
 
+def grid_geometry(gamma: int, kind: str) -> Tuple[int, Dict[int, int]]:
+    """Top band beta_0 and the tight grid floor of every band 1 <= beta <= beta_0.
+
+    Band beta spans the exponents floor[beta] .. beta + gamma + 1.  At beta_0
+    the two ends meet, so the top band is the single monomial t^floor[beta_0]:
+    the fixed leading term.
+    """
+    offset = 1 if kind == "F" else 0
+    beta0 = gamma + 1 + offset
+    return beta0, {beta: max(2 * beta - offset, gamma + 2) for beta in range(1, beta0 + 1)}
+
+
 def top_term(spec: KernelSpec) -> Tuple[int, int]:
     """(beta_0, exponent) of the fixed leading monomial."""
-    if spec.kind == "F":
-        return spec.gamma + 2, 2 * spec.gamma + 3
-    return spec.gamma + 1, 2 * spec.gamma + 2
+    beta0, floor = grid_geometry(spec.gamma, spec.kind)
+    return beta0, floor[beta0]
 
 
 def ansatz_grid(spec: KernelSpec, widened: bool = False) -> Dict[int, List[int]]:
     """Unknown exponent grid per band, for 1 <= beta < beta_0."""
-    beta0, _ = top_term(spec)
-    offset = 1 if spec.kind == "F" else 0  # grid floor 2*beta - offset
-    grid: Dict[int, List[int]] = {}
-    for beta in range(1, beta0):
-        lo = beta if widened else max(2 * beta - offset, spec.gamma + 2)
-        hi = beta + spec.gamma + 1
-        grid[beta] = list(range(lo, hi + 1))
-    return grid
+    beta0, floor = grid_geometry(spec.gamma, spec.kind)
+    return {
+        beta: list(range(beta if widened else floor[beta], beta + spec.gamma + 2))
+        for beta in range(1, beta0)
+    }
 
 
 def assemble_system(
@@ -189,9 +197,17 @@ def normalize_F(raw: RawSolution, h: KernelExpansion) -> KernelExpansion:
     return expansion_scale(1 / raw.boundary.a, combined)
 
 
+def build_pair(gamma: int) -> Tuple[KernelExpansion, KernelExpansion]:
+    """The normalized pair (F, H) at gamma; the one H built also normalizes F."""
+    h = normalize_H(build_raw(KernelSpec(gamma=gamma, kind="H")))
+    return normalize_F(build_raw(KernelSpec(gamma=gamma, kind="F")), h), h
+
+
 def build(spec: KernelSpec) -> KernelExpansion:
-    """The normalized kernel for spec: boundary (1,0) for F, (0,1) for H."""
+    """The normalized kernel for spec: boundary (1,0) for F, (0,1) for H.
+
+    F is normalized with H, so building F builds H on the way.
+    """
     if spec.kind == "H":
         return normalize_H(build_raw(spec))
-    h = build(KernelSpec(gamma=spec.gamma, kind="H"))
-    return normalize_F(build_raw(spec), h)
+    return build_pair(spec.gamma)[0]

@@ -39,6 +39,7 @@ from .numeric import (
     eval_kernel,
     integral_mean,
     l1_norm,
+    node_doubling,
 )
 from .operators import (
     KernelExpansion,
@@ -180,14 +181,20 @@ def _report_line(gamma: int, verdict: ConjectureVerdict, deep: bool, deep_ok: bo
 # argument plumbing
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0: {text}")
-    return v
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if v < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}: {text}")
+        return v
+
+    return parse
+
+
+_nonneg_int = _int_at_least(0)
 
 
 def _radius(text: str) -> float:
@@ -228,7 +235,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="cross-check kernels for gamma = 0..N")
     verify.add_argument("--gamma-max", type=_nonneg_int, required=True)
-    verify.add_argument("--jobs", type=int, default=1)
+    verify.add_argument(
+        "--jobs", type=_int_at_least(1), default=1, help="worker processes, at most the CPU count"
+    )
     verify.add_argument(
         "--deep",
         action="store_true",
@@ -283,6 +292,7 @@ def cmd_gen(gamma: int, kind: str, fmt: str, out=None) -> int:
 def cmd_verify(gamma_max: int, jobs: int, deep: bool, out=None) -> int:
     out = sys.stdout if out is None else out
     work = [(g, deep) for g in range(gamma_max + 1)]
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with multiprocessing.Pool(processes=jobs) as pool:
             results = pool.map(_verify_one, work, chunksize=1)
@@ -306,18 +316,6 @@ def cmd_eval(gamma: int, kind: str, r: float, theta: float, out=None) -> int:
     return 0
 
 
-def _converged_mean(kernel: KernelExpansion, r: float) -> float:
-    prev = None
-    n = 4096
-    while n <= 2**20:
-        est = integral_mean(kernel, r, n)
-        if prev is not None and abs(est - prev) <= 1e-10 * max(abs(est), 1e-300):
-            return est
-        prev = est
-        n *= 2
-    return prev  # spectrally convergent long before the cap; keep last estimate
-
-
 def cmd_l1check(gamma: int, kind: str, r_grid: Iterable[float], out=None) -> int:
     out = sys.stdout if out is None else out
     kernel = build(KernelSpec(gamma=gamma, kind=kind))
@@ -334,7 +332,9 @@ def cmd_means(gamma: int, kind: str, r_grid: Iterable[float], out=None) -> int:
     bd = expansion_boundary(kernel)
     out.write("r\tmean\tpredicted\tabs_err\n")
     for r in r_grid:
-        mean = _converged_mean(kernel, r)
+        mean = node_doubling(
+            lambda n: (integral_mean(kernel, r, n), 0.0), 4096, 1e-10, f"integral mean at r={r}"
+        )
         predicted = float(bd.a) + float(bd.b) * (1.0 - r)
         out.write(f"{r:.10g}\t{mean:.10g}\t{predicted:.10g}\t{abs(mean - predicted):.3g}\n")
     return 0

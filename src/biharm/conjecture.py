@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .boundary import expansion_boundary
-from .builder import KernelSpec, build_raw, normalize_F, normalize_H
+from .builder import build_pair, grid_geometry
 from .exact import LaurentPoly, Rational, binom
 from .operators import KernelExpansion, biharmonic, make_expansion
 
@@ -63,18 +63,13 @@ def solve_ck(gamma: int, kind: str) -> ConjectureCoefficients:
     return ConjectureCoefficients(gamma=gamma, kind=kind, c=tuple(c))
 
 
-def _grid_floor(gamma: int, kind: str, beta: int) -> int:
-    offset = 1 if kind == "F" else 0
-    return max(2 * beta - offset, gamma + 2)
-
-
 def conjectured_kernel(gamma: int, kind: str) -> KernelExpansion:
     """Assemble the closed-form expansion exactly as displayed above."""
     coeffs = solve_ck(gamma, kind)
-    beta_top = gamma + 2 if kind == "F" else gamma + 1
+    _, floor = grid_geometry(gamma, kind)
     terms: Dict[int, LaurentPoly] = {}
-    for beta in range(1, beta_top + 1):
-        kmax = beta + gamma + 1 - _grid_floor(gamma, kind, beta)
+    for beta, lo in floor.items():
+        kmax = beta + gamma + 1 - lo
         scale = Fraction(1, 2) if kind == "F" else Fraction(1, 2 * beta)
         poly: LaurentPoly = {}
         for k in range(0, kmax + 1):
@@ -104,10 +99,10 @@ def pascal_columns(expansion: KernelExpansion, gamma: int, kind: str) -> PascalR
     displayed exponent range.  Reports the first violated (beta, k-offset).
     """
     coeffs = solve_ck(gamma, kind)
-    beta_top = gamma + 2 if kind == "F" else gamma + 1
+    _, floor = grid_geometry(gamma, kind)
     checked = 0
-    for beta in range(1, beta_top + 1):
-        kmax = beta + gamma + 1 - _grid_floor(gamma, kind, beta)
+    for beta, lo in floor.items():
+        kmax = beta + gamma + 1 - lo
         unscale = Fraction(2) if kind == "F" else Fraction(2 * beta)
         poly = expansion.terms.get(beta, {})
         for exp in poly:
@@ -153,11 +148,7 @@ def verify_conjecture(gamma: int) -> ConjectureVerdict:
     single shared bug can validate itself.
     """
     entries: List[CheckResult] = []
-    built_h = normalize_H(build_raw(KernelSpec(gamma=gamma, kind="H")))
-    built = {
-        "H": built_h,
-        "F": normalize_F(build_raw(KernelSpec(gamma=gamma, kind="F")), built_h),
-    }
+    built = dict(zip(("F", "H"), build_pair(gamma)))
     targets = {"F": (Fraction(1), Fraction(0)), "H": (Fraction(0), Fraction(1))}
     for kind in ("F", "H"):
         formed = conjectured_kernel(gamma, kind)

@@ -53,15 +53,6 @@ def binom(n: int, r: int) -> int:
 # polynomials
 
 
-def poly_zero() -> LaurentPoly:
-    return {}
-
-def poly_monomial(k: int, c: Fraction | int = 1) -> LaurentPoly:
-    """c * t^k, canonicalized."""
-    c = Fraction(c)
-    return {k: c} if c else {}
-
-
 def poly_from_terms(terms: Sequence[Tuple[int, Fraction | int]]) -> LaurentPoly:
     """Sum of c * t^k over (k, c) pairs; repeated exponents accumulate."""
     out: LaurentPoly = {}
@@ -139,14 +130,6 @@ def poly_mul_x(p: LaurentPoly) -> LaurentPoly:
 def poly_eval(p: LaurentPoly, t: Fraction) -> Fraction:
     """Exact evaluation at a rational point (t != 0 if exponents are negative)."""
     return sum((c * t ** k for k, c in p.items()), ZERO)
-
-
-def poly_min_exp(p: LaurentPoly) -> int | None:
-    return min(p) if p else None
-
-
-def poly_max_exp(p: LaurentPoly) -> int | None:
-    return max(p) if p else None
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from fractions import Fraction
+from typing import Callable, Mapping
 
 import mpmath
 import numpy as np
 
-from .builder import KernelSpec, build
+from .builder import KernelSpec, build, build_pair
 from .operators import KernelExpansion
 
 PRECISIONS = ("double", "extended")
@@ -59,54 +60,39 @@ class DiscPoint:
             raise ValueError(f"DiscPoint requires 0 <= r < 1, got r={self.r}")
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """Kernel samples at n equispaced angles on the circle of radius r."""
-
-    r: float
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.samples) < 4:
-            raise ValueError("RadialProfile requires at least 4 samples")
-
-
 def abs1mz_sq(r, theta):
     """|1 - r e^(i theta)|^2 = (1-r)^2 + 4 r sin^2(theta/2); scalar or array."""
     return (1.0 - r) ** 2 + 4.0 * r * np.sin(theta / 2.0) ** 2
 
 
-def _band_values(kernel: KernelExpansion, x: float) -> dict:
-    """f_beta(x) for each band, as floats; x = r^2, evaluated in t = 1 - x."""
-    t = 1.0 - x
-    return {
-        beta: sum(float(c) * t**k for k, c in poly.items())
-        for beta, poly in kernel.terms.items()
-    }
+def _mpf(c: Fraction):
+    return mpmath.mpf(c.numerator) / c.denominator
+
+
+def _band_sum(kernel: KernelExpansion, t, q, coeff):
+    """sum_beta f_beta(t) q^(-beta), with t = 1 - |z|^2 and q = |1 - z|^2.
+
+    coeff converts each exact coefficient: float for float64 arrays, _mpf
+    for mpmath numbers at the caller's working precision.
+    """
+    total = 0 * q
+    for beta, poly in kernel.terms.items():
+        total += sum(coeff(c) * t**k for k, c in poly.items()) * q**-beta
+    return total
 
 
 def values_at(kernel: KernelExpansion, r: float, thetas: np.ndarray) -> np.ndarray:
     """Vectorized float64 kernel values at fixed radius, arbitrary angles."""
     q = abs1mz_sq(r, np.asarray(thetas, dtype=float))
-    bands = _band_values(kernel, r * r)
-    out = np.zeros_like(q)
-    for beta, val in bands.items():
-        out += val * q ** (-beta)
-    return out
+    # (1 - r)(1 + r) keeps the digits that 1 - r*r loses as r -> 1.
+    return _band_sum(kernel, (1.0 - r) * (1.0 + r), q, float)
 
 
 def _eval_extended(kernel: KernelExpansion, r: float, theta: float) -> float:
     with mpmath.workdps(_EXTENDED_DPS):
         rm = mpmath.mpf(r)
         q = (1 - rm) ** 2 + 4 * rm * mpmath.sin(mpmath.mpf(theta) / 2) ** 2
-        t = 1 - rm * rm
-        total = mpmath.mpf(0)
-        for beta, poly in kernel.terms.items():
-            fb = mpmath.mpf(0)
-            for k, c in poly.items():
-                fb += mpmath.mpf(c.numerator) / c.denominator * t**k
-            total += fb / q**beta
-        return float(total)
+        return float(_band_sum(kernel, 1 - rm * rm, q, _mpf))
 
 
 def eval_kernel(
@@ -127,9 +113,28 @@ def eval_kernel(
     return float(values_at(kernel, p.r, np.array([p.theta]))[0])
 
 
-def profile(kernel: KernelExpansion, r: float, n: int) -> RadialProfile:
-    thetas = 2.0 * np.pi * np.arange(n) / n
-    return RadialProfile(r=r, samples=values_at(kernel, r, thetas))
+def _nodes(n: int) -> np.ndarray:
+    """n equispaced angles on [0, 2 pi): the trapezoid rule's nodes."""
+    return 2.0 * np.pi * np.arange(n) / n
+
+
+def node_doubling(estimate: Callable[[int], tuple], n: int, rtol: float, what: str):
+    """Run estimate(m) for m = n, 2n, 4n, ... until two successive values agree.
+
+    estimate(m) returns (value, scale); the loop stops once
+    |value - previous| <= rtol * max(|value|, scale), where scale = 0 makes the
+    test purely relative.  Past _NODE_CAP nodes it raises
+    QuadratureConvergenceError: an unconverged estimate is never returned.
+    """
+    prev = None
+    m = n
+    while m <= _NODE_CAP:
+        est, scale = estimate(m)
+        if prev is not None and abs(est - prev) <= rtol * max(abs(est), scale, 1e-300):
+            return est
+        prev = est
+        m *= 2
+    raise QuadratureConvergenceError(f"{what} did not stabilize below {_NODE_CAP} nodes")
 
 
 def integral_mean(kernel: KernelExpansion, r: float, n: int = 4096) -> float:
@@ -140,7 +145,7 @@ def integral_mean(kernel: KernelExpansion, r: float, n: int = 4096) -> float:
     """
     if n < 64:
         raise ValueError(f"integral_mean requires n >= 64, got {n}")
-    return float(profile(kernel, r, n).samples.mean())
+    return float(values_at(kernel, r, _nodes(n)).mean())
 
 
 def l1_norm(kernel: KernelExpansion, r: float, n: int = 256) -> float:
@@ -151,16 +156,11 @@ def l1_norm(kernel: KernelExpansion, r: float, n: int = 256) -> float:
     """
     if n < 256:
         raise ValueError(f"l1_norm requires n >= 256, got {n}")
-    prev = None
-    m = n
-    while m <= _NODE_CAP:
-        est = float(np.abs(profile(kernel, r, m).samples).mean())
-        if prev is not None and abs(est - prev) <= 1e-6 * max(abs(est), 1e-300):
-            return est
-        prev = est
-        m *= 2
-    raise QuadratureConvergenceError(
-        f"L1 quadrature did not stabilize below {_NODE_CAP} nodes at r={r}"
+    return node_doubling(
+        lambda m: (float(np.abs(values_at(kernel, r, _nodes(m))).mean()), 0.0),
+        n,
+        1e-6,
+        f"L1 quadrature at r={r}",
     )
 
 
@@ -173,24 +173,16 @@ def _trig_values(coeffs: Mapping[int, complex], phis: np.ndarray) -> np.ndarray:
 
 def _convolve(kernel: KernelExpansion, coeffs: Mapping[int, complex], p: DiscPoint) -> complex:
     """(kernel_r * f)(theta) by trapezoid quadrature with node doubling."""
-    if not coeffs:
-        return 0.0
-    prev = None
-    m = 512
-    while m <= _NODE_CAP:
-        phis = 2.0 * np.pi * np.arange(m) / m
+
+    def estimate(m: int):
+        phis = _nodes(m)
         kern = values_at(kernel, p.r, p.theta - phis)
-        est = complex(np.mean(kern * _trig_values(coeffs, phis)))
         # A purely relative test can never be met near a zero of the
         # convolution; scale the tolerance by the integrand's magnitude.
         scale = float(np.mean(np.abs(kern))) * sum(abs(c) for c in coeffs.values())
-        if prev is not None and abs(est - prev) <= 1e-9 * max(abs(est), scale):
-            return est
-        prev = est
-        m *= 2
-    raise QuadratureConvergenceError(
-        f"convolution quadrature did not stabilize below {_NODE_CAP} nodes at r={p.r}"
-    )
+        return complex(np.mean(kern * _trig_values(coeffs, phis))), scale
+
+    return node_doubling(estimate, 512, 1e-9, f"convolution quadrature at r={p.r}")
 
 
 def solve_dirichlet(
@@ -204,27 +196,18 @@ def solve_dirichlet(
     f0 and f1 are trigonometric polynomials given by their Fourier
     coefficients {harmonic: coefficient}; the solution is the sum of the
     two circular convolutions with the F and H kernels at radius p.r.
-    Real (conjugate-symmetric) data produces a real value.
+    Real (conjugate-symmetric) data produces a real value.  Empty data
+    builds no kernel; data f1 alone builds H only.
     """
     u = 0.0 + 0.0j
     if f0:
-        u += _convolve(build(KernelSpec(gamma=gamma, kind="F")), f0, p)
+        kernel_f, kernel_h = build_pair(gamma)
+        u += _convolve(kernel_f, f0, p)
+    elif f1:
+        kernel_h = build(KernelSpec(gamma=gamma, kind="H"))
     if f1:
-        u += _convolve(build(KernelSpec(gamma=gamma, kind="H")), f1, p)
+        u += _convolve(kernel_h, f1, p)
     return float(u.real)
-
-
-def _eval_cartesian_mp(kernel: KernelExpansion, x, y):
-    """Kernel value at z = x + i y in the current mpmath precision."""
-    q = (1 - x) ** 2 + y**2
-    t = 1 - (x * x + y * y)
-    total = mpmath.mpf(0)
-    for beta, poly in kernel.terms.items():
-        fb = mpmath.mpf(0)
-        for k, c in poly.items():
-            fb += mpmath.mpf(c.numerator) / c.denominator * t**k
-        total += fb / q**beta
-    return total
 
 
 def fd_biharmonic_residual(kernel: KernelExpansion, p: DiscPoint, h: float) -> float:
@@ -257,9 +240,9 @@ def fd_biharmonic_residual(kernel: KernelExpansion, p: DiscPoint, h: float) -> f
 
         def u(i: int, j: int):
             if (i, j) not in cache:
-                cache[(i, j)] = _eval_cartesian_mp(
-                    kernel, mpmath.mpf(x0) + i * hm, mpmath.mpf(y0) + j * hm
-                )
+                x = mpmath.mpf(x0) + i * hm
+                y = mpmath.mpf(y0) + j * hm
+                cache[(i, j)] = _band_sum(kernel, 1 - (x * x + y * y), (1 - x) ** 2 + y**2, _mpf)
             return cache[(i, j)]
 
         def winv_lap_u(i: int, j: int):

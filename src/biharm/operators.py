@@ -223,7 +223,3 @@ def biharmonic_via_rules(u: KernelExpansion) -> CoeffSequence:
             for band, img in monomial_image(u.gamma, beta, k).items():
                 acc[band] = poly_add(acc.get(band, {}), poly_scale(coeff, img))
     return {m: p for m, p in acc.items() if p}
-
-
-def seq_is_zero(seq: CoeffSequence) -> bool:
-    return all(not p for p in seq.values())

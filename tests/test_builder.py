@@ -12,13 +12,14 @@ from biharm.builder import (
     ansatz_grid,
     assemble_system,
     build,
+    build_pair,
     build_raw,
     normalize_F,
     normalize_H,
     top_term,
 )
 from biharm.exact import solve_linear
-from biharm.operators import biharmonic, make_expansion, seq_is_zero
+from biharm.operators import biharmonic, make_expansion
 from kernel_fixtures import KNOWN_KERNELS
 
 F = Fraction
@@ -145,7 +146,7 @@ def test_built_kernel_invariants(kind, gamma):
     assert sorted(kernel.terms) == list(range(1, beta0 + 1))
 
     # generic-composition check, independent of the rule path used internally
-    assert seq_is_zero(biharmonic(kernel))
+    assert not biharmonic(kernel)
 
     # exact boundary data
     expected = BoundaryData(F(1), F(0)) if kind == "F" else BoundaryData(F(0), F(1))
@@ -181,6 +182,14 @@ def test_h_kernel_values_at_origin(gamma):
 # normalization
 
 
+@pytest.mark.parametrize("gamma", range(0, 9))
+def test_build_pair_matches_build(gamma):
+    assert build_pair(gamma) == (
+        build(KernelSpec(gamma=gamma, kind="F")),
+        build(KernelSpec(gamma=gamma, kind="H")),
+    )
+
+
 def test_normalize_h_rejects_wrong_boundary():
     raw_f = build_raw(KernelSpec(gamma=2, kind="F"))
     with pytest.raises(ValueError):
@@ -214,7 +223,7 @@ def test_normalized_f_independent_of_free_direction(gamma):
             if value:
                 terms.setdefault(beta, {})[k] = value
         shifted = make_expansion(gamma, terms)
-        assert seq_is_zero(biharmonic(shifted))
+        assert not biharmonic(shifted)
         raw = RawSolution(expansion=shifted, boundary=expansion_boundary(shifted))
         assert raw.boundary != build_raw(spec).boundary  # genuinely different raw
         assert normalize_F(raw, h).terms == reference.terms

@@ -122,6 +122,28 @@ def test_verify_deterministic_across_jobs(capsys):
     assert serial == parallel
 
 
+def test_verify_jobs_clamped_to_cpu_count(monkeypatch, capsys):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work, chunksize=1):
+            return [fn(w) for w in work]
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+    assert main(["verify", "--gamma-max", "1", "--jobs", "64"]) == 0
+    assert started == [2]
+
+
 def test_verify_deep(capsys):
     assert main(["verify", "--gamma-max", "1", "--deep"]) == 0
     out = capsys.readouterr().out
@@ -175,6 +197,12 @@ def test_means_table(capsys):
     assert err < 0.01  # quadratic correction only
 
 
+def test_means_unconverged_exits_1(capsys):
+    # At r = 0.99999 the trapezoid rule has not settled by 2^20 nodes.
+    assert main(["means", "--gamma", "0", "--kernel", "F", "--r-grid", "0.99999"]) == 1
+    assert "did not stabilize" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -187,6 +215,8 @@ def test_means_table(capsys):
         ["eval", "--gamma", "0", "--kernel", "F", "--r", "1.5", "--theta", "0"],
         ["frobnicate"],
         ["gen"],
+        ["verify", "--gamma-max", "1", "--jobs", "0"],
+        ["verify", "--gamma-max", "1", "--jobs", "-2"],
     ],
 )
 def test_usage_errors_exit_2(argv):

@@ -14,16 +14,12 @@ from biharm.exact import (
     poly_diff,
     poly_eval,
     poly_from_terms,
-    poly_max_exp,
-    poly_min_exp,
-    poly_monomial,
     poly_mul,
     poly_mul_x,
     poly_neg,
     poly_scale,
     poly_shift,
     poly_sub,
-    poly_zero,
     solve_linear,
 )
 
@@ -75,9 +71,7 @@ def test_binom_row_symmetry():
 def test_construction_merges_and_drops_zeros():
     assert poly_from_terms([(1, 1), (1, -1), (2, 3)]) == {2: Fraction(3)}
     assert poly_from_terms([]) == {}
-    assert poly_monomial(4) == {4: Fraction(1)}
-    assert poly_monomial(2, 0) == {}
-    assert poly_zero() == {}
+    assert poly_from_terms([(4, 0)]) == {}
 
 
 def test_ring_axioms_random():
@@ -138,10 +132,8 @@ def test_shift_and_extremes():
     p = {0: Fraction(1), 3: Fraction(-2)}
     assert poly_shift(p, 2) == {2: Fraction(1), 5: Fraction(-2)}
     assert poly_shift(p, -1) == {-1: Fraction(1), 2: Fraction(-2)}
-    assert poly_min_exp(p) == 0
-    assert poly_max_exp(p) == 3
-    assert poly_min_exp({}) is None
-    assert poly_max_exp({}) is None
+    assert (min(poly_shift(p, 2)), max(poly_shift(p, 2))) == (2, 5)
+    assert poly_shift({}, 4) == {}
 
 
 # ---------------------------------------------------------------------------

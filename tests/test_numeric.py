@@ -1,25 +1,26 @@
 """Tests for floating-point evaluation, quadrature, and FD validation."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import biharm.builder
 from biharm.boundary import integral_means_poly
 from biharm.builder import KernelSpec, build
 from biharm.exact import poly_eval
 from biharm.numeric import (
     PRECISIONS,
     DiscPoint,
-    RadialProfile,
+    QuadratureConvergenceError,
     StencilOutOfDomainError,
     abs1mz_sq,
     eval_kernel,
     fd_biharmonic_residual,
     integral_mean,
     l1_norm,
-    profile,
     solve_dirichlet,
     values_at,
 )
@@ -41,11 +42,6 @@ def test_disc_point_validation():
     with pytest.raises(ValueError):
         DiscPoint(r=-0.1, theta=0.0)
     DiscPoint(r=0.0, theta=5.0)  # any angle is fine
-
-
-def test_radial_profile_needs_samples():
-    with pytest.raises(ValueError):
-        RadialProfile(r=0.5, samples=np.zeros(3))
 
 
 def test_abs1mz_sq_values():
@@ -100,6 +96,16 @@ def test_eval_kernel_precision_paths_agree():
     assert d == pytest.approx(e, rel=1e-12)
 
 
+def test_values_at_near_the_boundary_matches_extended():
+    # 1 - r*r would lose the digits of t here; (1 - r)(1 + r) keeps them.
+    f4 = build(KernelSpec(gamma=4, kind="F"))
+    rng = random.Random(4004)
+    for _ in range(200):
+        p = DiscPoint(r=rng.uniform(0.9999, 0.99999), theta=rng.uniform(0.01, 3.1))
+        e = eval_kernel(f4, p, precision="extended")
+        assert abs(eval_kernel(f4, p) - e) <= 1e-12 * abs(e)
+
+
 def test_eval_kernel_singular_corner_upgrades():
     # Inside the corner the double-precision request takes the extended path.
     p = DiscPoint(r=0.9995, theta=1e-5)
@@ -117,13 +123,6 @@ def test_eval_kernel_rejects_unknown_precision():
     assert PRECISIONS == ("double", "extended")
     with pytest.raises(ValueError):
         eval_kernel(F0, DiscPoint(r=0.5, theta=0.0), precision="quad")
-
-
-def test_profile_shape():
-    prof = profile(F0, 0.6, 128)
-    assert prof.r == 0.6
-    assert len(prof.samples) == 128
-    assert prof.samples[0] == eval_kernel(F0, DiscPoint(r=0.6, theta=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +166,11 @@ def test_l1_norm_dominates_mean():
     assert l1_norm(h3, 0.9) >= abs(integral_mean(h3, 0.9)) - 1e-12
 
 
+def test_l1_norm_raises_at_node_cap():
+    with pytest.raises(QuadratureConvergenceError):
+        l1_norm(F2, 0.999)
+
+
 def test_l1_norm_validates_n():
     with pytest.raises(ValueError):
         l1_norm(F0, 0.5, n=128)
@@ -192,6 +196,28 @@ def test_dirichlet_constant_value_data():
 
 def test_dirichlet_empty_data():
     assert solve_dirichlet(1, {}, {}, DiscPoint(r=0.5, theta=0.0)) == 0.0
+
+
+def test_dirichlet_builds_each_kernel_once(monkeypatch):
+    built = []
+    real_build_raw = biharm.builder.build_raw
+
+    def counting_build_raw(spec):
+        built.append(spec.kind)
+        return real_build_raw(spec)
+
+    monkeypatch.setattr(biharm.builder, "build_raw", counting_build_raw)
+    p = DiscPoint(r=0.5, theta=0.3)
+    solve_dirichlet(2, {0: 1.0}, {0: 1.0}, p)
+    assert sorted(built) == ["F", "H"]
+    built.clear()
+    solve_dirichlet(2, {}, {0: 1.0}, p)
+    assert built == ["H"]
+
+
+def test_dirichlet_raises_at_node_cap():
+    with pytest.raises(QuadratureConvergenceError):
+        solve_dirichlet(0, {0: 1.0}, {}, DiscPoint(r=0.99999, theta=0.3))
 
 
 def test_dirichlet_cosine_data_converges_to_boundary():
