@@ -1,30 +1,32 @@
-"""Distributional boundary data of building-block terms t^k / |1-z|^(2 beta).
+"""Exact circular Fourier coefficients and boundary data of building-block
+terms t^k / |1-z|^(2 beta).
 
-For a term u = t^k / |1-z|^(2 beta) the circular means u_r concentrate, as
-r -> 1, at the boundary point z = 1: tested against a smooth function phi,
+On |z| = r, with s = r^2 and t = 1 - s, expanding (1-z)^(-beta) and
+(1-zbar)^(-beta) binomially and applying Euler's transformation gives the
+n-th Fourier coefficient
+
+    r^|n| t^(k + 1 - 2 beta) C(|n| + beta - 1, |n|) 2F1(|n| + 1 - beta, 1 - beta; |n| + 1; s).
+
+The 2F1 terminates at degree beta - 1 (``fourier_poly``), so after r^|n|
+the coefficient is exact over the rationals; ``radial_factor`` sums it over
+the bands of an expansion.  Its n = 0 case p(s) = sum_j C(beta - 1, j)^2 s^j
+is the integral mean of t^(2 beta - 1) / |1-z|^(2 beta).
+
+As r -> 1 the circular means of u = t^k / |1-z|^(2 beta) concentrate at
+z = 1: tested against a smooth function phi,
 
     <u_r, phi> = a phi(1) + b (1 - r) phi(1) + O((1 - r)^2),
 
 so the boundary value is a * delta_1 and the inward normal derivative is
-b * delta_1.  This module computes the exact pair (a, b).
-
-The computation rests on the closed form of the integral mean
-
-    mean of t^k / |1-z|^(2 beta) at radius r = (1 - s)^(k - 2 beta + 1) p(s),
-
-with s = r^2 and p a polynomial of degree <= 2 beta - 2 (the truncation of
-(1-s)^(2 beta - 1) sum_j C(j+beta-1, j)^2 s^j, which terminates because the
-backward differences of squared binomials vanish from order 2 beta - 1 on).
-Reading off the expansion at s = 1 gives
+b * delta_1.  Expanding (1 - s)^(k - 2 beta + 1) p(s) at s = 1 gives
 
     k = 2 beta - 1  ->  (a, b) = (p(1), -2 p'(1))
     k = 2 beta      ->  (0, 2 p(1))
     k >= 2 beta + 1 ->  (0, 0)
 
 while k < 2 beta - 1 means the mean diverges or tends to a non-delta limit
-and is rejected.  The k >= 2 beta rules are a derived extension of the
-k = 2 beta - 1 case, obtained by the factorization above; the numeric test
-suite cross-checks them against high-precision quadrature.
+and is rejected.  ``ab_sums`` computes (a, b) from the paper's double sums,
+independently of p.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class IntegralMeansPoly:
     """The polynomial p with p(r^2) = mean of t^(2b-1)/|1-z|^(2b) at radius r."""
 
     beta: int
-    poly: LaurentPoly  # in s = r^2, exponents 0 .. 2 beta - 2
+    poly: LaurentPoly  # in s = r^2, exponents 0 .. beta - 1
 
     def value_at_one(self) -> Fraction:
         return poly_eval(self.poly, Fraction(1))
@@ -83,16 +85,38 @@ def ab_sums(beta: int) -> BoundaryData:
     return BoundaryData(a=Fraction(a), b=Fraction(b))
 
 
+def fourier_poly(beta: int, n: int) -> LaurentPoly:
+    """C(|n| + beta - 1, |n|) 2F1(|n| + 1 - beta, 1 - beta; |n| + 1; s) as a
+    polynomial in s, of degree at most beta - 1 (beta >= 1)."""
+    n = abs(n)
+    coeffs: LaurentPoly = {}
+    c = Fraction(binom(n + beta - 1, n))
+    for j in range(beta):
+        if not c:
+            break
+        coeffs[j] = c
+        c = c * (n + 1 - beta + j) * (1 - beta + j) / ((n + 1 + j) * (j + 1))
+    return coeffs
+
+
+def radial_factor(kernel: KernelExpansion, n: int, s: Fraction) -> Fraction:
+    """The kernel's n-th Fourier coefficient on |z| = r, divided by r^|n|,
+    exactly as a function of s = r^2 < 1."""
+    t = 1 - s
+    return sum(
+        (
+            poly_eval(poly, t) / t ** (2 * beta - 1) * poly_eval(fourier_poly(beta, n), s)
+            for beta, poly in kernel.terms.items()
+        ),
+        Fraction(0),
+    )
+
+
 def integral_means_poly(beta: int) -> IntegralMeansPoly:
     """Exact integral-means polynomial p(s) for t^(2 beta - 1)/|1-z|^(2 beta)."""
     if beta < 2:
         raise ValueError(f"integral_means_poly requires beta >= 2, got {beta}")
-    coeffs: LaurentPoly = {}
-    for k in range(0, 2 * beta - 1):
-        c = _inner_sum(beta, k)
-        if c:
-            coeffs[k] = Fraction(c)
-    return IntegralMeansPoly(beta=beta, poly=coeffs)
+    return IntegralMeansPoly(beta=beta, poly=fourier_poly(beta, 0))
 
 
 def _a_value(beta: int) -> Fraction:

@@ -33,14 +33,7 @@ from .boundary import expansion_boundary
 from .builder import KERNEL_KINDS, KernelSpec, build
 from .conjecture import ConjectureVerdict, verify_conjecture
 from .exact import LaurentPoly
-from .numeric import (
-    PRECISIONS,
-    DiscPoint,
-    eval_kernel,
-    integral_mean,
-    l1_norm,
-    node_doubling,
-)
+from .numeric import PRECISIONS, DiscPoint, eval_kernel, integral_mean, l1_norm
 from .operators import (
     KernelExpansion,
     RULE_KINDS,
@@ -319,10 +312,12 @@ def cmd_eval(gamma: int, kind: str, r: float, theta: float, out=None) -> int:
 def cmd_l1check(gamma: int, kind: str, r_grid: Iterable[float], out=None) -> int:
     out = sys.stdout if out is None else out
     kernel = build(KernelSpec(gamma=gamma, kind=kind))
-    out.write("r\tl1\tl1_over_1mr\n")
+    rows = ["r\tl1\tl1_over_1mr\n"]
     for r in r_grid:
         value = l1_norm(kernel, r)
-        out.write(f"{r:.10g}\t{value:.10g}\t{value / (1.0 - r):.10g}\n")
+        rows.append(f"{r:.10g}\t{value:.10g}\t{value / (1.0 - r):.10g}\n")
+    # Written only once every radius has succeeded: no partial table on failure.
+    out.write("".join(rows))
     return 0
 
 
@@ -330,13 +325,12 @@ def cmd_means(gamma: int, kind: str, r_grid: Iterable[float], out=None) -> int:
     out = sys.stdout if out is None else out
     kernel = build(KernelSpec(gamma=gamma, kind=kind))
     bd = expansion_boundary(kernel)
-    out.write("r\tmean\tpredicted\tabs_err\n")
+    rows = ["r\tmean\tpredicted\tabs_err\n"]
     for r in r_grid:
-        mean = node_doubling(
-            lambda n: (integral_mean(kernel, r, n), 0.0), 4096, 1e-10, f"integral mean at r={r}"
-        )
+        mean = integral_mean(kernel, r)
         predicted = float(bd.a) + float(bd.b) * (1.0 - r)
-        out.write(f"{r:.10g}\t{mean:.10g}\t{predicted:.10g}\t{abs(mean - predicted):.3g}\n")
+        rows.append(f"{r:.10g}\t{mean:.10g}\t{predicted:.10g}\t{abs(mean - predicted):.3g}\n")
+    out.write("".join(rows))
     return 0
 
 

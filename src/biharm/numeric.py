@@ -1,12 +1,18 @@
-"""Floating-point evaluation, quadrature, convolution, and FD spot checks.
+"""Floating-point evaluation, Fourier multipliers, L1 quadrature, and FD
+spot checks.
 
-Exact expansions become numbers here.  Two precision paths exist: plain
-float64, and an mpmath-backed extended path used near the boundary
-singularity at z = 1 (and wherever the caller asks for it).  Quadrature is
-the plain trapezoid rule on equispaced angles — the integrands are smooth
-and 2 pi periodic, so the rule is spectrally accurate and the only
-difficulty, the kernel peak sharpening as r -> 1, is handled by doubling
-the node count until two successive estimates agree.
+Exact expansions become numbers here.  Pointwise values have two precision
+paths: plain float64, and an mpmath-backed extended path used near the
+boundary singularity at z = 1 (and wherever the caller asks for it).
+
+Integral means and Dirichlet solves use no quadrature: a kernel's Fourier
+coefficients on |z| = r are exact rationals in r^2 (``boundary.radial_factor``),
+so the solution for trigonometric boundary data is a finite sum of data
+coefficients times multipliers, rounded to float once per multiplier.
+
+Only the L1 norm, where |K| is not linear in K, is a quadrature: the
+trapezoid rule on equispaced angles, doubling the node count until two
+successive estimates agree.
 
 Two deliberate conventions:
 
@@ -20,14 +26,16 @@ Two deliberate conventions:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 import mpmath
 import numpy as np
 
+from .boundary import radial_factor
 from .builder import KernelSpec, build, build_pair
 from .operators import KernelExpansion
 
@@ -113,76 +121,34 @@ def eval_kernel(
     return float(values_at(kernel, p.r, np.array([p.theta]))[0])
 
 
-def _nodes(n: int) -> np.ndarray:
-    """n equispaced angles on [0, 2 pi): the trapezoid rule's nodes."""
-    return 2.0 * np.pi * np.arange(n) / n
-
-
-def node_doubling(estimate: Callable[[int], tuple], n: int, rtol: float, what: str):
-    """Run estimate(m) for m = n, 2n, 4n, ... until two successive values agree.
-
-    estimate(m) returns (value, scale); the loop stops once
-    |value - previous| <= rtol * max(|value|, scale), where scale = 0 makes the
-    test purely relative.  Past _NODE_CAP nodes it raises
-    QuadratureConvergenceError: an unconverged estimate is never returned.
-    """
-    prev = None
-    m = n
-    while m <= _NODE_CAP:
-        est, scale = estimate(m)
-        if prev is not None and abs(est - prev) <= rtol * max(abs(est), scale, 1e-300):
-            return est
-        prev = est
-        m *= 2
-    raise QuadratureConvergenceError(f"{what} did not stabilize below {_NODE_CAP} nodes")
-
-
-def integral_mean(kernel: KernelExpansion, r: float, n: int = 4096) -> float:
-    """(1/2 pi) integral of the kernel over the circle of radius r.
-
-    Trapezoid rule on n >= 64 equispaced nodes; for a 2 pi periodic smooth
-    integrand this is the mean of the samples and converges spectrally.
-    """
-    if n < 64:
-        raise ValueError(f"integral_mean requires n >= 64, got {n}")
-    return float(values_at(kernel, r, _nodes(n)).mean())
+def integral_mean(kernel: KernelExpansion, r: float) -> float:
+    """(1/2 pi) integral of the kernel over the circle of radius r, exactly
+    (its zeroth Fourier coefficient) and then rounded to float."""
+    if not (0.0 <= r < 1.0):
+        # The multipliers hold only inside the disc.
+        raise ValueError(f"integral_mean requires 0 <= r < 1, got r={r}")
+    return float(radial_factor(kernel, 0, Fraction(r) ** 2))
 
 
 def l1_norm(kernel: KernelExpansion, r: float, n: int = 256) -> float:
     """(1/2 pi) integral of |kernel| at radius r, by node doubling.
 
-    Doubles the node count from n (>= 256) until two successive estimates
-    agree to 1e-6 relative, capped at 2^20 nodes.
+    Doubles the trapezoid rule's node count from n (>= 256) until two
+    successive estimates agree to 1e-6 relative; past 2^20 nodes it raises
+    QuadratureConvergenceError rather than return an unconverged estimate.
     """
     if n < 256:
         raise ValueError(f"l1_norm requires n >= 256, got {n}")
-    return node_doubling(
-        lambda m: (float(np.abs(values_at(kernel, r, _nodes(m))).mean()), 0.0),
-        n,
-        1e-6,
-        f"L1 quadrature at r={r}",
+    prev = None
+    while n <= _NODE_CAP:
+        est = float(np.abs(values_at(kernel, r, 2.0 * np.pi * np.arange(n) / n)).mean())
+        if prev is not None and abs(est - prev) <= 1e-6 * est:
+            return est
+        prev = est
+        n *= 2
+    raise QuadratureConvergenceError(
+        f"L1 quadrature at r={r} did not stabilize below {_NODE_CAP} nodes"
     )
-
-
-def _trig_values(coeffs: Mapping[int, complex], phis: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(phis, dtype=complex)
-    for k, c in coeffs.items():
-        out += c * np.exp(1j * k * phis)
-    return out
-
-
-def _convolve(kernel: KernelExpansion, coeffs: Mapping[int, complex], p: DiscPoint) -> complex:
-    """(kernel_r * f)(theta) by trapezoid quadrature with node doubling."""
-
-    def estimate(m: int):
-        phis = _nodes(m)
-        kern = values_at(kernel, p.r, p.theta - phis)
-        # A purely relative test can never be met near a zero of the
-        # convolution; scale the tolerance by the integrand's magnitude.
-        scale = float(np.mean(np.abs(kern))) * sum(abs(c) for c in coeffs.values())
-        return complex(np.mean(kern * _trig_values(coeffs, phis))), scale
-
-    return node_doubling(estimate, 512, 1e-9, f"convolution quadrature at r={p.r}")
 
 
 def solve_dirichlet(
@@ -195,18 +161,24 @@ def solve_dirichlet(
 
     f0 and f1 are trigonometric polynomials given by their Fourier
     coefficients {harmonic: coefficient}; the solution is the sum of the
-    two circular convolutions with the F and H kernels at radius p.r.
-    Real (conjugate-symmetric) data produces a real value.  Empty data
-    builds no kernel; data f1 alone builds H only.
+    two circular convolutions with the F and H kernels at radius p.r, that
+    is, sum_n [f0(n) F_r(n) + f1(n) H_r(n)] e^(i n theta) with the kernels'
+    exact Fourier multipliers.  Real (conjugate-symmetric) data produces a
+    real value.  Empty data builds no kernel; data f1 alone builds H only.
     """
-    u = 0.0 + 0.0j
     if f0:
         kernel_f, kernel_h = build_pair(gamma)
-        u += _convolve(kernel_f, f0, p)
     elif f1:
-        kernel_h = build(KernelSpec(gamma=gamma, kind="H"))
-    if f1:
-        u += _convolve(kernel_h, f1, p)
+        kernel_f, kernel_h = None, build(KernelSpec(gamma=gamma, kind="H"))
+    else:
+        return 0.0
+    s = Fraction(p.r) ** 2
+    u = 0.0 + 0.0j
+    for kernel, data in ((kernel_f, f0), (kernel_h, f1)):
+        for n, c in data.items():
+            # r^|n| in float keeps the exact part's cost independent of |n|.
+            multiplier = p.r ** abs(n) * float(radial_factor(kernel, n, s))
+            u += c * multiplier * cmath.exp(1j * n * p.theta)
     return float(u.real)
 
 

@@ -139,14 +139,14 @@ def test_integral_mean_asymptotics():
     for gamma in range(0, 4):
         f = build(KernelSpec(gamma=gamma, kind="F"))
         for r in refined:
-            err = abs(integral_mean(f, r, n=16384) - 1.0)
+            err = abs(integral_mean(f, r) - 1.0)
             assert err <= 1e-4 * (1.0 - r) ** 2, (gamma, r, err)
 
         h = build(KernelSpec(gamma=gamma, kind="H"))
         fitted = {}
         for label, grid in (("coarse", coarse), ("refined", refined)):
             cs = [
-                abs(integral_mean(h, r, n=16384) - (1.0 - r)) / (1.0 - r) ** 2
+                abs(integral_mean(h, r) - (1.0 - r)) / (1.0 - r) ** 2
                 for r in grid
             ]
             assert all(0.3 <= c <= 0.7 for c in cs), (gamma, label, cs)

@@ -197,10 +197,19 @@ def test_means_table(capsys):
     assert err < 0.01  # quadratic correction only
 
 
-def test_means_unconverged_exits_1(capsys):
-    # At r = 0.99999 the trapezoid rule has not settled by 2^20 nodes.
-    assert main(["means", "--gamma", "0", "--kernel", "F", "--r-grid", "0.99999"]) == 1
-    assert "did not stabilize" in capsys.readouterr().err
+def test_means_near_the_boundary(capsys):
+    assert main(["means", "--gamma", "0", "--kernel", "F", "--r-grid", "0.99999"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert float(lines[1].split("\t")[1]) == 1.0
+
+
+def test_l1check_writes_no_partial_table(capsys):
+    # The 0.5 row succeeds; node doubling at 0.999 does not settle.
+    assert main(["l1check", "--gamma", "2", "--kernel", "F", "--r-grid", "0.5,0.999"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "did not stabilize" in captured.err
 
 
 # ---------------------------------------------------------------------------

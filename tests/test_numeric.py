@@ -1,4 +1,5 @@
-"""Tests for floating-point evaluation, quadrature, and FD validation."""
+"""Tests for floating-point evaluation, Fourier multipliers, L1 quadrature, and
+FD validation."""
 
 import math
 import random
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import biharm.builder
-from biharm.boundary import integral_means_poly
-from biharm.builder import KernelSpec, build
+from biharm.boundary import integral_means_poly, radial_factor
+from biharm.builder import KernelSpec, build, build_pair
+from biharm.conjecture import conjectured_kernel
 from biharm.exact import poly_eval
 from biharm.numeric import (
     PRECISIONS,
@@ -149,9 +151,43 @@ def test_integral_mean_matches_exact_polynomial(beta):
     assert integral_mean(u, 0.5) == pytest.approx(expected, rel=1e-10)
 
 
-def test_integral_mean_validates_n():
-    with pytest.raises(ValueError):
-        integral_mean(F0, 0.5, n=32)
+@pytest.mark.parametrize("r", [0.3, 0.99, 0.999999])
+def test_integral_mean_of_f_is_one_at_high_gamma(r):
+    # The float evaluator cancels badly here; the exact multiplier does not.
+    assert integral_mean(conjectured_kernel(40, "F"), r) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_integral_mean_rejects_radius_outside_disc():
+    for r in (1.0, 1.5, -0.1):
+        with pytest.raises(ValueError):
+            integral_mean(F0, r)
+
+
+def _multiplier(kernel, n, r):
+    return r**n * float(radial_factor(kernel, n, Fraction(r) ** 2))
+
+
+@pytest.mark.parametrize("gamma", [0, 1, 2, 4])
+def test_multipliers_match_trapezoid_means(gamma):
+    # An independent path: the trapezoid rule over the float evaluator.
+    phis = 2.0 * np.pi * np.arange(4096) / 4096
+    for kernel in build_pair(gamma):
+        for r in (0.5, 0.9):
+            values = values_at(kernel, r, phis)
+            for n in range(4):
+                quad = float(np.mean(values * np.cos(n * phis)))
+                assert _multiplier(kernel, n, r) == pytest.approx(quad, rel=1e-12), (n, r)
+
+
+@pytest.mark.parametrize("gamma", [0, 1, 2, 4])
+def test_multipliers_at_the_boundary(gamma):
+    # F reproduces boundary values and H normal derivatives: as r -> 1 the
+    # F multipliers tend to 1 and the H multipliers to 1 - r.
+    r = 1.0 - 1e-6
+    kernel_f, kernel_h = build_pair(gamma)
+    for n in range(4):
+        assert abs(_multiplier(kernel_f, n, r) - 1.0) < 1e-5
+        assert abs(_multiplier(kernel_h, n, r) / (1.0 - r) - 1.0) < 1e-5
 
 
 def test_l1_norm_of_f0_is_one():
@@ -215,9 +251,14 @@ def test_dirichlet_builds_each_kernel_once(monkeypatch):
     assert built == ["H"]
 
 
-def test_dirichlet_raises_at_node_cap():
-    with pytest.raises(QuadratureConvergenceError):
-        solve_dirichlet(0, {0: 1.0}, {}, DiscPoint(r=0.99999, theta=0.3))
+def test_dirichlet_near_the_boundary():
+    u = solve_dirichlet(0, {0: 1.0}, {}, DiscPoint(r=0.99999, theta=0.3))
+    assert u == pytest.approx(1.0, abs=1e-14)
+
+
+def test_dirichlet_constant_value_data_at_high_gamma():
+    u = solve_dirichlet(16, {0: 1.0}, {}, DiscPoint(r=0.99, theta=0.7))
+    assert u == pytest.approx(1.0, abs=1e-14)
 
 
 def test_dirichlet_cosine_data_converges_to_boundary():
@@ -234,8 +275,8 @@ def test_dirichlet_cosine_data_converges_to_boundary():
 
 
 def test_dirichlet_near_zero_of_solution():
-    # cos-data solution vanishes at theta = pi/2; the quadrature must settle
-    # on a value near zero rather than chase relative agreement forever.
+    # cos-data solution vanishes at theta = pi/2: the harmonics +-1 must
+    # cancel to the multipliers' rounding.
     u = solve_dirichlet(0, {1: 0.5, -1: 0.5}, {}, DiscPoint(r=0.9, theta=math.pi / 2))
     assert abs(u) < 1e-6
 
