@@ -25,8 +25,13 @@ b * delta_1.  Expanding (1 - s)^(k - 2 beta + 1) p(s) at s = 1 gives
     k >= 2 beta + 1 ->  (0, 0)
 
 while k < 2 beta - 1 means the mean diverges or tends to a non-delta limit
-and is rejected.  ``ab_sums`` computes (a, b) from the paper's double sums,
-independently of p.
+and is rejected.  Since p(1) = sum_j C(beta - 1, j)^2 = C(2 beta - 2, beta - 1)
+and p'(1) = (beta - 1) p(1) / 2, ``monomial_boundary`` uses the closed form
+a = C(2 beta - 2, beta - 1), b = -(beta - 1) a.
+
+``ab_sums`` (with ``_inner_sum``) computes (a, b) from the paper's double
+sums, independently of p.  It is a reference for tests only; no build path
+calls it.
 """
 
 from __future__ import annotations
@@ -119,11 +124,6 @@ def integral_means_poly(beta: int) -> IntegralMeansPoly:
     return IntegralMeansPoly(beta=beta, poly=fourier_poly(beta, 0))
 
 
-def _a_value(beta: int) -> Fraction:
-    # a_1 = 1 directly (the Poisson case); beta >= 2 via the double sum.
-    return Fraction(1) if beta == 1 else ab_sums(beta).a
-
-
 def monomial_boundary(k: int, beta: int) -> BoundaryData:
     """Boundary data (a, b) of t^k / |1-z|^(2 beta) for k >= 2 beta - 1."""
     if beta < 1:
@@ -133,13 +133,12 @@ def monomial_boundary(k: int, beta: int) -> BoundaryData:
             f"term t^{k}/|1-z|^{2 * beta} has non-delta boundary behavior "
             f"(k={k} < 2 beta - 1 = {2 * beta - 1})"
         )
+    if k > 2 * beta:
+        return BoundaryData(a=Fraction(0), b=Fraction(0))
+    a = Fraction(binom(2 * beta - 2, beta - 1))
     if k == 2 * beta - 1:
-        if beta == 1:
-            return BoundaryData(a=Fraction(1), b=Fraction(0))
-        return ab_sums(beta)
-    if k == 2 * beta:
-        return BoundaryData(a=Fraction(0), b=2 * _a_value(beta))
-    return BoundaryData(a=Fraction(0), b=Fraction(0))
+        return BoundaryData(a=a, b=-(beta - 1) * a)
+    return BoundaryData(a=Fraction(0), b=2 * a)
 
 
 def expansion_boundary(u: KernelExpansion) -> BoundaryData:

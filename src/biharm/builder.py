@@ -13,9 +13,11 @@ biharmonic operator D w^-1 D, with distributional boundary data
   3. require the biharmonic image to vanish identically.  Each (band,
      exponent) pair of the image contributes one exact linear equation; the
      columns are generated by the closed monomial rules;
-  4. solve exactly.  The H-type system is determined; the F-type system is
-     underdetermined by exactly one direction — the H solution itself, which
-     the final normalization cancels — so free unknowns are fixed to zero;
+  4. solve exactly by forward elimination and back substitution
+     (``exact.solve_linear``).  The H-type system is determined; the F-type
+     system is underdetermined by exactly one direction — the H solution
+     itself, which the final normalization cancels — so free unknowns are
+     fixed to zero;
   5. read off boundary data and normalize:  H = raw / b  when the raw
      solution has boundary (0, b);  F = (raw - b h) / a  when it has
      boundary (a, b) and h is the normalized H.

@@ -9,9 +9,9 @@ Everything downstream of this module is built from three ingredients:
     mapping integer exponent -> nonzero coefficient.  Exponents may be
     negative.  The variable is written ``t`` throughout and in the kernel
     modules stands for ``t = 1 - x`` with ``x = |z|^2``;
-  * ``solve_linear`` — exact Gauss-Jordan elimination over the rationals,
-    returning a unique solution, a particular solution plus a basis of the
-    homogeneous space, or an infeasibility verdict.
+  * ``solve_linear`` — exact forward elimination with back substitution
+    over the rationals, returning a unique solution, a particular solution
+    plus a basis of the homogeneous space, or an infeasibility verdict.
 
 No floating point enters this module.
 """
@@ -181,22 +181,25 @@ class LinearSolution:
 
 
 def solve_linear(system: RationalLinearSystem) -> LinearSolution:
-    """Exact Gauss-Jordan elimination over the rationals.
+    """Exact forward elimination and back substitution over the rationals.
 
     Columns are eliminated strictly in index order; a column that admits no
-    pivot among the remaining rows is free.  This makes the partition into
+    pivot among the rows without one is free.  This makes the partition into
     pivot and free unknowns — and hence the particular solution, which fixes
     every free unknown to zero — a deterministic function of the column
     ordering alone, independent of coefficient magnitudes.  Within a column
     the pivot row is the sparsest available row (ties broken by row index),
-    which keeps fill-in low on banded systems.
+    which keeps fill-in low on banded systems.  A pivot row is never reduced
+    against later pivots; the pivot unknowns are recovered by back
+    substitution from the last pivot column.
     """
     ncols = system.ncols()
     for vec, _ in system.rows:
         if len(vec) != ncols:
             raise ValueError("ragged system: rows of unequal length")
 
-    # Sparse working copies: row -> {col: coeff}, plus rhs and a column index.
+    # Sparse working copies: row -> {col: coeff}, plus rhs and a column index
+    # over the rows that have no pivot yet.
     rows: List[Dict[int, Fraction]] = []
     rhs: List[Fraction] = []
     for vec, b in system.rows:
@@ -207,16 +210,15 @@ def solve_linear(system: RationalLinearSystem) -> LinearSolution:
         for j in row:
             occupancy[j].add(i)
 
-    pivot_of_col: Dict[int, int] = {}
-    pivoted_rows: set = set()
+    pivot_of_col: Dict[int, int] = {}  # in ascending column order
 
     for j in range(ncols):
-        candidates = [i for i in occupancy[j] if i not in pivoted_rows]
-        if not candidates:
+        if not occupancy[j]:
             continue  # free column
-        p = min(candidates, key=lambda i: (len(rows[i]), i))
-        pivoted_rows.add(p)
+        p = min(occupancy[j], key=lambda i: (len(rows[i]), i))
         pivot_of_col[j] = p
+        for k in rows[p]:
+            occupancy[k].discard(p)
 
         # Normalize the pivot row so its leading entry is 1.
         inv = 1 / rows[p][j]
@@ -225,10 +227,8 @@ def solve_linear(system: RationalLinearSystem) -> LinearSolution:
             rhs[p] *= inv
         prow = rows[p]
 
-        # Eliminate column j from every other row that carries it.
+        # Eliminate column j from the rows that have no pivot yet.
         for i in list(occupancy[j]):
-            if i == p:
-                continue
             factor = rows[i][j]
             target = rows[i]
             for k, c in prow.items():
@@ -242,6 +242,7 @@ def solve_linear(system: RationalLinearSystem) -> LinearSolution:
                     occupancy[k].discard(i)
             rhs[i] -= factor * rhs[p]
 
+    pivoted_rows = set(pivot_of_col.values())
     for i, row in enumerate(rows):
         if i not in pivoted_rows:
             # A row never chosen as pivot is fully eliminated; a leftover
@@ -250,27 +251,30 @@ def solve_linear(system: RationalLinearSystem) -> LinearSolution:
             if rhs[i]:
                 return LinearSolution(status="infeasible")
 
+    def back_substitute(x: List[Fraction], with_rhs: bool) -> Tuple[Fraction, ...]:
+        # Pivot row p of column j reads x_j + sum_{k > j} a_k x_k = b, so the
+        # pivot unknowns follow one by one from the last column down.
+        for j, p in reversed(pivot_of_col.items()):
+            value = rhs[p] if with_rhs else ZERO
+            for k, c in rows[p].items():
+                if k != j and x[k]:
+                    value -= c * x[k]
+            x[j] = value
+        return tuple(x)
+
     free_cols = tuple(j for j in range(ncols) if j not in pivot_of_col)
-    particular = [ZERO] * ncols
-    for j, p in pivot_of_col.items():
-        particular[j] = rhs[p]
-
+    particular = back_substitute([ZERO] * ncols, with_rhs=True)
     if not free_cols:
-        return LinearSolution(status="unique", particular=tuple(particular))
+        return LinearSolution(status="unique", particular=particular)
 
-    col_of_pivot_row = {p: j for j, p in pivot_of_col.items()}
     basis: List[Tuple[Fraction, ...]] = []
     for f in free_cols:
         vec = [ZERO] * ncols
         vec[f] = ONE
-        for i in occupancy[f]:
-            # After Jordan elimination every row carrying column f is a pivot
-            # row; its equation reads x_j + sum_f a_f x_f = b.
-            vec[col_of_pivot_row[i]] = -rows[i][f]
-        basis.append(tuple(vec))
+        basis.append(back_substitute(vec, with_rhs=False))
     return LinearSolution(
         status="parametric",
-        particular=tuple(particular),
+        particular=particular,
         homogeneous=tuple(basis),
         free_columns=free_cols,
     )

@@ -46,6 +46,20 @@ def test_ab_sums_closed_identities():
         assert data.b == -(beta - 1) * data.a
 
 
+def test_monomial_boundary_closed_form_matches_references():
+    # The closed form monomial_boundary uses against the paper's double sums
+    # and against p(1), -2 p'(1) of the integral-means polynomial.
+    for beta in range(2, 61):
+        data = ab_sums(beta)
+        p = integral_means_poly(beta)
+        assert (data.a, data.b) == (p.value_at_one(), -2 * p.derivative_at_one())
+        assert monomial_boundary(2 * beta - 1, beta) == data, beta
+        assert monomial_boundary(2 * beta, beta) == BoundaryData(Fraction(0), 2 * data.a)
+    # beta = 1, the Poisson case, has no double sum: a = 1, b = 0.
+    assert monomial_boundary(1, 1) == BoundaryData(Fraction(1), Fraction(0))
+    assert monomial_boundary(2, 1) == BoundaryData(Fraction(0), Fraction(2))
+
+
 def test_ab_sums_rejects_small_beta():
     with pytest.raises(ValueError):
         ab_sums(1)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from biharm.builder import KERNEL_KINDS, KernelSpec, ansatz_grid, assemble_system
 from biharm.exact import (
     LinearSolution,
     RationalLinearSystem,
@@ -307,3 +308,36 @@ def test_solve_deterministic():
 def test_linear_solution_flags():
     sol = LinearSolution(status="infeasible")
     assert sol.is_infeasible and not sol.is_unique
+
+
+BUILDER_SYSTEMS = [(False, gamma) for gamma in range(13)] + [
+    (True, gamma) for gamma in range(7)
+]
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("widened, gamma", BUILDER_SYSTEMS)
+def test_solve_builder_systems(kind, widened, gamma):
+    # The systems the builder actually solves: every row holds exactly for
+    # the particular solution, and the basis spans the homogeneous solutions
+    # in the free-column normal form.
+    spec = KernelSpec(gamma=gamma, kind=kind)
+    columns, system = assemble_system(spec, ansatz_grid(spec, widened=widened))
+    sol = solve_linear(system)
+    assert not sol.is_infeasible
+    assert not any(residual(system, sol.particular))
+    assert all(sol.particular[f] == 0 for f in sol.free_columns)
+    assert len(sol.homogeneous) == len(sol.free_columns)
+    for f, vec in zip(sol.free_columns, sol.homogeneous):
+        assert len(vec) == system.ncols()
+        assert not any(
+            sum((c * v for c, v in zip(row, vec)), Fraction(0)) for row, _ in system.rows
+        )
+        assert vec[f] == 1
+        assert all(vec[g] == 0 for g in sol.free_columns if g != f)
+    if not widened:
+        if kind == "H":
+            assert sol.is_unique
+        else:
+            # F's one free direction is the top monomial of H.
+            assert sol.free_columns == (columns.index((gamma + 1, 2 * gamma + 2)),)
