@@ -13,7 +13,6 @@ module is exact rational arithmetic.
 
 from .boundary import BoundaryData, NonDeltaBoundaryError, expansion_boundary
 from .builder import (
-    AnsatzInsufficientError,
     KernelSpec,
     RawSolution,
     build,
@@ -46,7 +45,6 @@ from .operators import KernelExpansion, biharmonic, laplacian, make_expansion
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnsatzInsufficientError",
     "BoundaryData",
     "ConjectureCoefficients",
     "ConjectureVerdict",

@@ -28,10 +28,6 @@ while k < 2 beta - 1 means the mean diverges or tends to a non-delta limit
 and is rejected.  Since p(1) = sum_j C(beta - 1, j)^2 = C(2 beta - 2, beta - 1)
 and p'(1) = (beta - 1) p(1) / 2, ``monomial_boundary`` uses the closed form
 a = C(2 beta - 2, beta - 1), b = -(beta - 1) a.
-
-``ab_sums`` (with ``_inner_sum``) computes (a, b) from the paper's double
-sums, independently of p.  It is a reference for tests only; no build path
-calls it.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import LaurentPoly, Rational, binom, poly_diff, poly_eval
+from .exact import LaurentPoly, Rational, binom, poly_eval
 from .operators import KernelExpansion
 
 
@@ -54,40 +50,6 @@ class BoundaryData:
 
     a: Rational
     b: Rational
-
-
-@dataclass(frozen=True)
-class IntegralMeansPoly:
-    """The polynomial p with p(r^2) = mean of t^(2b-1)/|1-z|^(2b) at radius r."""
-
-    beta: int
-    poly: LaurentPoly  # in s = r^2, exponents 0 .. beta - 1
-
-    def value_at_one(self) -> Fraction:
-        return poly_eval(self.poly, Fraction(1))
-
-    def derivative_at_one(self) -> Fraction:
-        return poly_eval(poly_diff(self.poly), Fraction(1))
-
-
-def _inner_sum(beta: int, k: int) -> int:
-    """sum_j (-1)^j C(2 beta - 1, j) C(k - j + beta - 1, k - j)^2 over 0 <= j <= min(2 beta - 1, k)."""
-    total = 0
-    for j in range(0, min(2 * beta - 1, k) + 1):
-        total += (-1) ** j * binom(2 * beta - 1, j) * binom(k - j + beta - 1, k - j) ** 2
-    return total
-
-
-def ab_sums(beta: int) -> BoundaryData:
-    """Boundary data of t^(2 beta - 1) / |1-z|^(2 beta), beta >= 2, as double sums.
-
-    a = sum_{k=0}^{2 beta - 2} inner(k)   and   b = -sum_{k=1}^{2 beta - 2} 2 k inner(k).
-    """
-    if beta < 2:
-        raise ValueError(f"ab_sums requires beta >= 2, got {beta}")
-    a = sum(_inner_sum(beta, k) for k in range(0, 2 * beta - 1))
-    b = -sum(2 * k * _inner_sum(beta, k) for k in range(1, 2 * beta - 1))
-    return BoundaryData(a=Fraction(a), b=Fraction(b))
 
 
 def fourier_poly(beta: int, n: int) -> LaurentPoly:
@@ -115,13 +77,6 @@ def radial_factor(kernel: KernelExpansion, n: int, s: Fraction) -> Fraction:
         ),
         Fraction(0),
     )
-
-
-def integral_means_poly(beta: int) -> IntegralMeansPoly:
-    """Exact integral-means polynomial p(s) for t^(2 beta - 1)/|1-z|^(2 beta)."""
-    if beta < 2:
-        raise ValueError(f"integral_means_poly requires beta >= 2, got {beta}")
-    return IntegralMeansPoly(beta=beta, poly=fourier_poly(beta, 0))
 
 
 def monomial_boundary(k: int, beta: int) -> BoundaryData:

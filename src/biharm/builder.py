@@ -11,13 +11,14 @@ biharmonic operator D w^-1 D, with distributional boundary data
          [max(2 beta - 1, gamma + 2), beta + gamma + 1]   (F-type)
          [max(2 beta,     gamma + 2), beta + gamma + 1]   (H-type);
   3. require the biharmonic image to vanish identically.  Each (band,
-     exponent) pair of the image contributes one exact linear equation; the
-     columns are generated by the closed monomial rules;
-  4. solve exactly by forward elimination and back substitution
-     (``exact.solve_linear``).  The H-type system is determined; the F-type
-     system is underdetermined by exactly one direction — the H solution
-     itself, which the final normalization cancels — so free unknowns are
-     fixed to zero;
+     exponent) pair of the image contributes one exact linear equation, a
+     sparse row of integers: the columns are generated by the closed
+     monomial rules, whose coefficients are integers;
+  4. solve exactly by fraction-free forward elimination and back
+     substitution (``exact.solve_linear``).  The H-type system is
+     determined; the F-type system is underdetermined by exactly one
+     direction — the H solution itself, which the final normalization
+     cancels — so free unknowns are fixed to zero;
   5. read off boundary data and normalize:  H = raw / b  when the raw
      solution has boundary (0, b);  F = (raw - b h) / a  when it has
      boundary (a, b) and h is the normalized H.
@@ -27,10 +28,10 @@ free column of the underdetermined F-type system deterministically (it is
 always the top monomial of the H solution); the raw solutions this produces
 are reproducible constants, not artifacts of pivot luck.
 
-If the tight grid of step 2 ever turned out infeasible, the build retries
-once on the widened grid k in [beta, beta + gamma + 1] and then either
-succeeds, fails loudly because surviving low exponents k < 2 beta - 1 have
-no delta-type boundary data, or reports the ansatz as insufficient.
+The closed-form kernels lie on the tight grid of step 2, and its system is
+feasible for every gamma the closed-form sweep checks (gamma <= 80).  An
+infeasible system is therefore a defect, not a case to retry: the build
+raises ``RuntimeError`` naming gamma and kind.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .boundary import BoundaryData, NonDeltaBoundaryError, expansion_boundary
-from .exact import ZERO, LaurentPoly, RationalLinearSystem, solve_linear
+from .boundary import BoundaryData, expansion_boundary
+from .exact import LaurentPoly, RationalLinearSystem, solve_linear
 from .operators import (
     KernelExpansion,
     biharmonic_via_rules,
@@ -51,10 +52,6 @@ from .operators import (
 )
 
 KERNEL_KINDS = ("F", "H")
-
-
-class AnsatzInsufficientError(RuntimeError):
-    """Raised when even the widened coefficient grid admits no solution."""
 
 
 @dataclass(frozen=True)
@@ -95,13 +92,10 @@ def top_term(spec: KernelSpec) -> Tuple[int, int]:
     return beta0, floor[beta0]
 
 
-def ansatz_grid(spec: KernelSpec, widened: bool = False) -> Dict[int, List[int]]:
+def ansatz_grid(spec: KernelSpec) -> Dict[int, List[int]]:
     """Unknown exponent grid per band, for 1 <= beta < beta_0."""
     beta0, floor = grid_geometry(spec.gamma, spec.kind)
-    return {
-        beta: list(range(beta if widened else floor[beta], beta + spec.gamma + 2))
-        for beta in range(1, beta0)
-    }
+    return {beta: list(range(floor[beta], beta + spec.gamma + 2)) for beta in range(1, beta0)}
 
 
 def assemble_system(
@@ -111,32 +105,26 @@ def assemble_system(
 
     Returns the column labels (beta, k) in ascending order together with the
     system; the right-hand side carries the negated image of the fixed top
-    monomial.  Rows are the (band, exponent) pairs of the image space.
+    monomial.  Rows are the (band, exponent) pairs of the image space, each
+    a sparse ``{column: int}`` row with an ``int`` right-hand side.
     """
     columns = sorted((beta, k) for beta, ks in grid.items() for k in ks)
-    col_index = {bk: i for i, bk in enumerate(columns)}
 
-    coeff: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    rhs: Dict[Tuple[int, int], Fraction] = {}
+    coeff: Dict[Tuple[int, int], Dict[int, int]] = {}
+    rhs: Dict[Tuple[int, int], int] = {}
 
     beta0, k0 = top_term(spec)
     for band, img in monomial_image(spec.gamma, beta0, k0).items():
         for e, c in img.items():
-            rhs[(band, e)] = rhs.get((band, e), ZERO) - c
+            rhs[(band, e)] = -c
 
-    for bk in columns:
-        beta, k = bk
-        j = col_index[bk]
+    for j, (beta, k) in enumerate(columns):
+        # A column's rules land in distinct bands, so no entry is written twice.
         for band, img in monomial_image(spec.gamma, beta, k).items():
             for e, c in img.items():
                 coeff.setdefault((band, e), {})[j] = c
 
-    rows: List[Tuple[List[Fraction], Fraction]] = []
-    for key in sorted(set(coeff) | set(rhs)):
-        vec = [ZERO] * len(columns)
-        for j, c in coeff.get(key, {}).items():
-            vec[j] = c
-        rows.append((vec, rhs.get(key, ZERO)))
+    rows = [(coeff.get(key, {}), rhs.get(key, 0)) for key in sorted(coeff.keys() | rhs.keys())]
     return columns, RationalLinearSystem(rows=rows, unknowns=len(columns))
 
 
@@ -156,19 +144,10 @@ def build_raw(spec: KernelSpec) -> RawSolution:
     columns, system = assemble_system(spec, ansatz_grid(spec))
     sol = solve_linear(system)
     if sol.is_infeasible:
-        columns, system = assemble_system(spec, ansatz_grid(spec, widened=True))
-        sol = solve_linear(system)
-        if sol.is_infeasible:
-            raise AnsatzInsufficientError(
-                f"no biharmonic-zero expansion on the widened grid for "
-                f"gamma={spec.gamma}, kind={spec.kind}"
-            )
-        for (beta, k), v in zip(columns, sol.particular):
-            if v and k < 2 * beta - 1:
-                raise NonDeltaBoundaryError(
-                    f"widened-grid solution for gamma={spec.gamma}, "
-                    f"kind={spec.kind} retains non-delta term beta={beta}, k={k}"
-                )
+        raise RuntimeError(
+            f"no biharmonic-zero expansion on the tight grid "
+            f"(gamma={spec.gamma}, kind={spec.kind})"
+        )
     expansion = _expansion_of(spec, columns, sol.particular)
     if biharmonic_via_rules(expansion):
         raise RuntimeError(

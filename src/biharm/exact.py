@@ -9,9 +9,11 @@ Everything downstream of this module is built from three ingredients:
     mapping integer exponent -> nonzero coefficient.  Exponents may be
     negative.  The variable is written ``t`` throughout and in the kernel
     modules stands for ``t = 1 - x`` with ``x = |z|^2``;
-  * ``solve_linear`` — exact forward elimination with back substitution
-    over the rationals, returning a unique solution, a particular solution
-    plus a basis of the homogeneous space, or an infeasibility verdict.
+  * ``solve_linear`` — exact solving of a sparse linear system: fraction-free
+    forward elimination in integers (each pivot row divided by its content),
+    then back substitution, the only step that forms rationals.
+    It returns a unique solution, a particular solution plus a basis of the
+    homogeneous space, or an infeasibility verdict.
 
 No floating point enters this module.
 """
@@ -19,9 +21,9 @@ No floating point enters this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 Rational = Fraction
 
@@ -53,18 +55,6 @@ def binom(n: int, r: int) -> int:
 # polynomials
 
 
-def poly_from_terms(terms: Sequence[Tuple[int, Fraction | int]]) -> LaurentPoly:
-    """Sum of c * t^k over (k, c) pairs; repeated exponents accumulate."""
-    out: LaurentPoly = {}
-    for k, c in terms:
-        new = out.get(k, ZERO) + Fraction(c)
-        if new:
-            out[k] = new
-        else:
-            out.pop(k, None)
-    return out
-
-
 def poly_add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     out = dict(p)
     for k, c in q.items():
@@ -89,19 +79,6 @@ def poly_scale(c: Fraction | int, p: LaurentPoly) -> LaurentPoly:
     if not c:
         return {}
     return {k: c * v for k, v in p.items()}
-
-
-def poly_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    out: LaurentPoly = {}
-    for kp, cp in p.items():
-        for kq, cq in q.items():
-            k = kp + kq
-            new = out.get(k, ZERO) + cp * cq
-            if new:
-                out[k] = new
-            else:
-                out.pop(k, None)
-    return out
 
 
 def poly_shift(p: LaurentPoly, m: int) -> LaurentPoly:
@@ -138,21 +115,19 @@ def poly_eval(p: LaurentPoly, t: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class RationalLinearSystem:
-    """A list of exact linear equations: (coefficient vector, right-hand side).
+    """A list of exact linear equations over ``unknowns`` columns.
 
-    All coefficient vectors must share one length (the unknown count).  A
-    system may have unknowns but no equations — every unknown is then free —
-    so the unknown count can be given explicitly; otherwise it is read off
-    the first row.
+    Each equation is a sparse row ``{column: coefficient}`` with its
+    right-hand side.  Coefficients are ``int`` (the builder's systems) or
+    ``Fraction``; absent columns and zero entries stand for zero.  A system
+    may have unknowns but no equations, in which case every unknown is free.
     """
 
-    rows: List[Tuple[List[Fraction], Fraction]]
-    unknowns: int | None = None
+    rows: List[Tuple[Dict[int, Fraction | int], Fraction | int]]
+    unknowns: int
 
     def ncols(self) -> int:
-        if self.unknowns is not None:
-            return self.unknowns
-        return len(self.rows[0][0]) if self.rows else 0
+        return self.unknowns
 
 
 @dataclass(frozen=True)
@@ -180,8 +155,19 @@ class LinearSolution:
         return self.status == "infeasible"
 
 
+def _integer_row(
+    coeffs: Dict[int, Fraction | int], b: Fraction | int, ncols: int
+) -> Tuple[Dict[int, int], int]:
+    """The row scaled by the lcm of its denominators: integer entries, zeros dropped."""
+    for j in coeffs:
+        if not 0 <= j < ncols:
+            raise ValueError(f"column index {j} out of range for {ncols} unknowns")
+    den = math.lcm(b.denominator, *(c.denominator for c in coeffs.values()))
+    return {j: int(c * den) for j, c in coeffs.items() if c}, int(b * den)
+
+
 def solve_linear(system: RationalLinearSystem) -> LinearSolution:
-    """Exact forward elimination and back substitution over the rationals.
+    """Exact forward elimination in integers, back substitution over the rationals.
 
     Columns are eliminated strictly in index order; a column that admits no
     pivot among the rows without one is free.  This makes the partition into
@@ -189,21 +175,30 @@ def solve_linear(system: RationalLinearSystem) -> LinearSolution:
     every free unknown to zero — a deterministic function of the column
     ordering alone, independent of coefficient magnitudes.  Within a column
     the pivot row is the sparsest available row (ties broken by row index),
-    which keeps fill-in low on banded systems.  A pivot row is never reduced
-    against later pivots; the pivot unknowns are recovered by back
-    substitution from the last pivot column.
+    which keeps fill-in low on banded systems.
+
+    Elimination is fraction-free.  Rows with ``Fraction`` entries are first
+    cleared of denominators.  A row chosen as pivot is divided by its
+    content, the gcd of its entries and right-hand side; then, with pivot
+    entry p, row i's entry f and g = gcd(p, f), each update is
+    row_i <- (p/g) row_i - (f/g) pivot_row.  (Bareiss's exact division
+    needs a fixed pivot sequence, which free columns and sparsest-row
+    pivoting do not give.  Removing the content once per pivot row, not
+    after every update, spends fewer gcds than the entry growth it lets
+    through costs.)  Each row stays a nonzero multiple of the rational row,
+    so the pivot sequence and the solution do not depend on the scaling.
+    A pivot row is never reduced against later pivots; the pivot unknowns
+    are recovered by back substitution from the last pivot column, the only
+    step that forms ``Fraction``s.
     """
     ncols = system.ncols()
-    for vec, _ in system.rows:
-        if len(vec) != ncols:
-            raise ValueError("ragged system: rows of unequal length")
-
-    # Sparse working copies: row -> {col: coeff}, plus rhs and a column index
+    # Working copies: integer rows and right-hand sides, plus a column index
     # over the rows that have no pivot yet.
-    rows: List[Dict[int, Fraction]] = []
-    rhs: List[Fraction] = []
-    for vec, b in system.rows:
-        rows.append({j: c for j, c in enumerate(vec) if c})
+    rows: List[Dict[int, int]] = []
+    rhs: List[int] = []
+    for coeffs, b in system.rows:
+        row, b = _integer_row(coeffs, b, ncols)
+        rows.append(row)
         rhs.append(b)
     occupancy: Dict[int, set] = {j: set() for j in range(ncols)}
     for i, row in enumerate(rows):
@@ -217,22 +212,26 @@ def solve_linear(system: RationalLinearSystem) -> LinearSolution:
             continue  # free column
         p = min(occupancy[j], key=lambda i: (len(rows[i]), i))
         pivot_of_col[j] = p
-        for k in rows[p]:
-            occupancy[k].discard(p)
-
-        # Normalize the pivot row so its leading entry is 1.
-        inv = 1 / rows[p][j]
-        if inv != 1:
-            rows[p] = {k: c * inv for k, c in rows[p].items()}
-            rhs[p] *= inv
         prow = rows[p]
+        for k in prow:
+            occupancy[k].discard(p)
+        content = math.gcd(rhs[p], *prow.values())
+        if content > 1:
+            for k in prow:
+                prow[k] //= content
+            rhs[p] //= content
+        pivot = prow[j]
 
         # Eliminate column j from the rows that have no pivot yet.
         for i in list(occupancy[j]):
-            factor = rows[i][j]
             target = rows[i]
+            g = math.gcd(pivot, target[j])
+            mult, factor = pivot // g, target[j] // g
+            if mult != 1:
+                for k in target:
+                    target[k] *= mult
             for k, c in prow.items():
-                new = target.get(k, ZERO) - factor * c
+                new = target.get(k, 0) - factor * c
                 if new:
                     if k not in target:
                         occupancy[k].add(i)
@@ -240,7 +239,7 @@ def solve_linear(system: RationalLinearSystem) -> LinearSolution:
                 else:
                     target.pop(k, None)
                     occupancy[k].discard(i)
-            rhs[i] -= factor * rhs[p]
+            rhs[i] = mult * rhs[i] - factor * rhs[p]
 
     pivoted_rows = set(pivot_of_col.values())
     for i, row in enumerate(rows):
@@ -252,14 +251,23 @@ def solve_linear(system: RationalLinearSystem) -> LinearSolution:
                 return LinearSolution(status="infeasible")
 
     def back_substitute(x: List[Fraction], with_rhs: bool) -> Tuple[Fraction, ...]:
-        # Pivot row p of column j reads x_j + sum_{k > j} a_k x_k = b, so the
-        # pivot unknowns follow one by one from the last column down.
+        # Pivot row p of column j reads a_j x_j + sum_{k > j} a_k x_k = b, so
+        # the pivot unknowns follow one by one from the last column down.
+        # The sum is kept as num / den over a common denominator and reduced
+        # once, by the Fraction that becomes x_j.
         for j, p in reversed(pivot_of_col.items()):
-            value = rhs[p] if with_rhs else ZERO
+            num, den = (rhs[p] if with_rhs else 0), 1
             for k, c in rows[p].items():
-                if k != j and x[k]:
-                    value -= c * x[k]
-            x[j] = value
+                v = x[k]
+                if k != j and v:
+                    vden = v.denominator
+                    if vden == den:
+                        num -= c * v.numerator
+                    else:
+                        g = math.gcd(den, vden)
+                        num = num * (vden // g) - c * v.numerator * (den // g)
+                        den *= vden // g
+            x[j] = Fraction(num, den * rows[p][j])
         return tuple(x)
 
     free_cols = tuple(j for j in range(ncols) if j not in pivot_of_col)

@@ -34,7 +34,6 @@ from .exact import (
     LaurentPoly,
     poly_add,
     poly_d_dx,
-    poly_from_terms,
     poly_mul_x,
     poly_scale,
     poly_shift,
@@ -115,7 +114,7 @@ def apply_winv(gamma: int, f: LaurentPoly) -> LaurentPoly:
 # closed-form monomial rules
 
 
-def monomial_rule(gamma: int, beta: int, k: int, which: str) -> LaurentPoly:
+def monomial_rule(gamma: int, beta: int, k: int, which: str) -> Dict[int, int]:
     """Closed form of a two-step band composition applied to t^k.
 
     which selects the composition (lower band index beta in all three):
@@ -124,21 +123,22 @@ def monomial_rule(gamma: int, beta: int, k: int, which: str) -> LaurentPoly:
       "PQ+QP" : P_(beta+1) w^-1 Q_beta + Q_beta w^-1 P_beta   -> 1 band up
       "PP"    : P_beta w^-1 P_beta            -> same band
 
-    Each returns a polynomial with at most three terms; exponents may be
-    negative for small k.  Agrees with the generic composition for every
-    (gamma, beta, k) — the product forms below absorb all telescoping.
+    Each returns a polynomial with at most three terms, whose coefficients
+    are plain ``int``s; exponents may be negative for small k.  Agrees with
+    the generic composition for every (gamma, beta, k) — the product forms
+    below absorb all telescoping.
     """
     if which == "QQ":
         c = beta * (beta + 1) * (beta - k) * (beta + gamma + 1 - k)
-        return poly_from_terms([(k - gamma, c)])
-    if which == "PQ+QP":
+        terms = [(k - gamma, c)]
+    elif which == "PQ+QP":
         c1 = beta * (beta + gamma + 1 - k) * (beta - k) * (2 * k - gamma)
         c2 = beta * (
             k * (k - 1) * (beta + gamma + 2 - k)
             + (beta - k) * (k - gamma) * (k - gamma - 1)
         )
-        return poly_from_terms([(k - gamma - 1, c1), (k - gamma - 2, c2)])
-    if which == "PP":
+        terms = [(k - gamma - 1, c1), (k - gamma - 2, c2)]
+    elif which == "PP":
         c1 = k * (beta - k) * (k - gamma - 1) * (beta + gamma + 1 - k)
         c2 = k * (k - gamma - 2) * (
             (beta - k) * (k - gamma - 1)
@@ -146,10 +146,10 @@ def monomial_rule(gamma: int, beta: int, k: int, which: str) -> LaurentPoly:
             - (k - 1) * (k - gamma - 3)
         )
         c3 = k * (k - 1) * (k - gamma - 2) * (k - gamma - 3)
-        return poly_from_terms(
-            [(k - gamma - 2, c1), (k - gamma - 3, c2), (k - gamma - 4, c3)]
-        )
-    raise ValueError(f"unknown rule kind {which!r}; expected one of {RULE_KINDS}")
+        terms = [(k - gamma - 2, c1), (k - gamma - 3, c2), (k - gamma - 4, c3)]
+    else:
+        raise ValueError(f"unknown rule kind {which!r}; expected one of {RULE_KINDS}")
+    return {e: c for e, c in terms if c}  # the exponents are distinct
 
 
 def monomial_rule_generic(gamma: int, beta: int, k: int, which: str) -> LaurentPoly:
@@ -166,7 +166,7 @@ def monomial_rule_generic(gamma: int, beta: int, k: int, which: str) -> LaurentP
     raise ValueError(f"unknown rule kind {which!r}; expected one of {RULE_KINDS}")
 
 
-def monomial_image(gamma: int, beta: int, k: int) -> Dict[int, LaurentPoly]:
+def monomial_image(gamma: int, beta: int, k: int) -> Dict[int, Dict[int, int]]:
     """Biharmonic image of t^k / |1-z|^(2 beta), banded: band -> polynomial.
 
     The monomial contributes to bands beta, beta+1, beta+2 through the PP,
@@ -221,5 +221,8 @@ def biharmonic_via_rules(u: KernelExpansion) -> CoeffSequence:
     for beta, poly in u.terms.items():
         for k, coeff in poly.items():
             for band, img in monomial_image(u.gamma, beta, k).items():
-                acc[band] = poly_add(acc.get(band, {}), poly_scale(coeff, img))
-    return {m: p for m, p in acc.items() if p}
+                out = acc.setdefault(band, {})
+                for e, c in img.items():
+                    out[e] = out.get(e, 0) + coeff * c
+    images = {m: {e: c for e, c in p.items() if c} for m, p in acc.items()}
+    return {m: p for m, p in images.items() if p}

@@ -2,7 +2,7 @@
 
 Run with `pytest -v tests/test_acceptance.py` to get one pass/fail line per
 item.  Setting BIHARM_ACCEPT_EXTENDED=1 widens the re-derivation sweep from
-gamma <= 40 to gamma <= 80 (about a minute and a half of exact arithmetic).
+gamma <= 40 to gamma <= 80 (about half a minute of exact arithmetic).
 """
 
 import math
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from biharm.boundary import BoundaryData, ab_sums
+from biharm.boundary import BoundaryData
 from biharm.builder import KernelSpec, build, build_raw
 from biharm.conjecture import verify_conjecture
 from biharm.exact import binom
@@ -25,6 +25,7 @@ from biharm.numeric import (
     solve_dirichlet,
 )
 from biharm.operators import RULE_KINDS, monomial_rule, monomial_rule_generic
+from exact_references import ab_sums
 from kernel_fixtures import KNOWN_KERNELS
 
 F = Fraction

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import biharm.builder
 from biharm.boundary import BoundaryData, expansion_boundary
 from biharm.builder import (
     KernelSpec,
@@ -18,7 +19,7 @@ from biharm.builder import (
     normalize_H,
     top_term,
 )
-from biharm.exact import solve_linear
+from biharm.exact import LinearSolution, solve_linear
 from biharm.operators import biharmonic, make_expansion
 from kernel_fixtures import KNOWN_KERNELS
 
@@ -49,12 +50,6 @@ def test_ansatz_grid_ranges():
     assert grid == {1: [4], 2: [4, 5], 3: [5, 6]}
     grid = ansatz_grid(KernelSpec(gamma=2, kind="H"))
     assert grid == {1: [4], 2: [4, 5]}
-
-
-def test_ansatz_grid_widened_floors_at_beta():
-    grid = ansatz_grid(KernelSpec(gamma=2, kind="F"), widened=True)
-    assert grid[1] == [1, 2, 3, 4]
-    assert grid[3] == [3, 4, 5, 6]
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +84,17 @@ def test_f_system_free_direction_is_h_top(gamma):
 
 # ---------------------------------------------------------------------------
 # raw solutions
+
+
+@pytest.mark.parametrize("kind", ("F", "H"))
+def test_infeasible_system_fails_loudly(kind, monkeypatch):
+    # No retry on another grid: an infeasible tight system is reported with
+    # the gamma and kind it came from.
+    monkeypatch.setattr(
+        biharm.builder, "solve_linear", lambda system: LinearSolution(status="infeasible")
+    )
+    with pytest.raises(RuntimeError, match=f"gamma=3, kind={kind}"):
+        build_raw(KernelSpec(gamma=3, kind=kind))
 
 
 def test_raw_h2_constants():

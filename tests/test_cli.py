@@ -1,5 +1,6 @@
 """Tests for the document schema, formatters, and the command-line surface."""
 
+import hashlib
 import json
 import math
 import re
@@ -90,6 +91,22 @@ def test_gen_json_round_trips(capsys):
     assert kind == "H"
     assert kernel.terms == build(KernelSpec(gamma=2, kind="H")).terms
     assert doc["provenance"]["checks_passed"] == ["biharmonic-zero", "boundary-exact"]
+
+
+# SHA-256 of `biharm gen --gamma 24 --kernel K --format json`, recorded with
+# the rational-arithmetic solver that the integer one replaced: the
+# documents must not change by a byte.
+GEN_24_SHA256 = {
+    "F": "36ada26d7a8293294796087f40655f4a87236346e60f419eb762817d6fde4ec0",
+    "H": "866163f4dacaf5da64148f741cf067ff382a496c3087f8f0da5331786eb3376d",
+}
+
+
+@pytest.mark.parametrize("kind", ("F", "H"))
+def test_gen_json_bytes_pinned(kind, capsys):
+    assert main(["gen", "--gamma", "24", "--kernel", kind, "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GEN_24_SHA256[kind]
 
 
 def test_gen_latex_golden(capsys):

@@ -1,5 +1,6 @@
 """Tests for the exact polynomial ring and the rational linear solver."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,8 +15,6 @@ from biharm.exact import (
     poly_d_dx,
     poly_diff,
     poly_eval,
-    poly_from_terms,
-    poly_mul,
     poly_mul_x,
     poly_neg,
     poly_scale,
@@ -23,6 +22,7 @@ from biharm.exact import (
     poly_sub,
     solve_linear,
 )
+from exact_references import poly_from_terms, poly_mul
 
 
 def rand_poly(rng, max_terms=5, lo=-3, hi=8):
@@ -182,20 +182,23 @@ def test_mul_x_identity():
 # linear solver
 
 
+def sparse(dense_rows):
+    """A system from dense (coefficients, rhs) rows, zeros left out."""
+    ncols = len(dense_rows[0][0]) if dense_rows else 0
+    rows = [({j: c for j, c in enumerate(vec) if c}, b) for vec, b in dense_rows]
+    return RationalLinearSystem(rows=rows, unknowns=ncols)
+
+
+def apply_rows(system, vec):
+    return [sum((c * vec[j] for j, c in row.items()), Fraction(0)) for row, _ in system.rows]
+
+
 def residual(system, vec):
-    return [
-        sum((c * v for c, v in zip(row, vec)), Fraction(0)) - rhs
-        for row, rhs in system.rows
-    ]
+    return [lhs - rhs for lhs, (_, rhs) in zip(apply_rows(system, vec), system.rows)]
 
 
 def test_solve_unique():
-    system = RationalLinearSystem(
-        rows=[
-            ([Fraction(2), Fraction(1)], Fraction(5)),
-            ([Fraction(1), Fraction(-1)], Fraction(1)),
-        ]
-    )
+    system = RationalLinearSystem(rows=[({0: 2, 1: 1}, 5), ({0: 1, 1: -1}, 1)], unknowns=2)
     sol = solve_linear(system)
     assert sol.is_unique
     assert sol.particular == (Fraction(2), Fraction(1))
@@ -203,26 +206,21 @@ def test_solve_unique():
 
 
 def test_solve_infeasible():
-    system = RationalLinearSystem(
-        rows=[
-            ([Fraction(1), Fraction(1)], Fraction(1)),
-            ([Fraction(1), Fraction(1)], Fraction(2)),
-        ]
-    )
+    system = RationalLinearSystem(rows=[({0: 1, 1: 1}, 1), ({0: 1, 1: 1}, 2)], unknowns=2)
     assert solve_linear(system).is_infeasible
 
 
 def test_solve_zero_row_contradiction():
-    system = RationalLinearSystem(
-        rows=[([Fraction(0), Fraction(0)], Fraction(1))]
-    )
-    assert solve_linear(system).is_infeasible
+    # An empty row and a row of explicit zeros both read 0 = 1.
+    for row in ({}, {0: 0, 1: Fraction(0)}):
+        system = RationalLinearSystem(rows=[(row, 1)], unknowns=2)
+        assert solve_linear(system).is_infeasible
 
 
 def test_solve_parametric_free_column_is_last():
     # One equation, two unknowns: the ascending column sweep pivots column 0,
     # so column 1 is the free one and is fixed to zero in the particular.
-    system = RationalLinearSystem(rows=[([Fraction(1), Fraction(1)], Fraction(3))])
+    system = RationalLinearSystem(rows=[({0: 1, 1: 1}, 3)], unknowns=2)
     sol = solve_linear(system)
     assert sol.status == "parametric"
     assert sol.free_columns == (1,)
@@ -231,15 +229,15 @@ def test_solve_parametric_free_column_is_last():
 
 
 def test_solve_ragged_rejected():
-    system = RationalLinearSystem(
-        rows=[([Fraction(1)], Fraction(0)), ([Fraction(1), Fraction(2)], Fraction(0))]
-    )
-    with pytest.raises(ValueError):
-        solve_linear(system)
+    # A column index outside 0 .. unknowns - 1 has no unknown to stand for.
+    for row in ({2: 1}, {-1: 1}):
+        system = RationalLinearSystem(rows=[({0: 1}, 0), (row, 0)], unknowns=2)
+        with pytest.raises(ValueError):
+            solve_linear(system)
 
 
 def test_solve_empty_system():
-    sol = solve_linear(RationalLinearSystem(rows=[]))
+    sol = solve_linear(RationalLinearSystem(rows=[], unknowns=0))
     assert sol.is_unique
     assert sol.particular == ()
 
@@ -261,16 +259,15 @@ def test_solve_random_consistent_systems():
         rows = []
         x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)]
         for _ in range(m):
-            row = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+            row = [rng.randint(-3, 3) for _ in range(n)]
             rhs = sum((c * v for c, v in zip(row, x0)), Fraction(0))
             rows.append((row, rhs))
-        system = RationalLinearSystem(rows=rows)
+        system = sparse(rows)
         sol = solve_linear(system)
         assert not sol.is_infeasible
-        assert all(v == 0 for v in residual(system, sol.particular))
+        assert not any(residual(system, sol.particular))
         for vec in sol.homogeneous:
-            hom = [sum((c * v for c, v in zip(row, vec)), Fraction(0)) for row, _ in rows]
-            assert all(v == 0 for v in hom)
+            assert not any(apply_rows(system, vec))
         assert sol.is_unique == (not sol.free_columns)
         for f, vec in zip(sol.free_columns, sol.homogeneous):
             assert vec[f] == 1
@@ -284,30 +281,67 @@ def test_solve_random_infeasible_systems():
     for _ in range(200):
         n = rng.randint(1, 5)
         rows = [
-            ([Fraction(rng.randint(-3, 3)) for _ in range(n)], Fraction(rng.randint(-3, 3)))
+            ([rng.randint(-3, 3) for _ in range(n)], rng.randint(-3, 3))
             for _ in range(n + 2)
         ]
-        sol = solve_linear(RationalLinearSystem(rows=rows))
+        system = sparse(rows)
+        sol = solve_linear(system)
         if sol.is_infeasible:
             hit += 1
         else:
-            assert all(v == 0 for v in residual(RationalLinearSystem(rows=rows), sol.particular))
+            assert not any(residual(system, sol.particular))
     assert hit > 0  # overdetermined random systems are usually inconsistent
+
+
+def test_solve_rational_rows_match_integer_scaling():
+    # Rows with non-integer rational entries are cleared of denominators on
+    # entry: the solution satisfies the rational rows exactly and equals the
+    # one of the same rows scaled to integers by hand.
+    rng = random.Random(1011)
+    parametric = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)]
+        rows = []
+        for _ in range(rng.randint(1, n + 1)):
+            row = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
+            rows.append((row, sum((c * v for c, v in zip(row, x0)), Fraction(0))))
+        system = sparse(rows)
+        sol = solve_linear(system)
+        assert not sol.is_infeasible
+        assert not any(residual(system, sol.particular))
+        for vec in sol.homogeneous:
+            assert not any(apply_rows(system, vec))
+        parametric += bool(sol.free_columns)
+
+        scaled = []
+        for row, b in system.rows:
+            den = rng.randint(1, 3) * math.lcm(b.denominator, *(c.denominator for c in row.values()))
+            scaled.append(({j: int(c * den) for j, c in row.items()}, int(b * den)))
+        assert all(isinstance(c, int) for row, _ in scaled for c in row.values())
+        assert solve_linear(RationalLinearSystem(rows=scaled, unknowns=n)) == sol
+    assert parametric > 0
 
 
 def test_solve_deterministic():
     rng = random.Random(1010)
-    rows = [
-        ([Fraction(rng.randint(-3, 3)) for _ in range(5)], Fraction(rng.randint(-3, 3)))
-        for _ in range(3)
-    ]
-    system = RationalLinearSystem(rows=rows)
+    rows = [([rng.randint(-3, 3) for _ in range(5)], rng.randint(-3, 3)) for _ in range(3)]
+    system = sparse(rows)
     assert solve_linear(system) == solve_linear(system)
 
 
 def test_linear_solution_flags():
     sol = LinearSolution(status="infeasible")
     assert sol.is_infeasible and not sol.is_unique
+
+
+def widened_grid(spec):
+    """The tight grid's bands with every exponent k >= beta.
+
+    The builder no longer uses it; its systems stay here as solver inputs:
+    integer rows like the builder's, more columns, and two free columns for
+    F where the tight system has one."""
+    return {beta: list(range(beta, beta + spec.gamma + 2)) for beta in ansatz_grid(spec)}
 
 
 BUILDER_SYSTEMS = [(False, gamma) for gamma in range(13)] + [
@@ -318,11 +352,14 @@ BUILDER_SYSTEMS = [(False, gamma) for gamma in range(13)] + [
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 @pytest.mark.parametrize("widened, gamma", BUILDER_SYSTEMS)
 def test_solve_builder_systems(kind, widened, gamma):
-    # The systems the builder actually solves: every row holds exactly for
-    # the particular solution, and the basis spans the homogeneous solutions
-    # in the free-column normal form.
+    # The builder's own systems (and their widened variants): integer sparse
+    # rows; every row holds exactly for the particular solution, and the
+    # basis spans the homogeneous solutions in the free-column normal form.
     spec = KernelSpec(gamma=gamma, kind=kind)
-    columns, system = assemble_system(spec, ansatz_grid(spec, widened=widened))
+    grid = widened_grid(spec) if widened else ansatz_grid(spec)
+    columns, system = assemble_system(spec, grid)
+    assert all(type(c) is int for row, b in system.rows for c in (*row.values(), b))
+    assert all(all(row.values()) for row, _ in system.rows)
     sol = solve_linear(system)
     assert not sol.is_infeasible
     assert not any(residual(system, sol.particular))
@@ -330,9 +367,7 @@ def test_solve_builder_systems(kind, widened, gamma):
     assert len(sol.homogeneous) == len(sol.free_columns)
     for f, vec in zip(sol.free_columns, sol.homogeneous):
         assert len(vec) == system.ncols()
-        assert not any(
-            sum((c * v for c, v in zip(row, vec)), Fraction(0)) for row, _ in system.rows
-        )
+        assert not any(apply_rows(system, vec))
         assert vec[f] == 1
         assert all(vec[g] == 0 for g in sol.free_columns if g != f)
     if not widened:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import biharm.builder
-from biharm.boundary import integral_means_poly, radial_factor
+from biharm.boundary import radial_factor
 from biharm.builder import KernelSpec, build, build_pair
 from biharm.conjecture import conjectured_kernel
 from biharm.exact import poly_eval
@@ -27,6 +27,7 @@ from biharm.numeric import (
     values_at,
 )
 from biharm.operators import expansion_scale, make_expansion
+from exact_references import integral_means_poly
 
 F0 = build(KernelSpec(gamma=0, kind="F"))
 H0 = build(KernelSpec(gamma=0, kind="H"))
