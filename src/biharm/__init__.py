@@ -25,7 +25,6 @@ from .conjecture import (
     ConjectureCoefficients,
     ConjectureVerdict,
     conjectured_kernel,
-    pascal_columns,
     solve_ck,
     verify_conjecture,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "make_expansion",
     "normalize_F",
     "normalize_H",
-    "pascal_columns",
     "solve_ck",
     "solve_dirichlet",
     "verify_conjecture",

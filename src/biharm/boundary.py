@@ -26,8 +26,9 @@ b * delta_1.  Expanding (1 - s)^(k - 2 beta + 1) p(s) at s = 1 gives
 
 while k < 2 beta - 1 means the mean diverges or tends to a non-delta limit
 and is rejected.  Since p(1) = sum_j C(beta - 1, j)^2 = C(2 beta - 2, beta - 1)
-and p'(1) = (beta - 1) p(1) / 2, ``monomial_boundary`` uses the closed form
-a = C(2 beta - 2, beta - 1), b = -(beta - 1) a.
+and p'(1) = (beta - 1) p(1) / 2, ``expansion_boundary`` reads only the
+coefficients of t^(2 beta - 1) and t^(2 beta) in each band, with
+c = C(2 beta - 2, beta - 1): (a, b) = (c, -(beta - 1) c) and (0, 2 c).
 """
 
 from __future__ import annotations
@@ -79,35 +80,20 @@ def radial_factor(kernel: KernelExpansion, n: int, s: Fraction) -> Fraction:
     )
 
 
-def monomial_boundary(k: int, beta: int) -> BoundaryData:
-    """Boundary data (a, b) of t^k / |1-z|^(2 beta) for k >= 2 beta - 1."""
-    if beta < 1:
-        raise ValueError(f"beta must be >= 1, got {beta}")
-    if k < 2 * beta - 1:
-        raise NonDeltaBoundaryError(
-            f"term t^{k}/|1-z|^{2 * beta} has non-delta boundary behavior "
-            f"(k={k} < 2 beta - 1 = {2 * beta - 1})"
-        )
-    if k > 2 * beta:
-        return BoundaryData(a=Fraction(0), b=Fraction(0))
-    a = Fraction(binom(2 * beta - 2, beta - 1))
-    if k == 2 * beta - 1:
-        return BoundaryData(a=a, b=-(beta - 1) * a)
-    return BoundaryData(a=Fraction(0), b=2 * a)
-
-
 def expansion_boundary(u: KernelExpansion) -> BoundaryData:
-    """Componentwise boundary data of a banded expansion, by linearity."""
+    """Boundary data of a banded expansion, by linearity over its terms."""
     a = Fraction(0)
     b = Fraction(0)
     for beta, poly in u.terms.items():
-        for k, coeff in poly.items():
-            if k < 2 * beta - 1:
-                raise NonDeltaBoundaryError(
-                    f"expansion term beta={beta}, k={k} has non-delta boundary "
-                    f"behavior (k < 2 beta - 1)"
-                )
-            data = monomial_boundary(k, beta)
-            a += coeff * data.a
-            b += coeff * data.b
+        low = 2 * beta - 1
+        k = min(poly, default=low)
+        if k < low:
+            raise NonDeltaBoundaryError(
+                f"expansion term beta={beta}, k={k} has non-delta boundary "
+                f"behavior (k < 2 beta - 1 = {low})"
+            )
+        c = binom(2 * beta - 2, beta - 1)
+        f_low = poly.get(low, 0)
+        a += c * f_low
+        b += c * (2 * poly.get(low + 1, 0) - (beta - 1) * f_low)
     return BoundaryData(a=a, b=b)

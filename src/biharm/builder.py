@@ -9,29 +9,28 @@ biharmonic operator D w^-1 D, with distributional boundary data
   2. place unknown coefficients on every grid monomial t^k / |1-z|^(2 beta)
      for 1 <= beta < beta_0, with k ranging over
          [max(2 beta - 1, gamma + 2), beta + gamma + 1]   (F-type)
-         [max(2 beta,     gamma + 2), beta + gamma + 1]   (H-type);
+         [max(2 beta,     gamma + 2), beta + gamma + 1]   (H-type),
+     except that the F-type grid leaves out t^(2 gamma + 2) at
+     beta = gamma + 1, the top monomial of H.  With it, the F-type system
+     would be underdetermined by exactly one direction, the H solution
+     itself, which the final normalization cancels; without it, the raw F
+     has coefficient 0 there;
   3. require the biharmonic image to vanish identically.  Each (band,
      exponent) pair of the image contributes one exact linear equation, a
      sparse row of integers: the columns are generated by the closed
      monomial rules, whose coefficients are integers;
   4. solve exactly by fraction-free forward elimination and back
-     substitution (``exact.solve_linear``).  The H-type system is
-     determined; the F-type system is underdetermined by exactly one
-     direction — the H solution itself, which the final normalization
-     cancels — so free unknowns are fixed to zero;
+     substitution (``exact.solve_linear``).  Both systems have a unique
+     solution;
   5. read off boundary data and normalize:  H = raw / b  when the raw
      solution has boundary (0, b);  F = (raw - b h) / a  when it has
      boundary (a, b) and h is the normalized H.
 
-Columns are eliminated in ascending (beta, k) order, which pins down the
-free column of the underdetermined F-type system deterministically (it is
-always the top monomial of the H solution); the raw solutions this produces
-are reproducible constants, not artifacts of pivot luck.
-
 The closed-form kernels lie on the tight grid of step 2, and its system is
-feasible for every gamma the closed-form sweep checks (gamma <= 80).  An
-infeasible system is therefore a defect, not a case to retry: the build
-raises ``RuntimeError`` naming gamma and kind.
+uniquely solvable for every gamma the closed-form sweep checks
+(gamma <= 80).  A system without a unique solution is therefore a defect,
+not a case to retry: the build raises ``RuntimeError`` naming gamma and
+kind.
 """
 
 from __future__ import annotations
@@ -95,7 +94,10 @@ def top_term(spec: KernelSpec) -> Tuple[int, int]:
 def ansatz_grid(spec: KernelSpec) -> Dict[int, List[int]]:
     """Unknown exponent grid per band, for 1 <= beta < beta_0."""
     beta0, floor = grid_geometry(spec.gamma, spec.kind)
-    return {beta: list(range(floor[beta], beta + spec.gamma + 2)) for beta in range(1, beta0)}
+    grid = {beta: list(range(floor[beta], beta + spec.gamma + 2)) for beta in range(1, beta0)}
+    if spec.kind == "F":
+        grid[spec.gamma + 1].pop()  # t^(2 gamma + 2), H's top monomial
+    return grid
 
 
 def assemble_system(
@@ -142,13 +144,13 @@ def _expansion_of(
 def build_raw(spec: KernelSpec) -> RawSolution:
     """Solve the grid system for one kernel; exact, unnormalized."""
     columns, system = assemble_system(spec, ansatz_grid(spec))
-    sol = solve_linear(system)
-    if sol.is_infeasible:
+    values = solve_linear(system)
+    if values is None:
         raise RuntimeError(
-            f"no biharmonic-zero expansion on the tight grid "
+            f"no unique biharmonic-zero expansion on the tight grid "
             f"(gamma={spec.gamma}, kind={spec.kind})"
         )
-    expansion = _expansion_of(spec, columns, sol.particular)
+    expansion = _expansion_of(spec, columns, values)
     if biharmonic_via_rules(expansion):
         raise RuntimeError(
             f"internal error: solved expansion is not biharmonic-zero "

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -190,18 +191,28 @@ def _int_at_least(low: int):
 _nonneg_int = _int_at_least(0)
 
 
-def _radius(text: str) -> float:
+def _finite_float(text: str) -> float:
     try:
         v = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text}")
+    return v
+
+
+def _radius(text: str) -> float:
+    v = _finite_float(text)
     if not (0.0 <= v < 1.0):
         raise argparse.ArgumentTypeError(f"radius must satisfy 0 <= r < 1: {text}")
     return v
 
 
 def _radius_grid(text: str) -> List[float]:
-    return [_radius(part) for part in text.split(",") if part]
+    grid = [_radius(part) for part in text.split(",") if part]
+    if not grid:
+        raise argparse.ArgumentTypeError(f"empty radius grid: {text!r}")
+    return grid
 
 
 def _env_precision() -> str:
@@ -241,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--gamma", type=_nonneg_int, required=True)
     ev.add_argument("--kernel", choices=KERNEL_KINDS, required=True)
     ev.add_argument("--r", type=_radius, required=True)
-    ev.add_argument("--theta", type=float, required=True)
+    ev.add_argument("--theta", type=_finite_float, required=True)
 
     l1 = sub.add_parser("l1check", help="L1 norms over an r-grid")
     l1.add_argument("--gamma", type=_nonneg_int, required=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .boundary import expansion_boundary
 from .builder import build_pair, grid_geometry
@@ -79,43 +79,6 @@ def conjectured_kernel(gamma: int, kind: str) -> KernelExpansion:
         if poly:
             terms[beta] = poly
     return make_expansion(gamma, terms)
-
-
-@dataclass(frozen=True)
-class PascalReport:
-    """Outcome of the column-structure check of an expansion."""
-
-    ok: bool
-    first_violation: Optional[Tuple[int, int]] = None  # (beta, k-offset)
-    columns_checked: int = 0
-
-
-def pascal_columns(expansion: KernelExpansion, gamma: int, kind: str) -> PascalReport:
-    """Check that an expansion's coefficient table has Pascal-column structure.
-
-    For each column offset k, the coefficients of t^(beta+gamma+1-k) across
-    beta — read off 2 f_beta (F) or 2 beta h_beta (H) — must equal c_k times
-    the Pascal row C(row(k), beta-1-k); no monomial may fall outside the
-    displayed exponent range.  Reports the first violated (beta, k-offset).
-    """
-    coeffs = solve_ck(gamma, kind)
-    _, floor = grid_geometry(gamma, kind)
-    checked = 0
-    for beta, lo in floor.items():
-        kmax = beta + gamma + 1 - lo
-        unscale = Fraction(2) if kind == "F" else Fraction(2 * beta)
-        poly = expansion.terms.get(beta, {})
-        for exp in poly:
-            k = beta + gamma + 1 - exp
-            if k < 0 or k > kmax:
-                return PascalReport(ok=False, first_violation=(beta, k), columns_checked=checked)
-        for k in range(0, kmax + 1):
-            expected = coeffs.c[k] * binom(_binom_row(gamma, kind, k), beta - 1 - k)
-            actual = unscale * poly.get(beta + gamma + 1 - k, Fraction(0))
-            if actual != expected:
-                return PascalReport(ok=False, first_violation=(beta, k), columns_checked=checked)
-            checked += 1
-    return PascalReport(ok=True, columns_checked=checked)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,10 @@ Everything downstream of this module is built from three ingredients:
     mapping integer exponent -> nonzero coefficient.  Exponents may be
     negative.  The variable is written ``t`` throughout and in the kernel
     modules stands for ``t = 1 - x`` with ``x = |z|^2``;
-  * ``solve_linear`` — exact solving of a sparse linear system: fraction-free
-    forward elimination in integers (each pivot row divided by its content),
-    then back substitution, the only step that forms rationals.
-    It returns a unique solution, a particular solution plus a basis of the
-    homogeneous space, or an infeasibility verdict.
+  * ``solve_linear`` — exact solving of a sparse integer linear system:
+    fraction-free forward elimination (each pivot row divided by its
+    content), then back substitution, the only step that forms rationals.
+    It returns the unique solution, or ``None`` when there is none.
 
 No floating point enters this module.
 """
@@ -23,12 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 Rational = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # Sparse polynomial: exponent -> coefficient.  Invariant: no zero values,
 # so zero-testing is map emptiness and equality is dict equality.
@@ -117,101 +115,61 @@ def poly_eval(p: LaurentPoly, t: Fraction) -> Fraction:
 class RationalLinearSystem:
     """A list of exact linear equations over ``unknowns`` columns.
 
-    Each equation is a sparse row ``{column: coefficient}`` with its
-    right-hand side.  Coefficients are ``int`` (the builder's systems) or
-    ``Fraction``; absent columns and zero entries stand for zero.  A system
-    may have unknowns but no equations, in which case every unknown is free.
+    Each equation is a sparse integer row ``{column: coefficient}`` with an
+    integer right-hand side; absent columns and zero entries stand for zero.
+    A system may have unknowns but no equations.
     """
 
-    rows: List[Tuple[Dict[int, Fraction | int], Fraction | int]]
+    rows: List[Tuple[Dict[int, int], int]]
     unknowns: int
 
     def ncols(self) -> int:
         return self.unknowns
 
 
-@dataclass(frozen=True)
-class LinearSolution:
-    """Outcome of exact elimination.
+def solve_linear(system: RationalLinearSystem) -> Optional[Tuple[Fraction, ...]]:
+    """The unique solution, by forward elimination in integers and back
+    substitution over the rationals; ``None`` if the system has no unique
+    solution: a column admits no pivot, or a leftover row reads 0 = b.
 
-    status is "unique", "parametric", or "infeasible".  For the first two,
-    ``particular`` is a full solution vector with every free unknown set to
-    zero; for "parametric", ``homogeneous`` is a basis of the solution space
-    of the associated homogeneous system (one vector per free unknown).
-    Infeasibility is a value, not an error.
-    """
+    Columns are eliminated in index order, and within a column the pivot row
+    is the sparsest available row (ties broken by row index), which keeps
+    fill-in low on banded systems.
 
-    status: str
-    particular: Tuple[Fraction, ...] = ()
-    homogeneous: Tuple[Tuple[Fraction, ...], ...] = ()
-    free_columns: Tuple[int, ...] = ()
-
-    @property
-    def is_unique(self) -> bool:
-        return self.status == "unique"
-
-    @property
-    def is_infeasible(self) -> bool:
-        return self.status == "infeasible"
-
-
-def _integer_row(
-    coeffs: Dict[int, Fraction | int], b: Fraction | int, ncols: int
-) -> Tuple[Dict[int, int], int]:
-    """The row scaled by the lcm of its denominators: integer entries, zeros dropped."""
-    for j in coeffs:
-        if not 0 <= j < ncols:
-            raise ValueError(f"column index {j} out of range for {ncols} unknowns")
-    den = math.lcm(b.denominator, *(c.denominator for c in coeffs.values()))
-    return {j: int(c * den) for j, c in coeffs.items() if c}, int(b * den)
-
-
-def solve_linear(system: RationalLinearSystem) -> LinearSolution:
-    """Exact forward elimination in integers, back substitution over the rationals.
-
-    Columns are eliminated strictly in index order; a column that admits no
-    pivot among the rows without one is free.  This makes the partition into
-    pivot and free unknowns — and hence the particular solution, which fixes
-    every free unknown to zero — a deterministic function of the column
-    ordering alone, independent of coefficient magnitudes.  Within a column
-    the pivot row is the sparsest available row (ties broken by row index),
-    which keeps fill-in low on banded systems.
-
-    Elimination is fraction-free.  Rows with ``Fraction`` entries are first
-    cleared of denominators.  A row chosen as pivot is divided by its
+    Elimination is fraction-free.  A row chosen as pivot is divided by its
     content, the gcd of its entries and right-hand side; then, with pivot
     entry p, row i's entry f and g = gcd(p, f), each update is
     row_i <- (p/g) row_i - (f/g) pivot_row.  (Bareiss's exact division
-    needs a fixed pivot sequence, which free columns and sparsest-row
-    pivoting do not give.  Removing the content once per pivot row, not
-    after every update, spends fewer gcds than the entry growth it lets
-    through costs.)  Each row stays a nonzero multiple of the rational row,
-    so the pivot sequence and the solution do not depend on the scaling.
-    A pivot row is never reduced against later pivots; the pivot unknowns
-    are recovered by back substitution from the last pivot column, the only
-    step that forms ``Fraction``s.
+    needs a fixed pivot sequence, which sparsest-row pivoting does not give.
+    Removing the content once per pivot row, not after every update, spends
+    fewer gcds than the entry growth it lets through costs.)  A pivot row is
+    never reduced against later pivots; the unknowns are recovered by back
+    substitution from the last column, the only step that forms
+    ``Fraction``s.
     """
     ncols = system.ncols()
-    # Working copies: integer rows and right-hand sides, plus a column index
+    # Working copies of the rows and right-hand sides, plus a column index
     # over the rows that have no pivot yet.
     rows: List[Dict[int, int]] = []
     rhs: List[int] = []
     for coeffs, b in system.rows:
-        row, b = _integer_row(coeffs, b, ncols)
-        rows.append(row)
+        for j in coeffs:
+            if not 0 <= j < ncols:
+                raise ValueError(f"column index {j} out of range for {ncols} unknowns")
+        rows.append({j: c for j, c in coeffs.items() if c})
         rhs.append(b)
     occupancy: Dict[int, set] = {j: set() for j in range(ncols)}
     for i, row in enumerate(rows):
         for j in row:
             occupancy[j].add(i)
 
-    pivot_of_col: Dict[int, int] = {}  # in ascending column order
+    pivots: List[int] = []  # pivot row of each column
 
     for j in range(ncols):
         if not occupancy[j]:
-            continue  # free column
+            return None  # no pivot: the solution is not unique
         p = min(occupancy[j], key=lambda i: (len(rows[i]), i))
-        pivot_of_col[j] = p
+        pivots.append(p)
         prow = rows[p]
         for k in prow:
             occupancy[k].discard(p)
@@ -241,48 +199,29 @@ def solve_linear(system: RationalLinearSystem) -> LinearSolution:
                     occupancy[k].discard(i)
             rhs[i] = mult * rhs[i] - factor * rhs[p]
 
-    pivoted_rows = set(pivot_of_col.values())
-    for i, row in enumerate(rows):
-        if i not in pivoted_rows:
-            # A row never chosen as pivot is fully eliminated; a leftover
-            # right-hand side is a contradiction 0 = b.
-            assert not row
-            if rhs[i]:
-                return LinearSolution(status="infeasible")
+    # A row never chosen as pivot is fully eliminated; a leftover right-hand
+    # side is a contradiction 0 = b.
+    pivoted = set(pivots)
+    if any(b for i, b in enumerate(rhs) if i not in pivoted):
+        return None
 
-    def back_substitute(x: List[Fraction], with_rhs: bool) -> Tuple[Fraction, ...]:
-        # Pivot row p of column j reads a_j x_j + sum_{k > j} a_k x_k = b, so
-        # the pivot unknowns follow one by one from the last column down.
-        # The sum is kept as num / den over a common denominator and reduced
-        # once, by the Fraction that becomes x_j.
-        for j, p in reversed(pivot_of_col.items()):
-            num, den = (rhs[p] if with_rhs else 0), 1
-            for k, c in rows[p].items():
-                v = x[k]
-                if k != j and v:
-                    vden = v.denominator
-                    if vden == den:
-                        num -= c * v.numerator
-                    else:
-                        g = math.gcd(den, vden)
-                        num = num * (vden // g) - c * v.numerator * (den // g)
-                        den *= vden // g
-            x[j] = Fraction(num, den * rows[p][j])
-        return tuple(x)
-
-    free_cols = tuple(j for j in range(ncols) if j not in pivot_of_col)
-    particular = back_substitute([ZERO] * ncols, with_rhs=True)
-    if not free_cols:
-        return LinearSolution(status="unique", particular=particular)
-
-    basis: List[Tuple[Fraction, ...]] = []
-    for f in free_cols:
-        vec = [ZERO] * ncols
-        vec[f] = ONE
-        basis.append(back_substitute(vec, with_rhs=False))
-    return LinearSolution(
-        status="parametric",
-        particular=particular,
-        homogeneous=tuple(basis),
-        free_columns=free_cols,
-    )
+    # Pivot row p of column j reads a_j x_j + sum_{k > j} a_k x_k = b, so the
+    # unknowns follow one by one from the last column down.  The sum is kept
+    # as num / den over a common denominator and reduced once, by the
+    # Fraction that becomes x_j.
+    x = [ZERO] * ncols
+    for j in reversed(range(ncols)):
+        p = pivots[j]
+        num, den = rhs[p], 1
+        for k, c in rows[p].items():
+            v = x[k]
+            if k != j and v:
+                vden = v.denominator
+                if vden == den:
+                    num -= c * v.numerator
+                else:
+                    g = math.gcd(den, vden)
+                    num = num * (vden // g) - c * v.numerator * (den // g)
+                    den *= vden // g
+        x[j] = Fraction(num, den * rows[p][j])
+    return tuple(x)

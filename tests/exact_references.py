@@ -5,8 +5,9 @@ polynomials.  ``ab_sums`` (with ``_inner_sum``) computes the boundary data
 (a, b) of t^(2 beta - 1) / |1-z|^(2 beta) from the paper's double sums, and
 ``integral_means_poly`` gives the integral-means polynomial p(s) whose
 value and derivative at s = 1 give the same (a, b).  No build path of the
-package calls them; they check ``boundary.monomial_boundary`` and
-``boundary.fourier_poly`` against a second derivation.
+package calls them; they check ``boundary.expansion_boundary`` (on
+one-term expansions) and ``boundary.fourier_poly`` against a second
+derivation.
 """
 
 from dataclasses import dataclass

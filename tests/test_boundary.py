@@ -4,16 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from biharm.boundary import (
-    BoundaryData,
-    NonDeltaBoundaryError,
-    expansion_boundary,
-    monomial_boundary,
-)
+from biharm.boundary import BoundaryData, NonDeltaBoundaryError, expansion_boundary
 from biharm.exact import binom
 from biharm.numeric import integral_mean
 from biharm.operators import make_expansion
 from exact_references import ab_sums, integral_means_poly, poly_mul
+
+
+def monomial_boundary(k, beta):
+    """Boundary data of the one-term expansion t^k / |1-z|^(2 beta)."""
+    return expansion_boundary(make_expansion(0, {beta: {k: Fraction(1)}}))
+
 
 RAW_H2 = {
     1: {4: Fraction(3)},
@@ -46,8 +47,8 @@ def test_ab_sums_closed_identities():
 
 
 def test_monomial_boundary_closed_form_matches_references():
-    # The closed form monomial_boundary uses against the paper's double sums
-    # and against p(1), -2 p'(1) of the integral-means polynomial.
+    # The closed form expansion_boundary uses against the paper's double
+    # sums and against p(1), -2 p'(1) of the integral-means polynomial.
     for beta in range(2, 61):
         data = ab_sums(beta)
         p = integral_means_poly(beta)
@@ -143,7 +144,8 @@ def test_monomial_boundary_rejects_non_delta(k, beta):
 
 
 def test_monomial_boundary_rejects_bad_beta():
-    with pytest.raises(ValueError):
+    # An expansion has no band beta = 0.
+    with pytest.raises(ValueError, match="beta=0"):
         monomial_boundary(3, 0)
 
 

@@ -243,6 +243,10 @@ def test_l1check_writes_no_partial_table(capsys):
         ["gen"],
         ["verify", "--gamma-max", "1", "--jobs", "0"],
         ["verify", "--gamma-max", "1", "--jobs", "-2"],
+        ["eval", "--gamma", "0", "--kernel", "F", "--r", "0.5", "--theta", "nan"],
+        ["eval", "--gamma", "0", "--kernel", "F", "--r", "0.5", "--theta", "inf"],
+        ["means", "--gamma", "0", "--kernel", "F", "--r-grid", ","],
+        ["l1check", "--gamma", "0", "--kernel", "F", "--r-grid", ","],
     ],
 )
 def test_usage_errors_exit_2(argv):

@@ -4,15 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from biharm.builder import KernelSpec, build
-from biharm.conjecture import (
-    conjectured_kernel,
-    pascal_columns,
-    solve_ck,
-    verify_conjecture,
-)
+from biharm.builder import KernelSpec, build, grid_geometry
+from biharm.conjecture import conjectured_kernel, solve_ck, verify_conjecture
 from biharm.exact import binom
-from biharm.operators import make_expansion
 
 F = Fraction
 
@@ -96,34 +90,30 @@ def test_f_coefficient_table_is_palindromic(gamma):
 
 
 # ---------------------------------------------------------------------------
-# column-structure reports
+# column structure
 
 
 @pytest.mark.parametrize("gamma", range(0, 9))
 @pytest.mark.parametrize("kind", ("F", "H"))
 def test_pascal_columns_accepts_built_kernels(kind, gamma):
-    report = pascal_columns(build(KernelSpec(gamma=gamma, kind=kind)), gamma, kind)
-    assert report.ok
-    assert report.first_violation is None
-    assert report.columns_checked > 0
+    # Column k of the built kernel's table, the coefficients of
+    # t^(beta+gamma+1-k) in 2 f_beta (F) or 2 beta h_beta (H) across beta,
+    # is the Pascal row C(row(k), beta-1-k) scaled by its own entry at
+    # beta = k + 1.  The scales are read off the kernel, not taken from the
+    # c_k recurrence, and no monomial falls below a band's grid floor.
+    kernel = build(KernelSpec(gamma=gamma, kind=kind))
+    row_top = gamma + 1 if kind == "F" else gamma
 
+    def entry(beta, k):
+        scale = 2 if kind == "F" else 2 * beta
+        return scale * kernel.terms.get(beta, {}).get(beta + gamma + 1 - k, 0)
 
-def test_pascal_columns_flags_wrong_coefficient():
-    kernel = build(KernelSpec(gamma=3, kind="F"))
-    terms = {b: dict(p) for b, p in kernel.terms.items()}
-    terms[2][6] += 1
-    report = pascal_columns(make_expansion(3, terms), 3, "F")
-    assert not report.ok
-    assert report.first_violation == (2, 0)
-
-
-def test_pascal_columns_flags_out_of_range_monomial():
-    kernel = build(KernelSpec(gamma=3, kind="F"))
-    terms = {b: dict(p) for b, p in kernel.terms.items()}
-    terms[1][4] = F(1)  # below the band-1 exponent floor
-    report = pascal_columns(make_expansion(3, terms), 3, "F")
-    assert not report.ok
-    assert report.first_violation == (1, 1)
+    _, floor = grid_geometry(gamma, kind)
+    assert entry(1, 0) == 1
+    for beta, lo in floor.items():
+        assert min(kernel.terms[beta]) >= lo
+        for k in range(beta + gamma + 2 - lo):
+            assert entry(beta, k) == entry(k + 1, k) * binom(row_top - 2 * k, beta - 1 - k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Tests for the exact polynomial ring and the rational linear solver."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -8,7 +7,6 @@ import pytest
 
 from biharm.builder import KERNEL_KINDS, KernelSpec, ansatz_grid, assemble_system
 from biharm.exact import (
-    LinearSolution,
     RationalLinearSystem,
     binom,
     poly_add,
@@ -199,33 +197,25 @@ def residual(system, vec):
 
 def test_solve_unique():
     system = RationalLinearSystem(rows=[({0: 2, 1: 1}, 5), ({0: 1, 1: -1}, 1)], unknowns=2)
-    sol = solve_linear(system)
-    assert sol.is_unique
-    assert sol.particular == (Fraction(2), Fraction(1))
-    assert sol.free_columns == ()
+    assert solve_linear(system) == (Fraction(2), Fraction(1))
 
 
 def test_solve_infeasible():
     system = RationalLinearSystem(rows=[({0: 1, 1: 1}, 1), ({0: 1, 1: 1}, 2)], unknowns=2)
-    assert solve_linear(system).is_infeasible
+    assert solve_linear(system) is None
 
 
 def test_solve_zero_row_contradiction():
     # An empty row and a row of explicit zeros both read 0 = 1.
-    for row in ({}, {0: 0, 1: Fraction(0)}):
-        system = RationalLinearSystem(rows=[(row, 1)], unknowns=2)
-        assert solve_linear(system).is_infeasible
+    for row in ({}, {0: 0, 1: 0}):
+        system = RationalLinearSystem(rows=[({0: 1}, 1), ({1: 1}, 1), (row, 1)], unknowns=2)
+        assert solve_linear(system) is None
 
 
 def test_solve_parametric_free_column_is_last():
-    # One equation, two unknowns: the ascending column sweep pivots column 0,
-    # so column 1 is the free one and is fixed to zero in the particular.
+    # One equation, two unknowns: no unique solution.
     system = RationalLinearSystem(rows=[({0: 1, 1: 1}, 3)], unknowns=2)
-    sol = solve_linear(system)
-    assert sol.status == "parametric"
-    assert sol.free_columns == (1,)
-    assert sol.particular == (Fraction(3), Fraction(0))
-    assert sol.homogeneous == ((Fraction(-1), Fraction(1)),)
+    assert solve_linear(system) is None
 
 
 def test_solve_ragged_rejected():
@@ -237,42 +227,53 @@ def test_solve_ragged_rejected():
 
 
 def test_solve_empty_system():
-    sol = solve_linear(RationalLinearSystem(rows=[], unknowns=0))
-    assert sol.is_unique
-    assert sol.particular == ()
+    assert solve_linear(RationalLinearSystem(rows=[], unknowns=0)) == ()
 
 
 def test_solve_unconstrained_unknowns():
-    # No equations at all: every declared unknown is free and fixed to zero.
-    sol = solve_linear(RationalLinearSystem(rows=[], unknowns=2))
-    assert sol.status == "parametric"
-    assert sol.free_columns == (0, 1)
-    assert sol.particular == (Fraction(0), Fraction(0))
-    assert sol.homogeneous == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    # No equations at all: the declared unknowns are not determined.
+    assert solve_linear(RationalLinearSystem(rows=[], unknowns=2)) is None
+
+
+def rank(dense_rows, ncols):
+    """Rank of the coefficient rows, by Gaussian elimination over Fraction."""
+    rows = [[Fraction(c) for c in vec] for vec, _ in dense_rows]
+    r = 0
+    for j in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][j] / rows[r][j]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
 
 
 def test_solve_random_consistent_systems():
+    # Integer rows whose right-hand sides come from a rational point x0: the
+    # solution exists, so it is returned exactly when the rows have full
+    # column rank, and it is then x0.
     rng = random.Random(1008)
+    unique = 0
     for _ in range(200):
         n = rng.randint(1, 6)
         m = rng.randint(1, n + 2)
+        den = rng.randint(1, 4)
+        x0 = [Fraction(rng.randint(-4, 4), den) for _ in range(n)]
         rows = []
-        x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)]
         for _ in range(m):
             row = [rng.randint(-3, 3) for _ in range(n)]
-            rhs = sum((c * v for c, v in zip(row, x0)), Fraction(0))
-            rows.append((row, rhs))
-        system = sparse(rows)
-        sol = solve_linear(system)
-        assert not sol.is_infeasible
-        assert not any(residual(system, sol.particular))
-        for vec in sol.homogeneous:
-            assert not any(apply_rows(system, vec))
-        assert sol.is_unique == (not sol.free_columns)
-        for f, vec in zip(sol.free_columns, sol.homogeneous):
-            assert vec[f] == 1
-            assert all(vec[g] == 0 for g in sol.free_columns if g != f)
-        assert all(sol.particular[f] == 0 for f in sol.free_columns)
+            rhs = sum((c * v for c, v in zip(row, x0)), Fraction(0)) * den
+            rows.append(([c * den for c in row], int(rhs)))
+        sol = solve_linear(sparse(rows))
+        if rank(rows, n) == n:
+            assert sol == tuple(x0)
+            unique += 1
+        else:
+            assert sol is None
+    assert 0 < unique < 200
 
 
 def test_solve_random_infeasible_systems():
@@ -286,61 +287,26 @@ def test_solve_random_infeasible_systems():
         ]
         system = sparse(rows)
         sol = solve_linear(system)
-        if sol.is_infeasible:
+        if sol is None:
             hit += 1
         else:
-            assert not any(residual(system, sol.particular))
+            assert not any(residual(system, sol))
     assert hit > 0  # overdetermined random systems are usually inconsistent
-
-
-def test_solve_rational_rows_match_integer_scaling():
-    # Rows with non-integer rational entries are cleared of denominators on
-    # entry: the solution satisfies the rational rows exactly and equals the
-    # one of the same rows scaled to integers by hand.
-    rng = random.Random(1011)
-    parametric = 0
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)]
-        rows = []
-        for _ in range(rng.randint(1, n + 1)):
-            row = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
-            rows.append((row, sum((c * v for c, v in zip(row, x0)), Fraction(0))))
-        system = sparse(rows)
-        sol = solve_linear(system)
-        assert not sol.is_infeasible
-        assert not any(residual(system, sol.particular))
-        for vec in sol.homogeneous:
-            assert not any(apply_rows(system, vec))
-        parametric += bool(sol.free_columns)
-
-        scaled = []
-        for row, b in system.rows:
-            den = rng.randint(1, 3) * math.lcm(b.denominator, *(c.denominator for c in row.values()))
-            scaled.append(({j: int(c * den) for j, c in row.items()}, int(b * den)))
-        assert all(isinstance(c, int) for row, _ in scaled for c in row.values())
-        assert solve_linear(RationalLinearSystem(rows=scaled, unknowns=n)) == sol
-    assert parametric > 0
 
 
 def test_solve_deterministic():
     rng = random.Random(1010)
-    rows = [([rng.randint(-3, 3) for _ in range(5)], rng.randint(-3, 3)) for _ in range(3)]
+    rows = [([rng.randint(-3, 3) for _ in range(5)], rng.randint(-3, 3)) for _ in range(5)]
     system = sparse(rows)
     assert solve_linear(system) == solve_linear(system)
-
-
-def test_linear_solution_flags():
-    sol = LinearSolution(status="infeasible")
-    assert sol.is_infeasible and not sol.is_unique
 
 
 def widened_grid(spec):
     """The tight grid's bands with every exponent k >= beta.
 
-    The builder no longer uses it; its systems stay here as solver inputs:
-    integer rows like the builder's, more columns, and two free columns for
-    F where the tight system has one."""
+    The builder does not use it; its systems stay here as solver inputs:
+    integer rows like the builder's, with more columns and no unique
+    solution."""
     return {beta: list(range(beta, beta + spec.gamma + 2)) for beta in ansatz_grid(spec)}
 
 
@@ -352,27 +318,18 @@ BUILDER_SYSTEMS = [(False, gamma) for gamma in range(13)] + [
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 @pytest.mark.parametrize("widened, gamma", BUILDER_SYSTEMS)
 def test_solve_builder_systems(kind, widened, gamma):
-    # The builder's own systems (and their widened variants): integer sparse
-    # rows; every row holds exactly for the particular solution, and the
-    # basis spans the homogeneous solutions in the free-column normal form.
+    # The builder's own systems are integer sparse rows with a unique
+    # solution, and every row holds for it exactly.  Their widened variants
+    # have free columns, so no unique solution, except H at gamma = 0,
+    # whose grid has no band to widen.
     spec = KernelSpec(gamma=gamma, kind=kind)
     grid = widened_grid(spec) if widened else ansatz_grid(spec)
-    columns, system = assemble_system(spec, grid)
+    _, system = assemble_system(spec, grid)
     assert all(type(c) is int for row, b in system.rows for c in (*row.values(), b))
     assert all(all(row.values()) for row, _ in system.rows)
     sol = solve_linear(system)
-    assert not sol.is_infeasible
-    assert not any(residual(system, sol.particular))
-    assert all(sol.particular[f] == 0 for f in sol.free_columns)
-    assert len(sol.homogeneous) == len(sol.free_columns)
-    for f, vec in zip(sol.free_columns, sol.homogeneous):
-        assert len(vec) == system.ncols()
-        assert not any(apply_rows(system, vec))
-        assert vec[f] == 1
-        assert all(vec[g] == 0 for g in sol.free_columns if g != f)
-    if not widened:
-        if kind == "H":
-            assert sol.is_unique
-        else:
-            # F's one free direction is the top monomial of H.
-            assert sol.free_columns == (columns.index((gamma + 1, 2 * gamma + 2)),)
+    if widened and (kind, gamma) != ("H", 0):
+        assert sol is None
+    else:
+        assert len(sol) == system.ncols()
+        assert not any(residual(system, sol))
