@@ -5,6 +5,12 @@ Exact expansions become numbers here.  Pointwise values have two precision
 paths: plain float64, and an mpmath-backed extended path used near the
 boundary singularity at z = 1 (and wherever the caller asks for it).
 
+Every pointwise value comes from one band sum, Horner's rule in
+u = 1/|1 - z|^2: sum_beta f_beta(t) u^beta with one add and one multiply
+per band, on float64 arrays (``values_at``, ``l1_norm``), Python floats
+(scalar ``eval_kernel``, which skips numpy apart from one sine) and mpmath
+numbers (the extended path and the FD residual).
+
 Integral means and Dirichlet solves use no quadrature: a kernel's Fourier
 coefficients on |z| = r are exact rationals in r^2 (``boundary.radial_factor``),
 so the solution for trigonometric boundary data is a finite sum of data
@@ -64,13 +70,26 @@ class DiscPoint:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.r < 1.0):
-            raise ValueError(f"DiscPoint requires 0 <= r < 1, got r={self.r}")
+        _require_radius("DiscPoint", self.r)
+        if not math.isfinite(self.theta):
+            raise ValueError(f"DiscPoint requires a finite theta, got theta={self.theta}")
+
+
+def _require_radius(caller: str, r: float) -> None:
+    # Kernels and multipliers hold only inside the disc.
+    if not (0.0 <= r < 1.0):
+        raise ValueError(f"{caller} requires 0 <= r < 1, got r={r}")
 
 
 def abs1mz_sq(r, theta):
-    """|1 - r e^(i theta)|^2 = (1-r)^2 + 4 r sin^2(theta/2); scalar or array."""
-    return (1.0 - r) ** 2 + 4.0 * r * np.sin(theta / 2.0) ** 2
+    """|1 - r e^(i theta)|^2 = (1-r)^2 + 4 r sin^2(theta/2); scalar or array.
+
+    The sine is squared by multiplication: CPython's float ``s ** 2`` is
+    not always ``s * s``, and numpy squares arrays by multiplication, so
+    this keeps a scalar call bit-identical to the same angle in an array.
+    """
+    s = np.sin(theta / 2.0)
+    return (1.0 - r) ** 2 + 4.0 * r * (s * s)
 
 
 def _mpf(c: Fraction):
@@ -80,17 +99,28 @@ def _mpf(c: Fraction):
 def _band_sum(kernel: KernelExpansion, t, q, coeff):
     """sum_beta f_beta(t) q^(-beta), with t = 1 - |z|^2 and q = |1 - z|^2.
 
-    coeff converts each exact coefficient: float for float64 arrays, _mpf
-    for mpmath numbers at the caller's working precision.
+    Horner's rule in u = 1/q, from the top band down: add f_beta(t) where
+    the band is present, then multiply by u.  No power of q is formed.  The
+    updates are in place: a numpy q costs the arrays u and total, and no
+    temporary per band.
+    q is a float64 array, a Python float or an mpmath number, and t a
+    scalar (an mpmath number with an mpmath q).  coeff converts each exact
+    coefficient: float for float64, _mpf for mpmath at the caller's working
+    precision.
     """
-    total = 0 * q
-    for beta, poly in kernel.terms.items():
-        total += sum(coeff(c) * t**k for k, c in poly.items()) * q**-beta
+    u = 1 / q
+    total = 0 * u
+    for beta in range(kernel.max_beta(), 0, -1):
+        poly = kernel.terms.get(beta)
+        if poly:
+            total += sum(coeff(c) * t**k for k, c in poly.items())
+        total *= u
     return total
 
 
 def values_at(kernel: KernelExpansion, r: float, thetas: np.ndarray) -> np.ndarray:
     """Vectorized float64 kernel values at fixed radius, arbitrary angles."""
+    _require_radius("values_at", r)
     q = abs1mz_sq(r, np.asarray(thetas, dtype=float))
     # (1 - r)(1 + r) keeps the digits that 1 - r*r loses as r -> 1.
     return _band_sum(kernel, (1.0 - r) * (1.0 + r), q, float)
@@ -118,15 +148,15 @@ def eval_kernel(
         p.r > _SINGULAR_R and abs(wrapped) < _SINGULAR_THETA
     ):
         return _eval_extended(kernel, p.r, p.theta)
-    return float(values_at(kernel, p.r, np.array([p.theta]))[0])
+    # The same operations as values_at, on Python floats.
+    q = float(abs1mz_sq(p.r, p.theta))
+    return float(_band_sum(kernel, (1.0 - p.r) * (1.0 + p.r), q, float))
 
 
 def integral_mean(kernel: KernelExpansion, r: float) -> float:
     """(1/2 pi) integral of the kernel over the circle of radius r, exactly
     (its zeroth Fourier coefficient) and then rounded to float."""
-    if not (0.0 <= r < 1.0):
-        # The multipliers hold only inside the disc.
-        raise ValueError(f"integral_mean requires 0 <= r < 1, got r={r}")
+    _require_radius("integral_mean", r)
     return float(radial_factor(kernel, 0, Fraction(r) ** 2))
 
 
@@ -137,6 +167,7 @@ def l1_norm(kernel: KernelExpansion, r: float, n: int = 256) -> float:
     successive estimates agree to 1e-6 relative; past 2^20 nodes it raises
     QuadratureConvergenceError rather than return an unconverged estimate.
     """
+    _require_radius("l1_norm", r)
     if n < 256:
         raise ValueError(f"l1_norm requires n >= 256, got {n}")
     prev = None

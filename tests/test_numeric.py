@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -44,7 +45,10 @@ def test_disc_point_validation():
         DiscPoint(r=1.0, theta=0.0)
     with pytest.raises(ValueError):
         DiscPoint(r=-0.1, theta=0.0)
-    DiscPoint(r=0.0, theta=5.0)  # any angle is fine
+    DiscPoint(r=0.0, theta=5.0)  # any finite angle is fine
+    for r, theta in ((math.nan, 0.0), (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf)):
+        with pytest.raises(ValueError):
+            DiscPoint(r=r, theta=theta)
 
 
 def test_abs1mz_sq_values():
@@ -90,6 +94,64 @@ def test_eval_kernel_matches_vectorized_path():
     vals = values_at(H2, 0.85, thetas)
     for theta, val in zip(thetas, vals):
         assert eval_kernel(H2, DiscPoint(r=0.85, theta=theta)) == val
+
+
+def test_eval_kernel_is_bit_identical_to_values_at():
+    # The scalar path skips numpy's arrays but must round exactly as the
+    # batch does, angle by angle.  Squaring the sine with ** 2 in
+    # abs1mz_sq breaks a few of these 7200 points.
+    rng = random.Random(1)
+    for gamma in range(9):
+        for kernel in build_pair(gamma):
+            for r in (0.0, 0.3, 0.9, 0.998):
+                thetas = [rng.uniform(-7.0, 7.0) for _ in range(100)]
+                vals = values_at(kernel, r, thetas)
+                for i, theta in enumerate(thetas):
+                    assert eval_kernel(kernel, DiscPoint(r=r, theta=theta)) == vals[i], (
+                        gamma, r, theta,
+                    )
+
+
+# Band shapes no closed-form kernel has: a missing middle band, only the top
+# band, and no band at all.
+SPARSE_EXPANSIONS = [
+    make_expansion(3, {1: {2: Fraction(1, 3), 0: Fraction(2, 7)}, 3: {5: Fraction(5, 4), 1: Fraction(1, 9)}}),
+    make_expansion(1, {4: {3: Fraction(7, 5), 6: Fraction(1, 11)}}),
+    make_expansion(2, {}),
+]
+
+
+def _direct_sum(kernel, r, theta):
+    with mpmath.workdps(50):
+        rm, th = mpmath.mpf(r), mpmath.mpf(theta)
+        t = 1 - rm * rm
+        q = (1 - rm) ** 2 + 4 * rm * mpmath.sin(th / 2) ** 2
+        return sum(
+            (mpmath.mpf(c.numerator) / c.denominator) * t**k / q**beta
+            for beta, poly in kernel.terms.items()
+            for k, c in poly.items()
+        )
+
+
+@pytest.mark.parametrize("kernel", SPARSE_EXPANSIONS)
+def test_band_sum_on_sparse_bands(kernel):
+    thetas = np.array([0.0, 0.4, 1.7, 3.0, -2.2])
+    for r in (0.0, 0.3, 0.9, 0.998):
+        batch = values_at(kernel, r, thetas)
+        for i, theta in enumerate(thetas):
+            want = float(_direct_sum(kernel, r, theta))
+            p = DiscPoint(r=r, theta=float(theta))
+            got = [batch[i], eval_kernel(kernel, p), eval_kernel(kernel, p, precision="extended")]
+            for value in got:
+                assert value == pytest.approx(want, rel=1e-13, abs=0.0), (r, theta)
+
+
+def test_band_sum_of_empty_expansion_is_zero():
+    empty = SPARSE_EXPANSIONS[-1]
+    vals = values_at(empty, 0.5, np.ones((2, 3)))
+    assert vals.shape == (2, 3) and not vals.any()
+    for precision in PRECISIONS:
+        assert eval_kernel(empty, DiscPoint(r=0.5, theta=1.0), precision) == 0.0
 
 
 def test_eval_kernel_precision_paths_agree():
@@ -162,6 +224,14 @@ def test_integral_mean_rejects_radius_outside_disc():
     for r in (1.0, 1.5, -0.1):
         with pytest.raises(ValueError):
             integral_mean(F0, r)
+
+
+def test_values_at_and_l1_norm_reject_radius_outside_disc():
+    for r in (1.0, 1.5, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            values_at(F2, r, [0.0, 1.0])
+        with pytest.raises(ValueError):
+            l1_norm(F2, r)
 
 
 def _multiplier(kernel, n, r):
