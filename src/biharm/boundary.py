@@ -10,7 +10,24 @@ n-th Fourier coefficient
 The 2F1 terminates at degree beta - 1 (``fourier_poly``), so after r^|n|
 the coefficient is exact over the rationals; ``radial_factor`` sums it over
 the bands of an expansion.  Its n = 0 case p(s) = sum_j C(beta - 1, j)^2 s^j
-is the integral mean of t^(2 beta - 1) / |1-z|^(2 beta).
+is the integral mean of t^(2 beta - 1) / |1-z|^(2 beta).  Both polynomials
+are evaluated by Horner's rule, with no fresh power of t per monomial.
+
+For F and H the same multipliers follow without the kernels, from the
+Dirichlet problem they solve (``dirichlet_factor``).  For data e^(i n theta)
+the solution is u = z^n (A + C phi(|z|^2)), and its conjugate form with
+zbar^|n| for n < 0, where
+
+    phi(x) = sum_{j=0..gamma} (-1)^j C(gamma, j) x^(j+1) / ((|n|+j+1)(j+1))
+
+is the solution regular at 0 of (x^(|n|+1) phi')' = x^|n| (1 - x)^gamma.
+Then D u = C z^n w, so w^-1 D u is analytic and D w^-1 D u = 0.  On
+|z| = 1, u = A + C phi(1) and -d_r u = -|n| u - 2 C phi'(1), with
+phi'(1) = B(|n| + 1, gamma + 1).  So
+F (u = 1, -d_r u = 0) has multiplier 1 + |n| (phi(1) - phi(s)) / (2 phi'(1))
+and H (u = 0, -d_r u = 1) has (phi(1) - phi(s)) / (2 phi'(1)), times r^|n|:
+a polynomial of degree gamma + 1 in s, O(gamma) exact operations per
+harmonic.  The built kernels' ``radial_factor`` equals it exactly.
 
 As r -> 1 the circular means of u = t^k / |1-z|^(2 beta) concentrate at
 z = 1: tested against a smooth function phi,
@@ -36,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import LaurentPoly, Rational, binom, poly_eval
+from .exact import LaurentPoly, Rational, binom
 from .operators import KernelExpansion
 
 
@@ -67,17 +84,44 @@ def fourier_poly(beta: int, n: int) -> LaurentPoly:
     return coeffs
 
 
+def _horner(poly: LaurentPoly, x: Fraction, low: int) -> Fraction:
+    """sum_k poly[k] x^(k - low) by Horner's rule, for poly's exponents k >= low."""
+    total = Fraction(0)
+    for k in range(max(poly, default=low), low - 1, -1):
+        total = total * x + poly.get(k, 0)
+    return total
+
+
 def radial_factor(kernel: KernelExpansion, n: int, s: Fraction) -> Fraction:
     """The kernel's n-th Fourier coefficient on |z| = r, divided by r^|n|,
     exactly as a function of s = r^2 < 1."""
     t = 1 - s
-    return sum(
-        (
-            poly_eval(poly, t) / t ** (2 * beta - 1) * poly_eval(fourier_poly(beta, n), s)
-            for beta, poly in kernel.terms.items()
-        ),
-        Fraction(0),
-    )
+    total = Fraction(0)
+    for beta, poly in kernel.terms.items():
+        # f_beta(t) / t^(2 beta - 1), by Horner's rule from its lowest power
+        low = min(poly)
+        band = _horner(poly, t, low) * t ** (low - 2 * beta + 1)
+        total += band * _horner(fourier_poly(beta, n), s, 0)
+    return total
+
+
+def dirichlet_factor(gamma: int, kind: str, n: int, s: Fraction) -> Fraction:
+    """A + C phi_|n|(s): the n-th Fourier multiplier of F or H on |z| = r,
+    divided by r^|n|, from the radial ODE, exactly as a function of
+    s = r^2 < 1.  Equal to ``radial_factor`` of the built kernel."""
+    n = abs(n)
+    if kind == "F":
+        m, base = n, Fraction(1)
+    elif kind == "H":
+        m, base = 1, Fraction(0)
+    else:
+        raise ValueError(f"kind must be 'F' or 'H', got {kind!r}")
+    if not m:
+        return base
+    a = {j: Fraction((-1) ** j * binom(gamma, j), (n + j + 1) * (j + 1)) for j in range(gamma + 1)}
+    # phi(1) - phi(s), and 1 / (2 phi'(1)) = (n + gamma + 1) C(n + gamma, n) / 2
+    drop = sum(a.values()) - s * _horner(a, s, 0)
+    return base + Fraction(m * (n + gamma + 1) * binom(n + gamma, n), 2) * drop
 
 
 def expansion_boundary(u: KernelExpansion) -> BoundaryData:

@@ -11,10 +11,13 @@ per band, on float64 arrays (``values_at``, ``l1_norm``), Python floats
 (scalar ``eval_kernel``, which skips numpy apart from one sine) and mpmath
 numbers (the extended path and the FD residual).
 
-Integral means and Dirichlet solves use no quadrature: a kernel's Fourier
-coefficients on |z| = r are exact rationals in r^2 (``boundary.radial_factor``),
-so the solution for trigonometric boundary data is a finite sum of data
-coefficients times multipliers, rounded to float once per multiplier.
+Integral means and Dirichlet solves use no quadrature: Fourier
+coefficients on |z| = r are exact rationals in r^2, rounded to float once
+per multiplier.  ``integral_mean`` takes them from the kernel it is given
+(``boundary.radial_factor``).  ``solve_dirichlet`` takes those of F and H
+from the radial ODE (``boundary.dirichlet_factor``), so it builds no
+kernel; its solution for trigonometric boundary data is a finite sum of
+data coefficients times multipliers.
 
 Only the L1 norm, where |K| is not linear in K, is a quadrature: the
 trapezoid rule on equispaced angles, doubling the node count until two
@@ -41,8 +44,7 @@ from typing import Mapping
 import mpmath
 import numpy as np
 
-from .boundary import radial_factor
-from .builder import KernelSpec, build, build_pair
+from .boundary import dirichlet_factor, radial_factor
 from .operators import KernelExpansion
 
 PRECISIONS = ("double", "extended")
@@ -121,7 +123,10 @@ def _band_sum(kernel: KernelExpansion, t, q, coeff):
 def values_at(kernel: KernelExpansion, r: float, thetas: np.ndarray) -> np.ndarray:
     """Vectorized float64 kernel values at fixed radius, arbitrary angles."""
     _require_radius("values_at", r)
-    q = abs1mz_sq(r, np.asarray(thetas, dtype=float))
+    thetas = np.asarray(thetas, dtype=float)
+    if not np.isfinite(thetas).all():
+        raise ValueError("values_at requires finite angles")
+    q = abs1mz_sq(r, thetas)
     # (1 - r)(1 + r) keeps the digits that 1 - r*r loses as r -> 1.
     return _band_sum(kernel, (1.0 - r) * (1.0 + r), q, float)
 
@@ -193,22 +198,22 @@ def solve_dirichlet(
     f0 and f1 are trigonometric polynomials given by their Fourier
     coefficients {harmonic: coefficient}; the solution is the sum of the
     two circular convolutions with the F and H kernels at radius p.r, that
-    is, sum_n [f0(n) F_r(n) + f1(n) H_r(n)] e^(i n theta) with the kernels'
-    exact Fourier multipliers.  Real (conjugate-symmetric) data produces a
-    real value.  Empty data builds no kernel; data f1 alone builds H only.
+    is, sum_n [f0(n) F_r(n) + f1(n) H_r(n)] e^(i n theta).  The kernels'
+    exact Fourier multipliers come from the radial ODE
+    (``boundary.dirichlet_factor``), so no kernel is built.  Real
+    (conjugate-symmetric) data produces a real value.
     """
-    if f0:
-        kernel_f, kernel_h = build_pair(gamma)
-    elif f1:
-        kernel_f, kernel_h = None, build(KernelSpec(gamma=gamma, kind="H"))
-    else:
-        return 0.0
+    if not isinstance(gamma, int) or gamma < 0:
+        raise ValueError(f"gamma must be an int >= 0, got {gamma!r}")
+    for n in (*f0, *f1):
+        if not isinstance(n, int):
+            raise ValueError(f"harmonics must be ints, got {n!r}")
     s = Fraction(p.r) ** 2
     u = 0.0 + 0.0j
-    for kernel, data in ((kernel_f, f0), (kernel_h, f1)):
+    for kind, data in (("F", f0), ("H", f1)):
         for n, c in data.items():
             # r^|n| in float keeps the exact part's cost independent of |n|.
-            multiplier = p.r ** abs(n) * float(radial_factor(kernel, n, s))
+            multiplier = p.r ** abs(n) * float(dirichlet_factor(gamma, kind, n, s))
             u += c * multiplier * cmath.exp(1j * n * p.theta)
     return float(u.real)
 

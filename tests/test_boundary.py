@@ -4,8 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from biharm.boundary import BoundaryData, NonDeltaBoundaryError, expansion_boundary
-from biharm.exact import binom
+from biharm.boundary import (
+    BoundaryData,
+    NonDeltaBoundaryError,
+    dirichlet_factor,
+    expansion_boundary,
+    fourier_poly,
+    radial_factor,
+)
+from biharm.builder import build_pair
+from biharm.conjecture import conjectured_kernel
+from biharm.exact import binom, poly_eval
 from biharm.numeric import integral_mean
 from biharm.operators import make_expansion
 from exact_references import ab_sums, integral_means_poly, poly_mul
@@ -106,6 +115,71 @@ def test_integral_means_poly_against_truncated_series():
 def test_closed_means_match_quadrature(beta, k, r, expected):
     u = make_expansion(0, {beta: {k: Fraction(1)}})
     assert integral_mean(u, r) == pytest.approx(float(expected), abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Fourier multipliers
+
+
+def direct_radial_factor(kernel, n, s):
+    """radial_factor term by term, with a fresh power of t per monomial."""
+    t = 1 - s
+    return sum(
+        (
+            poly_eval(poly, t) / t ** (2 * beta - 1) * poly_eval(fourier_poly(beta, n), s)
+            for beta, poly in kernel.terms.items()
+        ),
+        Fraction(0),
+    )
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        conjectured_kernel(7, "F"),
+        conjectured_kernel(16, "H"),
+        # gaps between exponents, a band starting below 2 beta - 1, no band 2
+        make_expansion(1, {1: {0: Fraction(2, 7), 3: Fraction(1, 3)}, 3: {4: Fraction(-5, 4), 9: Fraction(1, 9)}}),
+    ],
+)
+def test_radial_factor_horner_matches_direct_sum(kernel):
+    for n in (0, 1, -2, 5):
+        for r in (0.0, 0.3, 0.99, 0.999):
+            s = Fraction(r) ** 2
+            assert radial_factor(kernel, n, s) == direct_radial_factor(kernel, n, s), (n, r)
+
+
+@pytest.mark.parametrize("gamma", list(range(13)) + [24])
+def test_dirichlet_factor_equals_built_multipliers(gamma):
+    # The radial ODE solution and the built kernels' Fourier coefficients
+    # are the same rationals: an exact check of each kernel against the
+    # Dirichlet problem it solves.
+    for kind, kernel in zip("FH", build_pair(gamma)):
+        for n in range(-3, 9):
+            for r in (0.0, 0.3, 0.99, 0.999):
+                s = Fraction(r) ** 2
+                assert dirichlet_factor(gamma, kind, n, s) == radial_factor(kernel, n, s), (kind, n, r)
+
+
+def test_dirichlet_factor_equals_closed_form_at_gamma_80():
+    # Past the built range of the fast tests: the closed form equals the
+    # built kernels up to gamma 80 (the extended closed-form sweep).
+    s = Fraction(0.99) ** 2
+    for kind in "FH":
+        kernel = conjectured_kernel(80, kind)
+        for n in (0, 3):
+            assert dirichlet_factor(80, kind, n, s) == radial_factor(kernel, n, s), (kind, n)
+
+
+def test_dirichlet_factor_hand_values():
+    # gamma = 0 is the biharmonic case: F = 1 + n (1 - s) / 2 and
+    # H = (1 - s) / 2 for every harmonic n.
+    s = Fraction(1, 4)
+    for n in range(-3, 4):
+        assert dirichlet_factor(0, "F", n, s) == 1 + Fraction(3 * abs(n), 8)
+        assert dirichlet_factor(0, "H", n, s) == Fraction(3, 8)
+    with pytest.raises(ValueError, match="kind"):
+        dirichlet_factor(2, "G", 1, s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for floating-point evaluation, Fourier multipliers, L1 quadrature, and
 FD validation."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -234,6 +235,15 @@ def test_values_at_and_l1_norm_reject_radius_outside_disc():
             l1_norm(F2, r)
 
 
+def test_values_at_rejects_non_finite_angles():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            values_at(F2, 0.5, [bad, 0.3])
+        with pytest.raises(ValueError, match="finite"):
+            values_at(F2, 0.5, np.full((2, 2), bad))
+    assert values_at(F2, 0.5, []).shape == (0,)
+
+
 def _multiplier(kernel, n, r):
     return r**n * float(radial_factor(kernel, n, Fraction(r) ** 2))
 
@@ -305,21 +315,48 @@ def test_dirichlet_empty_data():
     assert solve_dirichlet(1, {}, {}, DiscPoint(r=0.5, theta=0.0)) == 0.0
 
 
-def test_dirichlet_builds_each_kernel_once(monkeypatch):
-    built = []
-    real_build_raw = biharm.builder.build_raw
+def test_dirichlet_builds_no_kernel(monkeypatch):
+    def no_build_raw(spec):
+        raise AssertionError(f"solve_dirichlet built {spec}")
 
-    def counting_build_raw(spec):
-        built.append(spec.kind)
-        return real_build_raw(spec)
-
-    monkeypatch.setattr(biharm.builder, "build_raw", counting_build_raw)
+    monkeypatch.setattr(biharm.builder, "build_raw", no_build_raw)
     p = DiscPoint(r=0.5, theta=0.3)
-    solve_dirichlet(2, {0: 1.0}, {0: 1.0}, p)
-    assert sorted(built) == ["F", "H"]
-    built.clear()
-    solve_dirichlet(2, {}, {0: 1.0}, p)
-    assert built == ["H"]
+    assert solve_dirichlet(2, {0: 1.0, 3: 0.5}, {0: 1.0, -1: 0.2}, p) != 0.0
+    assert solve_dirichlet(2, {}, {0: 1.0}, p) != 0.0
+
+
+def _kernel_route_solve(gamma, f0, f1, p):
+    """solve_dirichlet through the built kernels' multipliers."""
+    s = Fraction(p.r) ** 2
+    u = 0.0 + 0.0j
+    for kernel, data in zip(build_pair(gamma), (f0, f1)):
+        for n, c in data.items():
+            multiplier = p.r ** abs(n) * float(radial_factor(kernel, n, s))
+            u += c * multiplier * cmath.exp(1j * n * p.theta)
+    return float(u.real)
+
+
+@pytest.mark.parametrize("gamma", [0, 2, 4, 8])
+def test_dirichlet_is_bit_identical_to_kernel_route(gamma):
+    rng = random.Random(100 + gamma)
+    for _ in range(12):
+        f0 = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in rng.sample(range(-6, 7), 4)}
+        f1 = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in rng.sample(range(-6, 7), 3)}
+        p = DiscPoint(r=rng.choice([0.0, 0.5, 0.9, 0.99, 0.999]), theta=rng.uniform(-math.pi, math.pi))
+        assert solve_dirichlet(gamma, f0, f1, p) == _kernel_route_solve(gamma, f0, f1, p), (f0, f1, p)
+
+
+def test_dirichlet_validates_gamma_and_harmonics():
+    p = DiscPoint(r=0.5, theta=0.3)
+    for gamma in (-3, -1, 2.0, 2.5, "2", None):
+        for f0 in ({}, {0: 1.0}):
+            with pytest.raises(ValueError, match="gamma"):
+                solve_dirichlet(gamma, f0, {}, p)
+    for data in ({0.5: 1.0}, {1.0: 1.0}, {"1": 1.0}):
+        with pytest.raises(ValueError, match="harmonic"):
+            solve_dirichlet(2, data, {}, p)
+        with pytest.raises(ValueError, match="harmonic"):
+            solve_dirichlet(2, {}, data, p)
 
 
 def test_dirichlet_near_the_boundary():
@@ -329,6 +366,8 @@ def test_dirichlet_near_the_boundary():
 
 def test_dirichlet_constant_value_data_at_high_gamma():
     u = solve_dirichlet(16, {0: 1.0}, {}, DiscPoint(r=0.99, theta=0.7))
+    assert u == pytest.approx(1.0, abs=1e-14)
+    u = solve_dirichlet(80, {0: 1.0}, {}, DiscPoint(r=0.99, theta=0.7))
     assert u == pytest.approx(1.0, abs=1e-14)
 
 
