@@ -6,9 +6,12 @@ Everything downstream of this module is built from three ingredients:
     which already guarantees the canonical form we need: reduced to lowest
     terms, positive denominator, zero stored as 0/1);
   * ``LaurentPoly`` — a sparse polynomial in one variable, stored as a dict
-    mapping integer exponent -> nonzero coefficient.  Exponents may be
-    negative.  The variable is written ``t`` throughout and in the kernel
-    modules stands for ``t = 1 - x`` with ``x = |z|^2``;
+    mapping integer exponent -> coefficient, a nonzero ``int`` or
+    ``Fraction``.  Exponents may be negative.  The operations below keep
+    ``int`` coefficients ``int`` until a ``Fraction`` enters, so a pass over
+    denominator-cleared coefficients runs in integers.  The variable is
+    written ``t`` throughout and in the kernel modules stands for
+    ``t = 1 - x`` with ``x = |z|^2``;
   * ``solve_linear`` — exact solving of a sparse integer linear system:
     fraction-free forward elimination (each pivot row divided by its
     content), then back substitution, the only step that forms rationals.
@@ -28,9 +31,10 @@ Rational = Fraction
 
 ZERO = Fraction(0)
 
-# Sparse polynomial: exponent -> coefficient.  Invariant: no zero values,
-# so zero-testing is map emptiness and equality is dict equality.
-LaurentPoly = Dict[int, Fraction]
+# Sparse polynomial: exponent -> coefficient, a nonzero int or Fraction.
+# Invariant: no zero values, so zero-testing is map emptiness and equality
+# is dict equality (an int equals the Fraction of the same value).
+LaurentPoly = Dict[int, Fraction | int]
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +60,7 @@ def binom(n: int, r: int) -> int:
 def poly_add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     out = dict(p)
     for k, c in q.items():
-        new = out.get(k, ZERO) + c
+        new = out.get(k, 0) + c
         if new:
             out[k] = new
         else:
@@ -73,7 +77,10 @@ def poly_sub(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 
 
 def poly_scale(c: Fraction | int, p: LaurentPoly) -> LaurentPoly:
-    c = Fraction(c)
+    """c * p.  An ``int`` factor stays an ``int``; any other factor is taken
+    exactly as ``Fraction(c)``."""
+    if not isinstance(c, int):
+        c = Fraction(c)
     if not c:
         return {}
     return {k: c * v for k, v in p.items()}
@@ -82,11 +89,6 @@ def poly_scale(c: Fraction | int, p: LaurentPoly) -> LaurentPoly:
 def poly_shift(p: LaurentPoly, m: int) -> LaurentPoly:
     """Multiply by t^m, i.e. shift every exponent by m."""
     return {k + m: c for k, c in p.items()}
-
-
-def poly_diff(p: LaurentPoly) -> LaurentPoly:
-    """Derivative with respect to the polynomial's own variable: d/dt."""
-    return {k - 1: k * c for k, c in p.items() if k != 0}
 
 
 def poly_d_dx(p: LaurentPoly) -> LaurentPoly:
@@ -100,11 +102,6 @@ def poly_d_dx(p: LaurentPoly) -> LaurentPoly:
 def poly_mul_x(p: LaurentPoly) -> LaurentPoly:
     """Multiply by x = 1 - t, staying in the t-representation."""
     return poly_sub(p, poly_shift(p, 1))
-
-
-def poly_eval(p: LaurentPoly, t: Fraction) -> Fraction:
-    """Exact evaluation at a rational point (t != 0 if exponents are negative)."""
-    return sum((c * t ** k for k, c in p.items()), ZERO)
 
 
 # ---------------------------------------------------------------------------

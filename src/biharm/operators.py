@@ -26,6 +26,7 @@ two are required to agree everywhere (see the operator tests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
@@ -53,7 +54,7 @@ class KernelExpansion:
 
     terms maps beta >= 1 to a nonzero polynomial in t = 1 - x.  Instances
     are treated as immutable; the constructor helper ``make_expansion``
-    canonicalizes by dropping zero polynomials.
+    canonicalizes by dropping zero coefficients and zero polynomials.
     """
 
     gamma: int
@@ -70,8 +71,9 @@ def make_expansion(gamma: int, terms: Dict[int, LaurentPoly]) -> KernelExpansion
     for beta, poly in terms.items():
         if beta < 1:
             raise ValueError(f"band index must be >= 1, got beta={beta}")
+        poly = {k: c for k, c in poly.items() if c}
         if poly:
-            clean[beta] = dict(poly)
+            clean[beta] = poly
     return KernelExpansion(gamma=gamma, terms=clean)
 
 
@@ -201,14 +203,34 @@ def _seq_winv(gamma: int, seq: CoeffSequence) -> CoeffSequence:
     return {m: apply_winv(gamma, p) for m, p in seq.items()}
 
 
+def _cleared(seq: CoeffSequence) -> Tuple[int, Dict[int, Dict[int, int]]]:
+    """L, the lcm of the coefficient denominators, and L * seq in integers."""
+    lcm = math.lcm(*(c.denominator for p in seq.values() for c in p.values()))
+    return lcm, {
+        m: {e: c.numerator * (lcm // c.denominator) for e, c in p.items()}
+        for m, p in seq.items()
+    }
+
+
+def _divided(seq: Dict[int, Dict[int, int]], lcm: int) -> CoeffSequence:
+    """seq / lcm with ``Fraction`` values, zero terms and bands dropped."""
+    images = {m: {e: Fraction(c, lcm) for e, c in p.items() if c} for m, p in seq.items()}
+    return {m: p for m, p in images.items() if p}
+
+
 def laplacian(u: KernelExpansion) -> CoeffSequence:
     """Banded Laplacian of an expansion: band m of D(u)."""
     return _seq_pq(u.terms)
 
 
 def biharmonic(u: KernelExpansion) -> CoeffSequence:
-    """Banded image of u under D w^-1 D, via the generic composition."""
-    return _seq_pq(_seq_winv(u.gamma, _seq_pq(u.terms)))
+    """Banded image of u under D w^-1 D, via the generic composition.
+
+    The composition runs once on L * u in integers, L the lcm of u's
+    coefficient denominators; the image is divided by L once.
+    """
+    lcm, terms = _cleared(u.terms)
+    return _divided(_seq_pq(_seq_winv(u.gamma, _seq_pq(terms))), lcm)
 
 
 def biharmonic_via_rules(u: KernelExpansion) -> CoeffSequence:
@@ -216,13 +238,15 @@ def biharmonic_via_rules(u: KernelExpansion) -> CoeffSequence:
 
     Must agree with ``biharmonic`` on every expansion; the builder uses this
     path because single-monomial columns are what the linear system needs.
+    Like ``biharmonic`` it accumulates L * u's image in integers and divides
+    by L once.
     """
-    acc: CoeffSequence = {}
-    for beta, poly in u.terms.items():
+    lcm, terms = _cleared(u.terms)
+    acc: Dict[int, Dict[int, int]] = {}
+    for beta, poly in terms.items():
         for k, coeff in poly.items():
             for band, img in monomial_image(u.gamma, beta, k).items():
                 out = acc.setdefault(band, {})
                 for e, c in img.items():
                     out[e] = out.get(e, 0) + coeff * c
-    images = {m: {e: c for e, c in p.items() if c} for m, p in acc.items()}
-    return {m: p for m, p in images.items() if p}
+    return _divided(acc, lcm)

@@ -1,21 +1,24 @@
 """Independent references that only the tests use.
 
-``poly_from_terms`` and ``poly_mul`` build and multiply Laurent
-polynomials.  ``ab_sums`` (with ``_inner_sum``) computes the boundary data
-(a, b) of t^(2 beta - 1) / |1-z|^(2 beta) from the paper's double sums, and
+``poly_from_terms``, ``poly_mul``, ``poly_diff`` and ``poly_eval`` build,
+multiply, differentiate in t and evaluate Laurent polynomials.
+``biharmonic_fraction`` composes the banded image under D w^-1 D in
+``Fraction`` arithmetic, the oracle of the package's integer passes.
+``ab_sums`` (with ``_inner_sum``) computes the boundary data (a, b) of
+t^(2 beta - 1) / |1-z|^(2 beta) from the paper's double sums, and
 ``integral_means_poly`` gives the integral-means polynomial p(s) whose
 value and derivative at s = 1 give the same (a, b).  No build path of the
 package calls them; they check ``boundary.expansion_boundary`` (on
-one-term expansions) and ``boundary.fourier_poly`` against a second
-derivation.
+one-term expansions), ``boundary.fourier_poly`` and the two biharmonic
+passes of ``operators`` against a second derivation.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from biharm.boundary import BoundaryData, fourier_poly
-from biharm.exact import ZERO, LaurentPoly, binom, poly_diff, poly_eval
+from biharm.exact import ZERO, LaurentPoly, binom
 
 
 def poly_from_terms(terms: Sequence[Tuple[int, Fraction | int]]) -> LaurentPoly:
@@ -41,6 +44,62 @@ def poly_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
             else:
                 out.pop(k, None)
     return out
+
+
+def poly_diff(p: LaurentPoly) -> LaurentPoly:
+    """Derivative with respect to the polynomial's own variable: d/dt."""
+    return {k - 1: k * c for k, c in p.items() if k != 0}
+
+
+def poly_eval(p: LaurentPoly, t: Fraction) -> Fraction:
+    """Exact evaluation at a rational point (t != 0 if exponents are negative)."""
+    return sum((c * t ** k for k, c in p.items()), ZERO)
+
+
+def _d_dx(p: LaurentPoly) -> LaurentPoly:
+    """d/dx of a polynomial in t = 1 - x: d/dx t^k = -k t^(k-1)."""
+    return {k - 1: -k * c for k, c in p.items() if k != 0}
+
+
+def _band_p(beta: int, f: LaurentPoly) -> LaurentPoly:
+    """P_beta f = (1 - beta) f' + x f'', with x f'' = f'' - t f''."""
+    df = _d_dx(f)
+    ddf = _d_dx(df)
+    return poly_from_terms(
+        [(k, (1 - beta) * c) for k, c in df.items()]
+        + list(ddf.items())
+        + [(k + 1, -c) for k, c in ddf.items()]
+    )
+
+
+def _band_q(beta: int, f: LaurentPoly) -> LaurentPoly:
+    """Q_beta f = beta (beta f + t f')."""
+    return poly_from_terms(
+        [(k, beta * beta * c) for k, c in f.items()]
+        + [(k + 1, beta * c) for k, c in _d_dx(f).items()]
+    )
+
+
+def _laplacian_pass(seq: Dict[int, LaurentPoly]) -> Dict[int, LaurentPoly]:
+    """Band m of D applied to a band sequence: P_m s_m + Q_(m-1) s_(m-1)."""
+    out = {}
+    for m in range(1, max(seq, default=0) + 2):
+        g = poly_from_terms(
+            list(_band_p(m, seq.get(m, {})).items())
+            + list(_band_q(m - 1, seq.get(m - 1, {})).items())
+        )
+        if g:
+            out[m] = g
+    return out
+
+
+def biharmonic_fraction(gamma: int, terms: Dict[int, LaurentPoly]) -> Dict[int, LaurentPoly]:
+    """Banded image of sum_beta terms[beta](t) / |1-z|^(2 beta) under
+    D w^-1 D, w = t^gamma, with every coefficient a ``Fraction``."""
+    first = _laplacian_pass(
+        {m: {k: Fraction(c) for k, c in p.items()} for m, p in terms.items()}
+    )
+    return _laplacian_pass({m: {k - gamma: c for k, c in p.items()} for m, p in first.items()})
 
 
 @dataclass(frozen=True)

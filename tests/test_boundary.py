@@ -14,10 +14,10 @@ from biharm.boundary import (
 )
 from biharm.builder import build_pair
 from biharm.conjecture import conjectured_kernel
-from biharm.exact import binom, poly_eval
+from biharm.exact import binom
 from biharm.numeric import integral_mean
 from biharm.operators import make_expansion
-from exact_references import ab_sums, integral_means_poly, poly_mul
+from exact_references import ab_sums, integral_means_poly, poly_eval, poly_mul
 
 
 def monomial_boundary(k, beta):

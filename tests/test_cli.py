@@ -35,6 +35,13 @@ def test_document_round_trip(kind, gamma):
     assert back.terms == kernel.terms
 
 
+def test_document_zero_coefficient_is_dropped():
+    kernel = build(KernelSpec(gamma=2, kind="F"))
+    doc = to_document(kernel, "F", [])
+    doc["terms"][0]["coeffs"].insert(0, {"k": 40, "num": "0", "den": "1"})
+    assert from_document(doc) == (kernel, "F")
+
+
 def test_document_layout():
     kernel = build(KernelSpec(gamma=2, kind="F"))
     doc = to_document(kernel, "F", ["a", "b"])

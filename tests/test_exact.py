@@ -11,8 +11,6 @@ from biharm.exact import (
     binom,
     poly_add,
     poly_d_dx,
-    poly_diff,
-    poly_eval,
     poly_mul_x,
     poly_neg,
     poly_scale,
@@ -20,7 +18,7 @@ from biharm.exact import (
     poly_sub,
     solve_linear,
 )
-from exact_references import poly_from_terms, poly_mul
+from exact_references import poly_diff, poly_eval, poly_from_terms, poly_mul
 
 
 def rand_poly(rng, max_terms=5, lo=-3, hi=8):
@@ -99,6 +97,27 @@ def test_no_zero_coefficients_stored():
             poly_add(p, poly_neg(p)),
         ):
             assert all(c != 0 for c in result.values())
+
+
+def test_add_and_scale_keep_int_coefficients_int():
+    p, q = {0: 3, 2: -1}, {2: 4, 5: 4}
+    for result in (poly_add(p, q), poly_add({}, q), poly_sub(p, q), poly_scale(3, p), poly_scale(-2, q)):
+        assert result and all(type(c) is int for c in result.values())
+    assert poly_add(p, q) == {0: 3, 2: 3, 5: 4}
+    half = {2: Fraction(1, 2)}
+    for result in (
+        poly_add(p, half),
+        poly_add(half, p),
+        poly_add({}, half),
+        poly_scale(Fraction(1, 3), {2: 3}),
+        poly_scale(2, half),
+    ):
+        assert result and type(result[2]) is Fraction
+    assert poly_add(p, half)[2] == Fraction(-1, 2)
+    scaled = poly_scale(0.5, {2: Fraction(3)})
+    assert scaled == {2: Fraction(3, 2)} and type(scaled[2]) is Fraction
+    assert poly_scale(0, p) == {}
+    assert poly_scale(0, half) == {}
 
 
 def test_scale_left_action():

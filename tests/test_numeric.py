@@ -14,7 +14,6 @@ import biharm.builder
 from biharm.boundary import radial_factor
 from biharm.builder import KernelSpec, build, build_pair
 from biharm.conjecture import conjectured_kernel
-from biharm.exact import poly_eval
 from biharm.numeric import (
     PRECISIONS,
     DiscPoint,
@@ -29,7 +28,7 @@ from biharm.numeric import (
     values_at,
 )
 from biharm.operators import expansion_scale, make_expansion
-from exact_references import integral_means_poly
+from exact_references import integral_means_poly, poly_eval
 
 F0 = build(KernelSpec(gamma=0, kind="F"))
 H0 = build(KernelSpec(gamma=0, kind="H"))

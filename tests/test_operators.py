@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from biharm.conjecture import conjectured_kernel
 from biharm.exact import poly_add, poly_scale
 from biharm.operators import (
     RULE_KINDS,
@@ -21,6 +22,7 @@ from biharm.operators import (
     monomial_rule,
     monomial_rule_generic,
 )
+from exact_references import biharmonic_fraction
 
 # Unnormalized biharmonic-zero fixture (weight exponent 2): the expansion
 # 3 t^4/|1-z|^2 + (3 t^5 - (3/2) t^4)/|1-z|^4 + t^6/|1-z|^6.
@@ -146,6 +148,14 @@ def test_make_expansion_drops_zero_polynomials():
     assert make_expansion(0, {}).max_beta() == 0
 
 
+def test_make_expansion_drops_zero_coefficients():
+    f2 = conjectured_kernel(2, "F")
+    terms = {beta: dict(poly) for beta, poly in f2.terms.items()}
+    terms[1][40] = Fraction(0)
+    terms[5] = {3: Fraction(0)}
+    assert make_expansion(2, terms) == f2
+
+
 def test_expansion_add_requires_same_gamma():
     u = make_expansion(1, {1: {2: Fraction(1)}})
     v = make_expansion(2, {1: {2: Fraction(1)}})
@@ -192,6 +202,40 @@ def test_biharmonic_agrees_with_rules_on_random_expansions():
     for _ in range(60):
         u = rand_expansion(rng, rng.randint(0, 5))
         assert seq_equal(biharmonic(u), biharmonic_via_rules(u))
+
+
+def _perturbed(gamma, kind, k, c):
+    """The closed-form kernel plus c t^k in its top band."""
+    u = conjectured_kernel(gamma, kind)
+    terms = {beta: dict(poly) for beta, poly in u.terms.items()}
+    top = terms[max(terms)]
+    top[k] = top.get(k, 0) + c
+    return make_expansion(gamma, terms)
+
+
+MIXED_DENOMINATORS = [
+    make_expansion(
+        2, {1: {3: Fraction(1, 3)}, 2: {5: Fraction(1, 7), 2: Fraction(-1)}, 3: {6: Fraction(5, 12)}}
+    ),
+    make_expansion(
+        0, {1: {0: Fraction(5, 12), 2: Fraction(2)}, 2: {1: Fraction(-1, 7)}, 4: {7: Fraction(1, 3)}}
+    ),
+    make_expansion(
+        5, {2: {9: Fraction(1, 7)}, 3: {1: Fraction(-1, 3), 11: Fraction(1)}, 6: {12: Fraction(5, 12)}}
+    ),
+    _perturbed(4, "F", 4, Fraction(1, 7)),
+    _perturbed(4, "F", 11, Fraction(1, 7)),
+    _perturbed(6, "H", 9, Fraction(1, 7)),
+]
+
+
+@pytest.mark.parametrize("u", MIXED_DENOMINATORS, ids=range(len(MIXED_DENOMINATORS)))
+def test_biharmonic_passes_match_fraction_composition(u):
+    expected = biharmonic_fraction(u.gamma, u.terms)
+    assert expected  # a zero image would not see a scale or a lost denominator
+    for image in (biharmonic(u), biharmonic_via_rules(u)):
+        assert image == expected
+        assert all(type(c) is Fraction for p in image.values() for c in p.values())
 
 
 def test_biharmonic_is_linear():
