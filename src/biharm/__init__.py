@@ -12,15 +12,7 @@ module is exact rational arithmetic.
 """
 
 from .boundary import BoundaryData, NonDeltaBoundaryError, expansion_boundary
-from .builder import (
-    KernelSpec,
-    RawSolution,
-    build,
-    build_pair,
-    build_raw,
-    normalize_F,
-    normalize_H,
-)
+from .builder import KernelSpec, build, build_pair
 from .conjecture import (
     ConjectureCoefficients,
     ConjectureVerdict,
@@ -39,7 +31,7 @@ from .numeric import (
     l1_norm,
     solve_dirichlet,
 )
-from .operators import KernelExpansion, biharmonic, laplacian, make_expansion
+from .operators import KernelExpansion, biharmonic, make_expansion
 
 __version__ = "0.1.0"
 
@@ -54,22 +46,17 @@ __all__ = [
     "NonDeltaBoundaryError",
     "QuadratureConvergenceError",
     "Rational",
-    "RawSolution",
     "StencilOutOfDomainError",
     "biharmonic",
     "build",
     "build_pair",
-    "build_raw",
     "conjectured_kernel",
     "eval_kernel",
     "expansion_boundary",
     "fd_biharmonic_residual",
     "integral_mean",
     "l1_norm",
-    "laplacian",
     "make_expansion",
-    "normalize_F",
-    "normalize_H",
     "solve_ck",
     "solve_dirichlet",
     "verify_conjecture",

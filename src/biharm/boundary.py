@@ -43,15 +43,17 @@ b * delta_1.  Expanding (1 - s)^(k - 2 beta + 1) p(s) at s = 1 gives
 
 while k < 2 beta - 1 means the mean diverges or tends to a non-delta limit
 and is rejected.  Since p(1) = sum_j C(beta - 1, j)^2 = C(2 beta - 2, beta - 1)
-and p'(1) = (beta - 1) p(1) / 2, ``expansion_boundary`` reads only the
-coefficients of t^(2 beta - 1) and t^(2 beta) in each band, with
-c = C(2 beta - 2, beta - 1): (a, b) = (c, -(beta - 1) c) and (0, 2 c).
+and p'(1) = (beta - 1) p(1) / 2, a term's pair (``term_boundary``) is
+(c, -(beta - 1) c) at k = 2 beta - 1 and (0, 2 c) at k = 2 beta, with
+c = C(2 beta - 2, beta - 1).  ``expansion_boundary`` sums it over the
+terms of an expansion, and the builder takes its boundary rows from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Tuple
 
 from .exact import LaurentPoly, Rational, binom
 from .operators import KernelExpansion
@@ -124,20 +126,30 @@ def dirichlet_factor(gamma: int, kind: str, n: int, s: Fraction) -> Fraction:
     return base + Fraction(m * (n + gamma + 1) * binom(n + gamma, n), 2) * drop
 
 
+def term_boundary(beta: int, k: int) -> Tuple[int, int]:
+    """Boundary data (a, b) of the single term t^k / |1-z|^(2 beta), with
+    c = C(2 beta - 2, beta - 1): (c, -(beta - 1) c) at k = 2 beta - 1,
+    (0, 2 c) at k = 2 beta, (0, 0) above."""
+    low = 2 * beta - 1
+    if k < low:
+        raise NonDeltaBoundaryError(
+            f"expansion term beta={beta}, k={k} has non-delta boundary "
+            f"behavior (k < 2 beta - 1 = {low})"
+        )
+    if k > low + 1:
+        return 0, 0
+    c = binom(2 * beta - 2, beta - 1)
+    return (c, -(beta - 1) * c) if k == low else (0, 2 * c)
+
+
 def expansion_boundary(u: KernelExpansion) -> BoundaryData:
     """Boundary data of a banded expansion, by linearity over its terms."""
     a = Fraction(0)
     b = Fraction(0)
     for beta, poly in u.terms.items():
-        low = 2 * beta - 1
-        k = min(poly, default=low)
-        if k < low:
-            raise NonDeltaBoundaryError(
-                f"expansion term beta={beta}, k={k} has non-delta boundary "
-                f"behavior (k < 2 beta - 1 = {low})"
-            )
-        c = binom(2 * beta - 2, beta - 1)
-        f_low = poly.get(low, 0)
-        a += c * f_low
-        b += c * (2 * poly.get(low + 1, 0) - (beta - 1) * f_low)
+        for k, coeff in poly.items():
+            ta, tb = term_boundary(beta, k)
+            if ta or tb:
+                a += ta * coeff
+                b += tb * coeff
     return BoundaryData(a=a, b=b)

@@ -80,7 +80,7 @@ def from_document(doc: Dict) -> Tuple[KernelExpansion, str]:
             int(c["k"]): Fraction(int(c["num"]), int(c["den"]))
             for c in entry["coeffs"]
         }
-    return make_expansion(int(doc["gamma"]), terms), str(doc["kind"])
+    return make_expansion(doc["gamma"], terms), str(doc["kind"])
 
 
 # ---------------------------------------------------------------------------

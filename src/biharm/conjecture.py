@@ -26,9 +26,9 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .boundary import expansion_boundary
-from .builder import build_pair, grid_geometry
+from .builder import BOUNDARY_TARGETS, build_pair, grid_geometry
 from .exact import LaurentPoly, Rational, binom
-from .operators import KernelExpansion, biharmonic, make_expansion
+from .operators import KernelExpansion, biharmonic, check_gamma, make_expansion
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,7 @@ def _binom_row(gamma: int, kind: str, k: int) -> int:
 
 def solve_ck(gamma: int, kind: str) -> ConjectureCoefficients:
     """Forward-substitute the unit-diagonal recurrence for the c_k."""
+    check_gamma(gamma)
     if kind not in ("F", "H"):
         raise ValueError(f"kind must be 'F' or 'H', got {kind!r}")
     target = Fraction(0) if kind == "F" else Fraction(1)
@@ -112,7 +113,6 @@ def verify_conjecture(gamma: int) -> ConjectureVerdict:
     """
     entries: List[CheckResult] = []
     built = dict(zip(("F", "H"), build_pair(gamma)))
-    targets = {"F": (Fraction(1), Fraction(0)), "H": (Fraction(0), Fraction(1))}
     for kind in ("F", "H"):
         formed = conjectured_kernel(gamma, kind)
         entries.append(
@@ -120,7 +120,7 @@ def verify_conjecture(gamma: int) -> ConjectureVerdict:
         )
         bd = expansion_boundary(formed)
         entries.append(
-            CheckResult(kind, "boundary-exact", (bd.a, bd.b) == targets[kind])
+            CheckResult(kind, "boundary-exact", (bd.a, bd.b) == BOUNDARY_TARGETS[kind])
         )
         entries.append(
             CheckResult(kind, "matches-builder", formed == built[kind])

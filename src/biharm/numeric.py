@@ -45,7 +45,7 @@ import mpmath
 import numpy as np
 
 from .boundary import dirichlet_factor, radial_factor
-from .operators import KernelExpansion
+from .operators import KernelExpansion, check_gamma
 
 PRECISIONS = ("double", "extended")
 
@@ -203,8 +203,7 @@ def solve_dirichlet(
     (``boundary.dirichlet_factor``), so no kernel is built.  Real
     (conjugate-symmetric) data produces a real value.
     """
-    if not isinstance(gamma, int) or gamma < 0:
-        raise ValueError(f"gamma must be an int >= 0, got {gamma!r}")
+    check_gamma(gamma)
     for n in (*f0, *f1):
         if not isinstance(n, int):
             raise ValueError(f"harmonics must be ints, got {n!r}")

@@ -64,9 +64,15 @@ class KernelExpansion:
         return max(self.terms) if self.terms else 0
 
 
+def check_gamma(gamma: int) -> None:
+    """The one rule for every gamma the package accepts: an ``int`` >= 0,
+    not a ``bool``; anything else raises ``ValueError``."""
+    if type(gamma) is bool or not isinstance(gamma, int) or gamma < 0:
+        raise ValueError(f"gamma must be an int >= 0, got {gamma!r}")
+
+
 def make_expansion(gamma: int, terms: Dict[int, LaurentPoly]) -> KernelExpansion:
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    check_gamma(gamma)
     clean: Dict[int, LaurentPoly] = {}
     for beta, poly in terms.items():
         if beta < 1:
@@ -216,11 +222,6 @@ def _divided(seq: Dict[int, Dict[int, int]], lcm: int) -> CoeffSequence:
     """seq / lcm with ``Fraction`` values, zero terms and bands dropped."""
     images = {m: {e: Fraction(c, lcm) for e, c in p.items() if c} for m, p in seq.items()}
     return {m: p for m, p in images.items() if p}
-
-
-def laplacian(u: KernelExpansion) -> CoeffSequence:
-    """Banded Laplacian of an expansion: band m of D(u)."""
-    return _seq_pq(u.terms)
 
 
 def biharmonic(u: KernelExpansion) -> CoeffSequence:

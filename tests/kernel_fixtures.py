@@ -2,7 +2,9 @@
 
 terms[beta][k] is the coefficient of t^k / |1-z|^(2 beta) with t = 1 - |z|^2;
 keys are (kind, gamma).  These are transcriptions of the known closed
-formulas, kept independent of the builder.
+formulas, kept independent of the builder.  RAW_H2 and RAW_F2 are the
+paper's unnormalized weight-two solutions, with boundary pairs (0, 6) and
+(2, -18): RAW_H2 = 6 H_2 and RAW_F2 = 2 F_2 - 18 H_2.
 """
 
 from fractions import Fraction
@@ -53,4 +55,16 @@ KNOWN_KERNELS = {
         4: {9: F(1, 2), 8: F(-3, 8)},
         5: {10: F(1, 10)},
     },
+}
+
+RAW_H2 = {
+    1: {4: F(3)},
+    2: {5: F(3), 4: F(-3, 2)},
+    3: {6: F(1)},
+}
+RAW_F2 = {
+    1: {4: F(-8)},
+    2: {4: F(3, 2), 5: F(-6)},
+    3: {5: F(-3)},
+    4: {7: F(1)},
 }

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from biharm.boundary import BoundaryData
-from biharm.builder import KernelSpec, build, build_raw
+from biharm.boundary import BoundaryData, expansion_boundary
+from biharm.builder import KernelSpec, build, build_pair
 from biharm.conjecture import verify_conjecture
 from biharm.exact import binom
 from biharm.numeric import (
@@ -24,9 +24,15 @@ from biharm.numeric import (
     l1_norm,
     solve_dirichlet,
 )
-from biharm.operators import RULE_KINDS, monomial_rule, monomial_rule_generic
+from biharm.operators import (
+    RULE_KINDS,
+    expansion_add,
+    expansion_scale,
+    monomial_rule,
+    monomial_rule_generic,
+)
 from exact_references import ab_sums
-from kernel_fixtures import KNOWN_KERNELS
+from kernel_fixtures import KNOWN_KERNELS, RAW_F2, RAW_H2
 
 F = Fraction
 
@@ -96,18 +102,18 @@ def test_monomial_rules_equal_generic_composition():
 
 
 def test_intermediate_constants_weight_two():
-    """Raw (unnormalized) solutions at weight exponent 2: the band-1 and
-    band-2 coefficients and the raw boundary pairs."""
-    raw_h = build_raw(KernelSpec(gamma=2, kind="H"))
-    assert raw_h.expansion.terms[1][4] == 3
-    assert raw_h.expansion.terms[2][5] == 3
-    assert raw_h.boundary == BoundaryData(F(0), F(6))
+    """Raw (unnormalized) solutions at weight exponent 2, from the built
+    kernels: 6 H_2 and 2 F_2 - 18 H_2 are the paper's raw tables, with the
+    raw boundary pairs (0, 6) and (2, -18)."""
+    f2, h2 = build_pair(2)
+    raw_h = expansion_scale(6, h2)
+    assert raw_h.terms == RAW_H2
+    assert expansion_boundary(raw_h) == BoundaryData(F(0), F(6))
 
-    raw_f = build_raw(KernelSpec(gamma=2, kind="F"))
-    assert raw_f.expansion.terms[1][4] == -8
-    assert raw_f.expansion.terms[2][5] == -6
-    assert raw_f.boundary == BoundaryData(F(2), F(-18))
-    print("intermediate-constants: PASS (raw c1/c2 and boundary pairs)")
+    raw_f = expansion_add(expansion_scale(2, f2), expansion_scale(-18, h2))
+    assert raw_f.terms == RAW_F2
+    assert expansion_boundary(raw_f) == BoundaryData(F(2), F(-18))
+    print("intermediate-constants: PASS (raw tables and boundary pairs)")
 
 
 def test_l1_norm_behavior():

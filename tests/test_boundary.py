@@ -11,6 +11,7 @@ from biharm.boundary import (
     expansion_boundary,
     fourier_poly,
     radial_factor,
+    term_boundary,
 )
 from biharm.builder import build_pair
 from biharm.conjecture import conjectured_kernel
@@ -18,24 +19,12 @@ from biharm.exact import binom
 from biharm.numeric import integral_mean
 from biharm.operators import make_expansion
 from exact_references import ab_sums, integral_means_poly, poly_eval, poly_mul
+from kernel_fixtures import RAW_F2, RAW_H2
 
 
 def monomial_boundary(k, beta):
     """Boundary data of the one-term expansion t^k / |1-z|^(2 beta)."""
     return expansion_boundary(make_expansion(0, {beta: {k: Fraction(1)}}))
-
-
-RAW_H2 = {
-    1: {4: Fraction(3)},
-    2: {5: Fraction(3), 4: Fraction(-3, 2)},
-    3: {6: Fraction(1)},
-}
-RAW_F2 = {
-    1: {4: Fraction(-8)},
-    2: {4: Fraction(3, 2), 5: Fraction(-6)},
-    3: {5: Fraction(-3)},
-    4: {7: Fraction(1)},
-}
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +192,8 @@ def test_dirichlet_factor_hand_values():
 )
 def test_monomial_boundary_table(k, beta, a, b):
     assert monomial_boundary(k, beta) == BoundaryData(a=Fraction(a), b=Fraction(b))
+    pair = term_boundary(beta, k)  # the builder's boundary-row entries
+    assert pair == (a, b) and all(type(c) is int for c in pair)
 
 
 def test_monomial_boundary_vanishes_above_diagonal():
@@ -215,6 +206,8 @@ def test_monomial_boundary_vanishes_above_diagonal():
 def test_monomial_boundary_rejects_non_delta(k, beta):
     with pytest.raises(NonDeltaBoundaryError):
         monomial_boundary(k, beta)
+    with pytest.raises(NonDeltaBoundaryError):
+        term_boundary(beta, k)
 
 
 def test_monomial_boundary_rejects_bad_beta():

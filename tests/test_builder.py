@@ -1,4 +1,4 @@
-"""Tests for the kernel builder: fixtures, invariants, and normalization."""
+"""Tests for the kernel builder: grids, systems, fixtures and invariants."""
 
 import random
 from fractions import Fraction
@@ -9,21 +9,39 @@ import biharm.builder
 from biharm.boundary import BoundaryData, expansion_boundary
 from biharm.builder import (
     KernelSpec,
-    RawSolution,
     ansatz_grid,
     assemble_system,
     build,
     build_pair,
-    build_raw,
-    normalize_F,
-    normalize_H,
-    top_term,
+    grid_geometry,
 )
-from biharm.exact import solve_linear
-from biharm.operators import biharmonic, expansion_add, expansion_scale
-from kernel_fixtures import KNOWN_KERNELS
+from biharm.exact import RationalLinearSystem, solve_linear
+from biharm.operators import biharmonic, expansion_add, expansion_scale, make_expansion
+from kernel_fixtures import KNOWN_KERNELS, RAW_F2, RAW_H2
 
 F = Fraction
+
+# Positions of the boundary rows at the end of every builder system.
+A_ROW, B_ROW = -2, -1
+
+
+def builder_system(spec, targets=None, drop=None):
+    """spec's columns and system, with the boundary targets replaced by
+    ``targets`` and the boundary row ``drop`` left out, if given."""
+    columns, system = assemble_system(spec, ansatz_grid(spec))
+    rows = list(system.rows)
+    if targets is not None:
+        rows[A_ROW:] = [(row, b) for (row, _), b in zip(rows[A_ROW:], targets)]
+    if drop is not None:
+        del rows[drop]
+    return columns, RationalLinearSystem(rows=rows, unknowns=system.unknowns)
+
+
+def solved_expansion(spec, columns, system):
+    terms = {}
+    for (beta, k), v in zip(columns, solve_linear(system)):
+        terms.setdefault(beta, {})[k] = v
+    return make_expansion(spec.gamma, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -37,20 +55,30 @@ def test_kernel_spec_validation():
         KernelSpec(gamma=0, kind="G")
 
 
+@pytest.mark.parametrize("gamma", [True, False, 2.5, 2.0, "2", None, -1])
+def test_kernel_spec_gamma_is_a_nonnegative_int(gamma):
+    with pytest.raises(ValueError, match="gamma must be an int >= 0"):
+        KernelSpec(gamma=gamma, kind="H")
+
+
 @pytest.mark.parametrize(
     "kind, gamma, expected",
     [("F", 0, (2, 3)), ("F", 2, (4, 7)), ("H", 0, (1, 2)), ("H", 2, (3, 6))],
 )
 def test_top_term(kind, gamma, expected):
-    assert top_term(KernelSpec(gamma=gamma, kind=kind)) == expected
+    # The grid's top band is the single monomial t^floor[beta_0].
+    beta0, floor = grid_geometry(gamma, kind)
+    assert (beta0, floor[beta0]) == expected
+    assert ansatz_grid(KernelSpec(gamma=gamma, kind=kind))[beta0] == [expected[1]]
 
 
 def test_ansatz_grid_ranges():
-    # F's grid leaves out H's top monomial t^6 at band 3.
+    # The whole tight grid, top band included; F's holds H's top monomial
+    # t^6 at band 3.
     grid = ansatz_grid(KernelSpec(gamma=2, kind="F"))
-    assert grid == {1: [4], 2: [4, 5], 3: [5]}
+    assert grid == {1: [4], 2: [4, 5], 3: [5, 6], 4: [7]}
     grid = ansatz_grid(KernelSpec(gamma=2, kind="H"))
-    assert grid == {1: [4], 2: [4, 5]}
+    assert grid == {1: [4], 2: [4, 5], 3: [6]}
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +92,26 @@ def test_assemble_system_columns_sorted():
     assert system.ncols() == len(columns)
 
 
+@pytest.mark.parametrize(
+    "kind, a_row, b_row",
+    [
+        ("F", {(3, 5): 6, (4, 7): 20}, {(2, 4): 4, (3, 5): -12, (3, 6): 12, (4, 7): -60}),
+        ("H", {}, {(2, 4): 4, (3, 6): 12}),
+    ],
+)
+def test_assemble_system_boundary_rows(kind, a_row, b_row):
+    # Image rows are homogeneous; the last two rows are a and b at gamma 2,
+    # with c = C(2 beta - 2, beta - 1): (c, -(beta - 1) c) at k = 2 beta - 1
+    # and (0, 2 c) at k = 2 beta.  H's grid has no t^(2 beta - 1) term, so
+    # its a-row is empty.
+    spec = KernelSpec(gamma=2, kind=kind)
+    columns, system = assemble_system(spec, ansatz_grid(spec))
+    assert all(b == 0 for _, b in system.rows[:A_ROW])
+    labelled = [({columns[j]: c for j, c in row.items()}, b) for row, b in system.rows[A_ROW:]]
+    targets = (1, 0) if kind == "F" else (0, 1)
+    assert labelled == list(zip((a_row, b_row), targets))
+
+
 @pytest.mark.parametrize("gamma", range(0, 7))
 def test_h_system_is_determined(gamma):
     spec = KernelSpec(gamma=gamma, kind="H")
@@ -71,20 +119,39 @@ def test_h_system_is_determined(gamma):
     assert solve_linear(system) is not None
 
 
-@pytest.mark.parametrize("gamma", range(0, 7))
+@pytest.mark.parametrize("gamma", range(0, 9))
 def test_f_system_free_direction_is_h_top(gamma):
-    # The F-type grid leaves out the leading monomial of the H kernel, the
-    # one direction that would leave the F-type system undetermined: without
-    # it the system solves uniquely, with it appended it does not.
+    # The image rows leave the span of F and H free.  F's grid holds H's
+    # top monomial t^(2 gamma + 2) at band gamma + 1, so the boundary rows
+    # are what make each system unique: without F's b-row, F's system is
+    # free along H; without its a-row, along F; without H's b-row, H's
+    # homogeneous system has H as a free direction.
+    f_spec, h_spec = KernelSpec(gamma=gamma, kind="F"), KernelSpec(gamma=gamma, kind="H")
+    assert (gamma + 1, 2 * gamma + 2) in assemble_system(f_spec, ansatz_grid(f_spec))[0]
+    for spec in (f_spec, h_spec):
+        assert solve_linear(builder_system(spec)[1]) is not None
+    assert solve_linear(builder_system(f_spec, drop=A_ROW)[1]) is None
+    assert solve_linear(builder_system(f_spec, drop=B_ROW)[1]) is None
+    assert solve_linear(builder_system(h_spec, drop=B_ROW)[1]) is None
+
+
+@pytest.mark.parametrize("gamma", range(0, 6))
+def test_normalized_f_independent_of_free_direction(gamma):
+    # Moving F's b target to c moves the solution along H by exactly c·H:
+    # what the boundary rows select is F + c·H, so the F they select with
+    # c = 0 does not depend on the free direction.  c = 1 gives F + H.
     spec = KernelSpec(gamma=gamma, kind="F")
-    grid = ansatz_grid(spec)
-    assert solve_linear(assemble_system(spec, grid)[1]) is not None
-    grid[gamma + 1].append(2 * gamma + 2)
-    assert solve_linear(assemble_system(spec, grid)[1]) is None
+    f, h = build_pair(gamma)
+    rng = random.Random(3000 + gamma)
+    shifts = [1] + [rng.randint(2, 99) * rng.choice((1, -1)) for _ in range(3)]
+    for c in shifts:
+        solved = solved_expansion(spec, *builder_system(spec, targets=(1, c)))
+        assert solved == expansion_add(f, expansion_scale(c, h))
+        assert expansion_add(solved, expansion_scale(-c, h)) == f
 
 
 # ---------------------------------------------------------------------------
-# raw solutions
+# one solve per kernel, checked against every row
 
 
 @pytest.mark.parametrize("kind", ("F", "H"))
@@ -93,37 +160,62 @@ def test_infeasible_system_fails_loudly(kind, monkeypatch):
     # the gamma and kind it came from.
     monkeypatch.setattr(biharm.builder, "solve_linear", lambda system: None)
     with pytest.raises(RuntimeError, match=f"gamma=3, kind={kind}"):
-        build_raw(KernelSpec(gamma=3, kind=kind))
+        build(KernelSpec(gamma=3, kind=kind))
+
+
+@pytest.mark.parametrize("kind", ("F", "H"))
+def test_build_solves_once(kind, monkeypatch):
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return solve_linear(system)
+
+    monkeypatch.setattr(biharm.builder, "solve_linear", counted)
+    assert build(KernelSpec(gamma=4, kind=kind)).terms == KNOWN_KERNELS[kind, 4]
+    assert len(calls) == 1
+
+
+def test_build_rejects_a_solution_off_the_b_row(monkeypatch):
+    # A solution of the image rows alone, 2 H, misses the b-row: the build
+    # checks every row of its system and raises instead of returning it.
+    monkeypatch.setattr(
+        biharm.builder, "solve_linear", lambda system: tuple(2 * v for v in solve_linear(system))
+    )
+    with pytest.raises(RuntimeError, match="internal error.*gamma=2, kind=H"):
+        build(KernelSpec(gamma=2, kind="H"))
+
+
+def test_build_rejects_a_solution_off_the_image_rows(monkeypatch):
+    # A solution that meets both boundary rows but not the image rows: F
+    # with 1 added at t^4 / |1-z|^2, a term with no boundary data.
+    spec = KernelSpec(gamma=2, kind="F")
+    columns, _ = assemble_system(spec, ansatz_grid(spec))
+    j = columns.index((1, 4))
+
+    def off_image(system):
+        values = list(solve_linear(system))
+        values[j] += 1
+        return tuple(values)
+
+    monkeypatch.setattr(biharm.builder, "solve_linear", off_image)
+    with pytest.raises(RuntimeError, match="internal error.*gamma=2, kind=F"):
+        build(spec)
 
 
 def test_raw_h2_constants():
-    raw = build_raw(KernelSpec(gamma=2, kind="H"))
-    assert raw.expansion.terms == {
-        1: {4: F(3)},
-        2: {5: F(3), 4: F(-3, 2)},
-        3: {6: F(1)},
-    }
-    assert raw.boundary == BoundaryData(a=F(0), b=F(6))
+    # The paper's unnormalized H at weight two is 6 H_2.
+    raw = expansion_scale(6, build(KernelSpec(gamma=2, kind="H")))
+    assert raw.terms == RAW_H2
+    assert expansion_boundary(raw) == BoundaryData(a=F(0), b=F(6))
 
 
 def test_raw_f2_constants():
-    raw = build_raw(KernelSpec(gamma=2, kind="F"))
-    assert raw.expansion.terms == {
-        1: {4: F(-8)},
-        2: {4: F(3, 2), 5: F(-6)},
-        3: {5: F(-3)},
-        4: {7: F(1)},
-    }
-    assert raw.boundary == BoundaryData(a=F(2), b=F(-18))
-
-
-def test_raw_top_coefficient_is_one():
-    for gamma in range(0, 6):
-        for kind in ("F", "H"):
-            spec = KernelSpec(gamma=gamma, kind=kind)
-            beta0, k0 = top_term(spec)
-            raw = build_raw(spec)
-            assert raw.expansion.terms[beta0][k0] == 1
+    # The paper's unnormalized F at weight two is 2 F_2 - 18 H_2.
+    f, h = build_pair(2)
+    raw = expansion_add(expansion_scale(2, f), expansion_scale(-18, h))
+    assert raw.terms == RAW_F2
+    assert expansion_boundary(raw) == BoundaryData(a=F(2), b=F(-18))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +237,7 @@ def test_build_matches_known_kernels(kind, gamma):
 def test_built_kernel_invariants(kind, gamma):
     spec = KernelSpec(gamma=gamma, kind=kind)
     kernel = build(spec)
-    beta0, _ = top_term(spec)
+    beta0, _ = grid_geometry(gamma, kind)
 
     # all bands 1..beta0 present, none beyond
     assert sorted(kernel.terms) == list(range(1, beta0 + 1))
@@ -183,46 +275,9 @@ def test_h_kernel_values_at_origin(gamma):
         assert 2 * beta * sum(poly.values()) == 1, beta
 
 
-# ---------------------------------------------------------------------------
-# normalization
-
-
 @pytest.mark.parametrize("gamma", range(0, 9))
 def test_build_pair_matches_build(gamma):
     assert build_pair(gamma) == (
         build(KernelSpec(gamma=gamma, kind="F")),
         build(KernelSpec(gamma=gamma, kind="H")),
     )
-
-
-def test_normalize_h_rejects_wrong_boundary():
-    raw_f = build_raw(KernelSpec(gamma=2, kind="F"))
-    with pytest.raises(ValueError):
-        normalize_H(raw_f)
-
-
-def test_normalize_f_requires_unit_h():
-    raw_f = build_raw(KernelSpec(gamma=2, kind="F"))
-    bad_h = build_raw(KernelSpec(gamma=2, kind="H")).expansion  # boundary (0, 6)
-    with pytest.raises(ValueError):
-        normalize_F(raw_f, bad_h)
-
-
-@pytest.mark.parametrize("gamma", range(0, 6))
-def test_normalized_f_independent_of_free_direction(gamma):
-    # Shifting the raw F solution along the raw H solution (the direction the
-    # F grid leaves out) changes the raw boundary data but not the
-    # normalized kernel.
-    spec = KernelSpec(gamma=gamma, kind="F")
-    raw_f = build_raw(spec)
-    raw_h = build_raw(KernelSpec(gamma=gamma, kind="H"))
-    h = normalize_H(raw_h)
-    reference = build(spec)
-    rng = random.Random(3000 + gamma)
-    for _ in range(3):
-        c = F(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))
-        shifted = expansion_add(raw_f.expansion, expansion_scale(c, raw_h.expansion))
-        assert not biharmonic(shifted)
-        raw = RawSolution(expansion=shifted, boundary=expansion_boundary(shifted))
-        assert raw.boundary != raw_f.boundary  # genuinely different raw
-        assert normalize_F(raw, h).terms == reference.terms

@@ -42,6 +42,16 @@ def test_document_zero_coefficient_is_dropped():
     assert from_document(doc) == (kernel, "F")
 
 
+@pytest.mark.parametrize("gamma", [True, 2.7, 2.0, "2", -1])
+def test_document_gamma_is_a_nonnegative_int(gamma):
+    # A document's gamma is not coerced: true or 2.7 would load H_2's
+    # terms under another gamma.
+    doc = json.loads(json.dumps(to_document(build(KernelSpec(gamma=2, kind="H")), "H", [])))
+    doc["gamma"] = gamma
+    with pytest.raises(ValueError, match="gamma must be an int >= 0"):
+        from_document(doc)
+
+
 def test_document_layout():
     kernel = build(KernelSpec(gamma=2, kind="F"))
     doc = to_document(kernel, "F", ["a", "b"])

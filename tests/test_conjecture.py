@@ -38,6 +38,14 @@ def test_solve_ck_rejects_bad_kind():
         solve_ck(3, "G")
 
 
+@pytest.mark.parametrize("gamma", [True, False, 2.5, 2.0, "2", None, -1])
+@pytest.mark.parametrize("kind", ("F", "H"))
+def test_closed_form_gamma_is_a_nonnegative_int(gamma, kind):
+    for make in (solve_ck, conjectured_kernel):
+        with pytest.raises(ValueError, match="gamma must be an int >= 0"):
+            make(gamma, kind)
+
+
 def test_solve_ck_count():
     for gamma in range(0, 20):
         assert len(solve_ck(gamma, "F").c) == (gamma + 1) // 2 + 1

@@ -315,10 +315,10 @@ def test_dirichlet_empty_data():
 
 
 def test_dirichlet_builds_no_kernel(monkeypatch):
-    def no_build_raw(spec):
+    def no_build(spec):
         raise AssertionError(f"solve_dirichlet built {spec}")
 
-    monkeypatch.setattr(biharm.builder, "build_raw", no_build_raw)
+    monkeypatch.setattr(biharm.builder, "build", no_build)
     p = DiscPoint(r=0.5, theta=0.3)
     assert solve_dirichlet(2, {0: 1.0, 3: 0.5}, {0: 1.0, -1: 0.2}, p) != 0.0
     assert solve_dirichlet(2, {}, {0: 1.0}, p) != 0.0
@@ -347,7 +347,7 @@ def test_dirichlet_is_bit_identical_to_kernel_route(gamma):
 
 def test_dirichlet_validates_gamma_and_harmonics():
     p = DiscPoint(r=0.5, theta=0.3)
-    for gamma in (-3, -1, 2.0, 2.5, "2", None):
+    for gamma in (-3, -1, 2.0, 2.5, "2", None, True, False):
         for f0 in ({}, {0: 1.0}):
             with pytest.raises(ValueError, match="gamma"):
                 solve_dirichlet(gamma, f0, {}, p)

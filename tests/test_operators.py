@@ -9,6 +9,7 @@ from biharm.conjecture import conjectured_kernel
 from biharm.exact import poly_add, poly_scale
 from biharm.operators import (
     RULE_KINDS,
+    _seq_pq,
     apply_P,
     apply_Q,
     apply_winv,
@@ -16,21 +17,19 @@ from biharm.operators import (
     biharmonic_via_rules,
     expansion_add,
     expansion_scale,
-    laplacian,
     make_expansion,
     monomial_image,
     monomial_rule,
     monomial_rule_generic,
 )
 from exact_references import biharmonic_fraction
+from kernel_fixtures import RAW_H2
 
-# Unnormalized biharmonic-zero fixture (weight exponent 2): the expansion
-# 3 t^4/|1-z|^2 + (3 t^5 - (3/2) t^4)/|1-z|^4 + t^6/|1-z|^6.
-RAW_H2 = {
-    1: {4: Fraction(3)},
-    2: {5: Fraction(3), 4: Fraction(-3, 2)},
-    3: {6: Fraction(1)},
-}
+
+def laplacian(u):
+    """Banded Laplacian of an expansion: band m of D(u), by the package's
+    own Laplacian pass (the first and last step of ``biharmonic``)."""
+    return _seq_pq(u.terms)
 
 
 def rand_expansion(rng, gamma):
@@ -135,8 +134,9 @@ def test_monomial_image_band_support():
 
 
 def test_make_expansion_validates():
-    with pytest.raises(ValueError):
-        make_expansion(-1, {})
+    for gamma in (-1, True, 2.0):
+        with pytest.raises(ValueError, match="gamma must be an int >= 0"):
+            make_expansion(gamma, {})
     with pytest.raises(ValueError):
         make_expansion(2, {0: {1: Fraction(1)}})
 
