@@ -24,9 +24,7 @@ from .exact import LaurentPoly, Rational
 from .numeric import (
     DiscPoint,
     QuadratureConvergenceError,
-    StencilOutOfDomainError,
     eval_kernel,
-    fd_biharmonic_residual,
     integral_mean,
     l1_norm,
     solve_dirichlet,
@@ -46,14 +44,12 @@ __all__ = [
     "NonDeltaBoundaryError",
     "QuadratureConvergenceError",
     "Rational",
-    "StencilOutOfDomainError",
     "biharmonic",
     "build",
     "build_pair",
     "conjectured_kernel",
     "eval_kernel",
     "expansion_boundary",
-    "fd_biharmonic_residual",
     "integral_mean",
     "l1_norm",
     "make_expansion",

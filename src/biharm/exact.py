@@ -2,7 +2,7 @@
 
 Everything downstream of this module is built from three ingredients:
 
-  * ``Rational`` — arbitrary-precision fractions (stdlib ``fractions.Fraction``,
+  * ``Rational`` — exact fractions of any size (stdlib ``fractions.Fraction``,
     which already guarantees the canonical form we need: reduced to lowest
     terms, positive denominator, zero stored as 0/1);
   * ``LaurentPoly`` — a sparse polynomial in one variable, stored as a dict

@@ -83,19 +83,6 @@ def make_expansion(gamma: int, terms: Dict[int, LaurentPoly]) -> KernelExpansion
     return KernelExpansion(gamma=gamma, terms=clean)
 
 
-def expansion_add(u: KernelExpansion, v: KernelExpansion) -> KernelExpansion:
-    if u.gamma != v.gamma:
-        raise ValueError("cannot add expansions with different gamma")
-    out: Dict[int, LaurentPoly] = dict(u.terms)
-    for beta, poly in v.terms.items():
-        out[beta] = poly_add(out.get(beta, {}), poly)
-    return make_expansion(u.gamma, out)
-
-
-def expansion_scale(c: Fraction | int, u: KernelExpansion) -> KernelExpansion:
-    return make_expansion(u.gamma, {b: poly_scale(c, p) for b, p in u.terms.items()})
-
-
 # ---------------------------------------------------------------------------
 # single-band operators
 

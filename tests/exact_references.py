@@ -11,6 +11,8 @@ value and derivative at s = 1 give the same (a, b).  No build path of the
 package calls them; they check ``boundary.expansion_boundary`` (on
 one-term expansions), ``boundary.fourier_poly`` and the two biharmonic
 passes of ``operators`` against a second derivation.
+``expansion_add`` and ``expansion_scale`` form linear combinations of
+kernel expansions, such as the paper's unnormalized weight-two solutions.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,8 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from biharm.boundary import BoundaryData, fourier_poly
-from biharm.exact import ZERO, LaurentPoly, binom
+from biharm.exact import ZERO, LaurentPoly, binom, poly_add, poly_scale
+from biharm.operators import KernelExpansion, make_expansion
 
 
 def poly_from_terms(terms: Sequence[Tuple[int, Fraction | int]]) -> LaurentPoly:
@@ -44,6 +47,19 @@ def poly_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
             else:
                 out.pop(k, None)
     return out
+
+
+def expansion_add(u: KernelExpansion, v: KernelExpansion) -> KernelExpansion:
+    if u.gamma != v.gamma:
+        raise ValueError("cannot add expansions with different gamma")
+    out: Dict[int, LaurentPoly] = dict(u.terms)
+    for beta, poly in v.terms.items():
+        out[beta] = poly_add(out.get(beta, {}), poly)
+    return make_expansion(u.gamma, out)
+
+
+def expansion_scale(c: Fraction | int, u: KernelExpansion) -> KernelExpansion:
+    return make_expansion(u.gamma, {b: poly_scale(c, p) for b, p in u.terms.items()})
 
 
 def poly_diff(p: LaurentPoly) -> LaurentPoly:

@@ -17,21 +17,10 @@ from biharm.boundary import BoundaryData, expansion_boundary
 from biharm.builder import KernelSpec, build, build_pair
 from biharm.conjecture import verify_conjecture
 from biharm.exact import binom
-from biharm.numeric import (
-    DiscPoint,
-    fd_biharmonic_residual,
-    integral_mean,
-    l1_norm,
-    solve_dirichlet,
-)
-from biharm.operators import (
-    RULE_KINDS,
-    expansion_add,
-    expansion_scale,
-    monomial_rule,
-    monomial_rule_generic,
-)
-from exact_references import ab_sums
+from biharm.numeric import DiscPoint, integral_mean, l1_norm, solve_dirichlet
+from biharm.operators import RULE_KINDS, monomial_rule, monomial_rule_generic
+from exact_references import ab_sums, expansion_add, expansion_scale
+from fd_oracle import fd_biharmonic_residual
 from kernel_fixtures import KNOWN_KERNELS, RAW_F2, RAW_H2
 
 F = Fraction

@@ -6,6 +6,7 @@ import math
 import re
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import biharm.cli as cli
@@ -194,19 +195,20 @@ def test_eval_value(capsys):
     assert float(capsys.readouterr().out) == pytest.approx(1.0 / 6.0, abs=1e-15)
 
 
-def test_eval_env_precision(capsys, monkeypatch):
-    monkeypatch.setenv("BIHARM_PRECISION", "extended")
-    assert main(["eval", "--gamma", "0", "--kernel", "F", "--r", "0.5", "--theta", "0.7"]) == 0
-    extended = float(capsys.readouterr().out)
-    monkeypatch.delenv("BIHARM_PRECISION")
-    assert main(["eval", "--gamma", "0", "--kernel", "F", "--r", "0.5", "--theta", "0.7"]) == 0
-    double = float(capsys.readouterr().out)
-    assert extended == pytest.approx(double, rel=1e-12)
-
-
-def test_eval_bad_env_precision_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("BIHARM_PRECISION", "binary128")
-    assert main(["eval", "--gamma", "0", "--kernel", "F", "--r", "0.5", "--theta", "0"]) == 2
+def test_eval_value_where_terms_cancel(capsys):
+    # F_20's terms cancel by about 1e8 here; a float64 sum is 1e-8 off.
+    assert main(["eval", "--gamma", "20", "--kernel", "F", "--r", "0.95", "--theta", "3"]) == 0
+    got = float(capsys.readouterr().out)
+    kernel = build(KernelSpec(gamma=20, kind="F"))
+    with mpmath.workdps(60):
+        t = 1 - mpmath.mpf(0.95) ** 2
+        q = (1 - mpmath.mpf(0.95)) ** 2 + 4 * mpmath.mpf(0.95) * mpmath.sin(mpmath.mpf(1.5)) ** 2
+        want = mpmath.fsum(
+            mpmath.mpf(c.numerator) / c.denominator * t**k / q**beta
+            for beta, poly in kernel.terms.items()
+            for k, c in poly.items()
+        )
+    assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 
 def test_l1check_table(capsys):

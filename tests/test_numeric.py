@@ -11,24 +11,23 @@ import numpy as np
 import pytest
 
 import biharm.builder
+import biharm.numeric
 from biharm.boundary import radial_factor
 from biharm.builder import KernelSpec, build, build_pair
 from biharm.conjecture import conjectured_kernel
 from biharm.numeric import (
-    PRECISIONS,
     DiscPoint,
     QuadratureConvergenceError,
-    StencilOutOfDomainError,
     abs1mz_sq,
     eval_kernel,
-    fd_biharmonic_residual,
     integral_mean,
     l1_norm,
     solve_dirichlet,
     values_at,
 )
-from biharm.operators import expansion_scale, make_expansion
-from exact_references import integral_means_poly, poly_eval
+from biharm.operators import make_expansion
+from exact_references import expansion_scale, integral_means_poly, poly_eval
+from fd_oracle import StencilOutOfDomainError, fd_biharmonic_residual
 
 F0 = build(KernelSpec(gamma=0, kind="F"))
 H0 = build(KernelSpec(gamma=0, kind="H"))
@@ -96,20 +95,38 @@ def test_eval_kernel_matches_vectorized_path():
         assert eval_kernel(H2, DiscPoint(r=0.85, theta=theta)) == val
 
 
-def test_eval_kernel_is_bit_identical_to_values_at():
-    # The scalar path skips numpy's arrays but must round exactly as the
-    # batch does, angle by angle.  Squaring the sine with ** 2 in
-    # abs1mz_sq breaks a few of these 7200 points.
+@pytest.fixture
+def sized_calls(monkeypatch):
+    """Records the (r, theta) of every call of eval_kernel's mpmath path."""
+    calls = []
+    sized = biharm.numeric._eval_extended
+
+    def record(kernel, r, theta, kappa):
+        calls.append((r, theta))
+        return sized(kernel, r, theta, kappa)
+
+    monkeypatch.setattr(biharm.numeric, "_eval_extended", record)
+    return calls
+
+
+def test_eval_kernel_is_bit_identical_to_values_at(sized_calls):
+    # Where it keeps the float64 sum, the scalar path skips numpy's arrays
+    # but must round exactly as the batch does, angle by angle.  Squaring
+    # the sine with ** 2 in abs1mz_sq breaks a few of these 7200 points.
     rng = random.Random(1)
+    compared = 0
     for gamma in range(9):
         for kernel in build_pair(gamma):
             for r in (0.0, 0.3, 0.9, 0.998):
                 thetas = [rng.uniform(-7.0, 7.0) for _ in range(100)]
                 vals = values_at(kernel, r, thetas)
                 for i, theta in enumerate(thetas):
-                    assert eval_kernel(kernel, DiscPoint(r=r, theta=theta)) == vals[i], (
-                        gamma, r, theta,
-                    )
+                    sized_calls.clear()
+                    got = eval_kernel(kernel, DiscPoint(r=r, theta=theta))
+                    if not sized_calls:
+                        assert got == vals[i], (gamma, r, theta)
+                        compared += 1
+    assert compared > 6000
 
 
 # Band shapes no closed-form kernel has: a missing middle band, only the top
@@ -121,16 +138,21 @@ SPARSE_EXPANSIONS = [
 ]
 
 
-def _direct_sum(kernel, r, theta):
-    with mpmath.workdps(50):
+def _direct_sum(kernel, r, theta, dps=150):
+    """The kernel's terms summed one by one in mpmath at dps digits; the
+    terms must leave at least 30 of those digits after they cancel."""
+    with mpmath.workdps(dps):
         rm, th = mpmath.mpf(r), mpmath.mpf(theta)
         t = 1 - rm * rm
         q = (1 - rm) ** 2 + 4 * rm * mpmath.sin(th / 2) ** 2
-        return sum(
+        terms = [
             (mpmath.mpf(c.numerator) / c.denominator) * t**k / q**beta
             for beta, poly in kernel.terms.items()
             for k, c in poly.items()
-        )
+        ]
+        total = mpmath.fsum(terms)
+        assert mpmath.fsum(map(abs, terms)) <= abs(total) * mpmath.mpf(10) ** (dps - 30)
+        return total
 
 
 @pytest.mark.parametrize("kernel", SPARSE_EXPANSIONS)
@@ -140,25 +162,38 @@ def test_band_sum_on_sparse_bands(kernel):
         batch = values_at(kernel, r, thetas)
         for i, theta in enumerate(thetas):
             want = float(_direct_sum(kernel, r, theta))
-            p = DiscPoint(r=r, theta=float(theta))
-            got = [batch[i], eval_kernel(kernel, p), eval_kernel(kernel, p, precision="extended")]
+            got = [
+                batch[i],
+                eval_kernel(kernel, DiscPoint(r=r, theta=float(theta))),
+                biharm.numeric._eval_extended(kernel, r, float(theta), math.inf),
+            ]
             for value in got:
                 assert value == pytest.approx(want, rel=1e-13, abs=0.0), (r, theta)
 
 
-def test_band_sum_of_empty_expansion_is_zero():
+def test_band_sum_of_empty_expansion_is_zero(sized_calls):
     empty = SPARSE_EXPANSIONS[-1]
     vals = values_at(empty, 0.5, np.ones((2, 3)))
     assert vals.shape == (2, 3) and not vals.any()
-    for precision in PRECISIONS:
-        assert eval_kernel(empty, DiscPoint(r=0.5, theta=1.0), precision) == 0.0
+    assert eval_kernel(empty, DiscPoint(r=0.5, theta=1.0)) == 0.0
+    assert sized_calls == [(0.5, 1.0)]
 
 
-def test_eval_kernel_precision_paths_agree():
+def test_eval_kernel_exact_zero_ends_digit_loop():
+    # t = 3/4 at r = 1/2, so every pass sums to exactly 0.  The digits
+    # double until the error bound falls below the smallest float.
+    zero = make_expansion(0, {1: {1: Fraction(1), 0: Fraction(-3, 4)}})
+    assert eval_kernel(zero, DiscPoint(r=0.5, theta=1.0)) == 0.0
+
+
+def test_eval_kernel_precision_paths_agree(sized_calls):
+    # A well-conditioned point keeps the float64 sum, which the mpmath
+    # path reproduces.
     p = DiscPoint(r=0.7, theta=1.1)
-    d = eval_kernel(F2, p, precision="double")
-    e = eval_kernel(F2, p, precision="extended")
-    assert d == pytest.approx(e, rel=1e-12)
+    d = eval_kernel(F2, p)
+    assert sized_calls == []
+    e = biharm.numeric._eval_extended(F2, p.r, p.theta, 1.0)
+    assert d == pytest.approx(e, rel=1e-12, abs=0.0)
 
 
 def test_values_at_near_the_boundary_matches_extended():
@@ -166,28 +201,62 @@ def test_values_at_near_the_boundary_matches_extended():
     f4 = build(KernelSpec(gamma=4, kind="F"))
     rng = random.Random(4004)
     for _ in range(200):
-        p = DiscPoint(r=rng.uniform(0.9999, 0.99999), theta=rng.uniform(0.01, 3.1))
-        e = eval_kernel(f4, p, precision="extended")
-        assert abs(eval_kernel(f4, p) - e) <= 1e-12 * abs(e)
+        r, theta = rng.uniform(0.9999, 0.99999), rng.uniform(0.01, 3.1)
+        e = float(_direct_sum(f4, r, theta))
+        assert abs(values_at(f4, r, [theta])[0] - e) <= 1e-12 * abs(e)
 
 
-def test_eval_kernel_singular_corner_upgrades():
-    # Inside the corner the double-precision request takes the extended path.
-    p = DiscPoint(r=0.9995, theta=1e-5)
-    assert eval_kernel(F2, p, precision="double") == eval_kernel(
-        F2, p, precision="extended"
-    )
-    # the corner test wraps the angle mod 2 pi
-    q = DiscPoint(r=0.9995, theta=2.0 * math.pi + 1e-5)
-    assert eval_kernel(F2, q, precision="double") == pytest.approx(
-        eval_kernel(F2, p, precision="extended"), rel=1e-12
-    )
+def test_eval_kernel_singular_corner_upgrades(sized_calls):
+    # Near z = 1 at gamma 80, u^beta overflows float64: the non-finite sum
+    # takes the mpmath path, also for an angle outside [-pi, pi].
+    f80 = conjectured_kernel(80, "F")
+    for theta in (1e-4, 2.0 * math.pi + 1e-4):
+        sized_calls.clear()
+        got = eval_kernel(f80, DiscPoint(r=0.99, theta=theta))
+        assert sized_calls == [(0.99, theta)]
+        assert got == pytest.approx(float(_direct_sum(f80, 0.99, theta, 300)), rel=1e-12, abs=0.0)
 
 
-def test_eval_kernel_rejects_unknown_precision():
-    assert PRECISIONS == ("double", "extended")
-    with pytest.raises(ValueError):
-        eval_kernel(F0, DiscPoint(r=0.5, theta=0.0), precision="quad")
+# (kind, gamma, r, theta): the four float64 probes of the benchmark's
+# kernel_eval workload, gamma 80 near and away from z = 1, a gamma 80 point
+# whose float terms underflow to a finite wrong sum, and corner points.
+ACCURACY_POINTS = [
+    pytest.param("F", 10, 0.142, 1.461, id="F10-probe"),
+    pytest.param("F", 20, 0.95, 3.0, id="F20-probe"),
+    pytest.param("F", 30, 0.5, 3.0, id="F30-probe"),
+    pytest.param("F", 40, 0.95, 0.0, id="F40-probe"),
+    pytest.param("F", 80, 0.99, 1e-4, id="F80-corner"),
+    pytest.param("H", 80, 0.5, 2.0, id="H80"),
+    pytest.param("F", 80, 0.9970793655431056, 0.00017920499073073842, id="F80-underflow"),
+    pytest.param("F", 8, 0.9995, 1e-5, id="F8-corner"),
+    pytest.param("H", 8, 0.99999, -3e-4, id="H8-corner"),
+    pytest.param("F", 24, 0.9995, 1e-5, id="F24-corner"),
+    pytest.param("H", 24, 0.99995, 2e-4, id="H24-corner"),
+]
+
+
+@pytest.mark.parametrize("kind, gamma, r, theta", ACCURACY_POINTS)
+def test_eval_kernel_matches_reference(kind, gamma, r, theta):
+    kernel = conjectured_kernel(gamma, kind)
+    want = _direct_sum(kernel, r, theta, 300)
+    assert eval_kernel(kernel, DiscPoint(r=r, theta=theta)) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "kernel, r",
+    [
+        # t^105 is subnormal though the term c t^105 is not.
+        (make_expansion(0, {1: {105: Fraction(10**20)}}), math.sqrt(1 - 1e-3)),
+        # c t^150 is subnormal though t^150 is not, and u^10 lifts it back.
+        (make_expansion(0, {10: {150: Fraction(1, 10**20)}}), 0.995),
+    ],
+    ids=["power", "term"],
+)
+def test_eval_kernel_underflowed_terms_take_mpmath_path(kernel, r, sized_calls):
+    # One term, so kappa = 1: only the underflow check sends these on.
+    got = eval_kernel(kernel, DiscPoint(r=r, theta=1e-3))
+    assert sized_calls == [(r, 1e-3)]
+    assert got == pytest.approx(float(_direct_sum(kernel, r, 1e-3)), rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +354,6 @@ def test_l1_norm_dominates_mean():
 def test_l1_norm_raises_at_node_cap():
     with pytest.raises(QuadratureConvergenceError):
         l1_norm(F2, 0.999)
-
-
-def test_l1_norm_validates_n():
-    with pytest.raises(ValueError):
-        l1_norm(F0, 0.5, n=128)
 
 
 # ---------------------------------------------------------------------------

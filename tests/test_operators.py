@@ -15,14 +15,12 @@ from biharm.operators import (
     apply_winv,
     biharmonic,
     biharmonic_via_rules,
-    expansion_add,
-    expansion_scale,
     make_expansion,
     monomial_image,
     monomial_rule,
     monomial_rule_generic,
 )
-from exact_references import biharmonic_fraction
+from exact_references import biharmonic_fraction, expansion_add, expansion_scale
 from kernel_fixtures import RAW_H2
 
 
