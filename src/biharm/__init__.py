@@ -14,7 +14,6 @@ module is exact rational arithmetic.
 from .boundary import BoundaryData, NonDeltaBoundaryError, expansion_boundary
 from .builder import KernelSpec, build, build_pair
 from .conjecture import (
-    ConjectureCoefficients,
     ConjectureVerdict,
     conjectured_kernel,
     solve_ck,
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryData",
-    "ConjectureCoefficients",
     "ConjectureVerdict",
     "DiscPoint",
     "KernelExpansion",

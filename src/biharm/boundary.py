@@ -56,7 +56,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .exact import LaurentPoly, Rational, binom
-from .operators import KernelExpansion
+from .operators import KernelExpansion, check_gamma
 
 
 class NonDeltaBoundaryError(ValueError):
@@ -111,6 +111,7 @@ def dirichlet_factor(gamma: int, kind: str, n: int, s: Fraction) -> Fraction:
     """A + C phi_|n|(s): the n-th Fourier multiplier of F or H on |z| = r,
     divided by r^|n|, from the radial ODE, exactly as a function of
     s = r^2 < 1.  Equal to ``radial_factor`` of the built kernel."""
+    check_gamma(gamma)
     n = abs(n)
     if kind == "F":
         m, base = n, Fraction(1)

@@ -12,15 +12,16 @@ biharmonic operator D w^-1 D, with distributional boundary data
   2. rows: require the biharmonic image to vanish identically.  Each
      (band, exponent) pair of the image contributes one homogeneous exact
      linear equation, a sparse row of integers: the columns are generated
-     by the closed monomial rules, whose coefficients are integers.  Two
+     by the closed monomial image, whose coefficients are integers.  Two
      boundary rows follow, a = 1, b = 0 (F) or a = 0, b = 1 (H), since the
      boundary pair (a, b) is linear in the coefficients
      (``boundary.term_boundary``).  H's grid has no t^(2 beta - 1) term, so
      its a-row is empty;
   3. one solve: fraction-free forward elimination and back substitution
      (``exact.solve_linear``) gives the normalized kernel directly;
-  4. check: the solved kernel is biharmonic-zero and has the target
-     boundary pair, so it met every row.
+  4. check: the solved kernel is biharmonic-zero by the generic
+     composition (``operators.biharmonic``), independent of the closed form
+     that assembled the rows, and has the target boundary pair.
 
 The closed-form kernels lie on this tight grid, and the system is uniquely
 solvable for every gamma the closed-form sweep checks (gamma <= 80): the
@@ -39,7 +40,7 @@ from .boundary import expansion_boundary, term_boundary
 from .exact import LaurentPoly, RationalLinearSystem, solve_linear
 from .operators import (
     KernelExpansion,
-    biharmonic_via_rules,
+    biharmonic,
     check_gamma,
     make_expansion,
     monomial_image,
@@ -95,7 +96,7 @@ def assemble_system(
     coeff: Dict[Tuple[int, int], Dict[int, int]] = {}
     boundary_rows: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
     for j, (beta, k) in enumerate(columns):
-        # A column's rules land in distinct bands, so no entry is written twice.
+        # A column's image lands in distinct bands, so no entry is written twice.
         for band, img in monomial_image(spec.gamma, beta, k).items():
             for e, c in img.items():
                 coeff.setdefault((band, e), {})[j] = c
@@ -122,10 +123,10 @@ def build(spec: KernelSpec) -> KernelExpansion:
         terms.setdefault(beta, {})[k] = v
     kernel = make_expansion(spec.gamma, terms)
     bd = expansion_boundary(kernel)
-    if biharmonic_via_rules(kernel) or (bd.a, bd.b) != BOUNDARY_TARGETS[spec.kind]:
+    if biharmonic(kernel) or (bd.a, bd.b) != BOUNDARY_TARGETS[spec.kind]:
         raise RuntimeError(
-            f"internal error: solved expansion misses a row of its system "
-            f"(gamma={spec.gamma}, kind={spec.kind})"
+            f"internal error: solved expansion is not biharmonic-zero or misses "
+            f"its boundary pair (gamma={spec.gamma}, kind={spec.kind})"
         )
     return kernel
 

@@ -35,13 +35,7 @@ from .builder import KERNEL_KINDS, KernelSpec, build
 from .conjecture import ConjectureVerdict, verify_conjecture
 from .exact import LaurentPoly
 from .numeric import DiscPoint, eval_kernel, integral_mean, l1_norm
-from .operators import (
-    KernelExpansion,
-    RULE_KINDS,
-    make_expansion,
-    monomial_rule,
-    monomial_rule_generic,
-)
+from .operators import KernelExpansion, biharmonic, make_expansion, monomial_image
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +136,13 @@ def text_line(kernel: KernelExpansion, kind: str) -> str:
 
 
 def _deep_rules_ok(gamma: int) -> bool:
-    for beta in range(1, gamma + 4):
-        for k in range(0, 3 * gamma + 7):
-            for which in RULE_KINDS:
-                if monomial_rule(gamma, beta, k, which) != monomial_rule_generic(
-                    gamma, beta, k, which
-                ):
-                    return False
-    return True
+    """The closed monomial image equals the generic composition on every
+    one-term expansion of the box 1 <= beta <= gamma+3, 0 <= k <= 3 gamma+6."""
+    return all(
+        monomial_image(gamma, beta, k) == biharmonic(make_expansion(gamma, {beta: {k: 1}}))
+        for beta in range(1, gamma + 4)
+        for k in range(0, 3 * gamma + 7)
+    )
 
 
 def _verify_one(args: Tuple[int, bool]) -> Tuple[int, ConjectureVerdict, bool]:

@@ -31,13 +31,6 @@ from .exact import LaurentPoly, Rational, binom
 from .operators import KernelExpansion, biharmonic, check_gamma, make_expansion
 
 
-@dataclass(frozen=True)
-class ConjectureCoefficients:
-    gamma: int
-    kind: str
-    c: Tuple[Rational, ...]  # c[0] = 1
-
-
 def _c_count(gamma: int, kind: str) -> int:
     return ((gamma + 1) // 2 if kind == "F" else gamma // 2) + 1
 
@@ -47,8 +40,8 @@ def _binom_row(gamma: int, kind: str, k: int) -> int:
     return gamma + 1 - 2 * k if kind == "F" else gamma - 2 * k
 
 
-def solve_ck(gamma: int, kind: str) -> ConjectureCoefficients:
-    """Forward-substitute the unit-diagonal recurrence for the c_k."""
+def solve_ck(gamma: int, kind: str) -> Tuple[Rational, ...]:
+    """Forward-substitute the unit-diagonal recurrence for the c_k; c_0 = 1."""
     check_gamma(gamma)
     if kind not in ("F", "H"):
         raise ValueError(f"kind must be 'F' or 'H', got {kind!r}")
@@ -61,12 +54,12 @@ def solve_ck(gamma: int, kind: str) -> ConjectureCoefficients:
         )
         # The j-th relation has leading coefficient C(row(j), 0) = 1 on c_j.
         c.append(target - acc)
-    return ConjectureCoefficients(gamma=gamma, kind=kind, c=tuple(c))
+    return tuple(c)
 
 
 def conjectured_kernel(gamma: int, kind: str) -> KernelExpansion:
     """Assemble the closed-form expansion exactly as displayed above."""
-    coeffs = solve_ck(gamma, kind)
+    c = solve_ck(gamma, kind)
     _, floor = grid_geometry(gamma, kind)
     terms: Dict[int, LaurentPoly] = {}
     for beta, lo in floor.items():
@@ -74,7 +67,7 @@ def conjectured_kernel(gamma: int, kind: str) -> KernelExpansion:
         scale = Fraction(1, 2) if kind == "F" else Fraction(1, 2 * beta)
         poly: LaurentPoly = {}
         for k in range(0, kmax + 1):
-            value = coeffs.c[k] * binom(_binom_row(gamma, kind, k), beta - 1 - k) * scale
+            value = c[k] * binom(_binom_row(gamma, kind, k), beta - 1 - k) * scale
             if value:
                 poly[beta + gamma + 1 - k] = value
         if poly:
@@ -106,7 +99,7 @@ def verify_conjecture(gamma: int) -> ConjectureVerdict:
     """Run the three independent checks for both kinds at one gamma.
 
     (i) the closed form is symbolically biharmonic-zero (via the generic
-    operator composition, not the closed monomial rules); (ii) its exact
+    operator composition, not the closed monomial image); (ii) its exact
     boundary data is (1,0) / (0,1); (iii) it coincides with the built kernel
     coefficient-for-coefficient.  All three run unconditionally so that no
     single shared bug can validate itself.

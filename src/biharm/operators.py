@@ -18,10 +18,12 @@ where, writing ' for d/dx,
 
 Iterating the band map through division by the weight
 ``w(x) = (1 - x)^gamma`` gives the weighted biharmonic image of an
-expansion.  For single monomials ``t^k`` the three two-step compositions
-collapse to closed-form products, implemented in ``monomial_rule``; the
-generic compositions remain available as an independent slow path, and the
-two are required to agree everywhere (see the operator tests).
+expansion.  The module computes that image two ways: one closed form,
+``monomial_image``, for a single monomial ``t^k``, whose three two-step
+compositions collapse to integer products (the builder's columns), and
+one generic composition, ``biharmonic``, for any expansion (every check).
+The two agree on every monomial (see the operator tests and
+``verify --deep``).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from .exact import (
     LaurentPoly,
@@ -44,8 +46,6 @@ from .exact import (
 # as KernelExpansion.terms, but entries may be genuinely Laurent (negative
 # exponents) after division by the weight.
 CoeffSequence = Dict[int, LaurentPoly]
-
-RULE_KINDS = ("QQ", "PQ+QP", "PP")
 
 
 @dataclass(frozen=True)
@@ -100,78 +100,46 @@ def apply_Q(beta: int, f: LaurentPoly) -> LaurentPoly:
     return poly_scale(beta, poly_add(poly_scale(beta, f), poly_shift(poly_d_dx(f), 1)))
 
 
-def apply_winv(gamma: int, f: LaurentPoly) -> LaurentPoly:
-    """Divide by the weight (1 - x)^gamma, i.e. shift all exponents by -gamma."""
-    return poly_shift(f, -gamma)
-
-
 # ---------------------------------------------------------------------------
-# closed-form monomial rules
-
-
-def monomial_rule(gamma: int, beta: int, k: int, which: str) -> Dict[int, int]:
-    """Closed form of a two-step band composition applied to t^k.
-
-    which selects the composition (lower band index beta in all three):
-
-      "QQ"    : Q_(beta+1) w^-1 Q_beta        -> lands 2 bands up
-      "PQ+QP" : P_(beta+1) w^-1 Q_beta + Q_beta w^-1 P_beta   -> 1 band up
-      "PP"    : P_beta w^-1 P_beta            -> same band
-
-    Each returns a polynomial with at most three terms, whose coefficients
-    are plain ``int``s; exponents may be negative for small k.  Agrees with
-    the generic composition for every (gamma, beta, k) — the product forms
-    below absorb all telescoping.
-    """
-    if which == "QQ":
-        c = beta * (beta + 1) * (beta - k) * (beta + gamma + 1 - k)
-        terms = [(k - gamma, c)]
-    elif which == "PQ+QP":
-        c1 = beta * (beta + gamma + 1 - k) * (beta - k) * (2 * k - gamma)
-        c2 = beta * (
-            k * (k - 1) * (beta + gamma + 2 - k)
-            + (beta - k) * (k - gamma) * (k - gamma - 1)
-        )
-        terms = [(k - gamma - 1, c1), (k - gamma - 2, c2)]
-    elif which == "PP":
-        c1 = k * (beta - k) * (k - gamma - 1) * (beta + gamma + 1 - k)
-        c2 = k * (k - gamma - 2) * (
-            (beta - k) * (k - gamma - 1)
-            + (beta - 1) * (k - 1)
-            - (k - 1) * (k - gamma - 3)
-        )
-        c3 = k * (k - 1) * (k - gamma - 2) * (k - gamma - 3)
-        terms = [(k - gamma - 2, c1), (k - gamma - 3, c2), (k - gamma - 4, c3)]
-    else:
-        raise ValueError(f"unknown rule kind {which!r}; expected one of {RULE_KINDS}")
-    return {e: c for e, c in terms if c}  # the exponents are distinct
-
-
-def monomial_rule_generic(gamma: int, beta: int, k: int, which: str) -> LaurentPoly:
-    """The same compositions evaluated literally through apply_P/Q and w^-1."""
-    mono: LaurentPoly = {k: Fraction(1)}
-    if which == "QQ":
-        return apply_Q(beta + 1, apply_winv(gamma, apply_Q(beta, mono)))
-    if which == "PQ+QP":
-        first = apply_P(beta + 1, apply_winv(gamma, apply_Q(beta, mono)))
-        second = apply_Q(beta, apply_winv(gamma, apply_P(beta, mono)))
-        return poly_add(first, second)
-    if which == "PP":
-        return apply_P(beta, apply_winv(gamma, apply_P(beta, mono)))
-    raise ValueError(f"unknown rule kind {which!r}; expected one of {RULE_KINDS}")
+# closed-form monomial image
 
 
 def monomial_image(gamma: int, beta: int, k: int) -> Dict[int, Dict[int, int]]:
     """Biharmonic image of t^k / |1-z|^(2 beta), banded: band -> polynomial.
 
-    The monomial contributes to bands beta, beta+1, beta+2 through the PP,
-    PQ+QP, and QQ rules respectively.  Zero contributions are dropped.
+    The monomial reaches three bands through the two-step compositions
+
+      beta     : P_beta w^-1 P_beta
+      beta + 1 : P_(beta+1) w^-1 Q_beta + Q_beta w^-1 P_beta
+      beta + 2 : Q_(beta+1) w^-1 Q_beta
+
+    whose closed forms below absorb all telescoping.  Each band holds at
+    most three terms with plain ``int`` coefficients; exponents may be
+    negative for small k.  Zero terms and bands are dropped.
     """
-    out: Dict[int, LaurentPoly] = {}
-    for offset, which in ((0, "PP"), (1, "PQ+QP"), (2, "QQ")):
-        poly = monomial_rule(gamma, beta, k, which)
+    pp1 = k * (beta - k) * (k - gamma - 1) * (beta + gamma + 1 - k)
+    pp2 = k * (k - gamma - 2) * (
+        (beta - k) * (k - gamma - 1)
+        + (beta - 1) * (k - 1)
+        - (k - 1) * (k - gamma - 3)
+    )
+    pp3 = k * (k - 1) * (k - gamma - 2) * (k - gamma - 3)
+    pq1 = beta * (beta + gamma + 1 - k) * (beta - k) * (2 * k - gamma)
+    pq2 = beta * (
+        k * (k - 1) * (beta + gamma + 2 - k)
+        + (beta - k) * (k - gamma) * (k - gamma - 1)
+    )
+    qq = beta * (beta + 1) * (beta - k) * (beta + gamma + 1 - k)
+    bands = {
+        beta: ((k - gamma - 2, pp1), (k - gamma - 3, pp2), (k - gamma - 4, pp3)),
+        beta + 1: ((k - gamma - 1, pq1), (k - gamma - 2, pq2)),
+        beta + 2: ((k - gamma, qq),),
+    }
+    out: Dict[int, Dict[int, int]] = {}
+    for band, terms in bands.items():
+        poly = {e: c for e, c in terms if c}  # the exponents are distinct
         if poly:
-            out[beta + offset] = poly
+            out[band] = poly
     return out
 
 
@@ -193,7 +161,7 @@ def _seq_pq(seq: CoeffSequence) -> CoeffSequence:
 
 
 def _seq_winv(gamma: int, seq: CoeffSequence) -> CoeffSequence:
-    return {m: apply_winv(gamma, p) for m, p in seq.items()}
+    return {m: poly_shift(p, -gamma) for m, p in seq.items()}
 
 
 def _cleared(seq: CoeffSequence) -> Tuple[int, Dict[int, Dict[int, int]]]:
@@ -219,22 +187,3 @@ def biharmonic(u: KernelExpansion) -> CoeffSequence:
     """
     lcm, terms = _cleared(u.terms)
     return _divided(_seq_pq(_seq_winv(u.gamma, _seq_pq(terms))), lcm)
-
-
-def biharmonic_via_rules(u: KernelExpansion) -> CoeffSequence:
-    """Banded image of u under D w^-1 D, accumulated from monomial_rule.
-
-    Must agree with ``biharmonic`` on every expansion; the builder uses this
-    path because single-monomial columns are what the linear system needs.
-    Like ``biharmonic`` it accumulates L * u's image in integers and divides
-    by L once.
-    """
-    lcm, terms = _cleared(u.terms)
-    acc: Dict[int, Dict[int, int]] = {}
-    for beta, poly in terms.items():
-        for k, coeff in poly.items():
-            for band, img in monomial_image(u.gamma, beta, k).items():
-                out = acc.setdefault(band, {})
-                for e, c in img.items():
-                    out[e] = out.get(e, 0) + coeff * c
-    return _divided(acc, lcm)

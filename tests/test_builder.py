@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import biharm.builder
+import biharm.operators
 from biharm.boundary import BoundaryData, expansion_boundary
 from biharm.builder import (
     KernelSpec,
@@ -202,6 +203,27 @@ def test_build_rejects_a_solution_off_the_image_rows(monkeypatch):
     monkeypatch.setattr(biharm.builder, "solve_linear", off_image)
     with pytest.raises(RuntimeError, match="internal error.*gamma=2, kind=F"):
         build(spec)
+
+
+@pytest.mark.parametrize("gamma", (2, 5))
+@pytest.mark.parametrize("kind", ("F", "H"))
+def test_build_check_is_independent_of_the_closed_form(gamma, kind, monkeypatch):
+    # Scaling the closed image of column (beta, k) by k + 1 gives a system
+    # whose solution is not biharmonic-zero.  The check runs the generic
+    # composition, not the closed form that assembled the rows, so it
+    # raises instead of returning that solution.
+    image = biharm.operators.monomial_image
+
+    def scaled(gamma, beta, k):
+        return {
+            band: {e: (k + 1) * c for e, c in poly.items()}
+            for band, poly in image(gamma, beta, k).items()
+        }
+
+    monkeypatch.setattr(biharm.builder, "monomial_image", scaled)
+    monkeypatch.setattr(biharm.operators, "monomial_image", scaled)
+    with pytest.raises(RuntimeError, match=f"internal error.*gamma={gamma}, kind={kind}"):
+        build(KernelSpec(gamma=gamma, kind=kind))
 
 
 def test_raw_h2_constants():

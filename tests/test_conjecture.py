@@ -30,7 +30,7 @@ F = Fraction
     ],
 )
 def test_solve_ck_small_values(gamma, kind, expected):
-    assert solve_ck(gamma, kind).c == tuple(F(v) for v in expected)
+    assert solve_ck(gamma, kind) == tuple(F(v) for v in expected)
 
 
 def test_solve_ck_rejects_bad_kind():
@@ -48,8 +48,8 @@ def test_closed_form_gamma_is_a_nonnegative_int(gamma, kind):
 
 def test_solve_ck_count():
     for gamma in range(0, 20):
-        assert len(solve_ck(gamma, "F").c) == (gamma + 1) // 2 + 1
-        assert len(solve_ck(gamma, "H").c) == gamma // 2 + 1
+        assert len(solve_ck(gamma, "F")) == (gamma + 1) // 2 + 1
+        assert len(solve_ck(gamma, "H")) == gamma // 2 + 1
 
 
 def test_solve_ck_satisfies_defining_relations():
@@ -58,7 +58,7 @@ def test_solve_ck_satisfies_defining_relations():
     # C(gamma-2k, .) equal 1 (every band value 2 beta h_beta(0) = 1).
     for gamma in range(0, 30):
         for kind, row_top, target in (("F", gamma + 1, 0), ("H", gamma, 1)):
-            c = solve_ck(gamma, kind).c
+            c = solve_ck(gamma, kind)
             for j in range(1, len(c)):
                 total = sum(c[k] * binom(row_top - 2 * k, j - k) for k in range(j + 1))
                 assert total == target, (gamma, kind, j)
@@ -67,7 +67,7 @@ def test_solve_ck_satisfies_defining_relations():
 def test_solve_ck_nonzero():
     for gamma in range(0, 41):
         for kind in ("F", "H"):
-            assert all(v != 0 for v in solve_ck(gamma, kind).c), (gamma, kind)
+            assert all(v != 0 for v in solve_ck(gamma, kind)), (gamma, kind)
 
 
 # ---------------------------------------------------------------------------

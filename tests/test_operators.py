@@ -1,24 +1,21 @@
-"""Tests for band operators, closed monomial rules, and the biharmonic pipeline."""
+"""Tests for band operators, the closed monomial image, and the biharmonic pipeline."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from biharm.boundary import dirichlet_factor
 from biharm.conjecture import conjectured_kernel
 from biharm.exact import poly_add, poly_scale
 from biharm.operators import (
-    RULE_KINDS,
     _seq_pq,
+    _seq_winv,
     apply_P,
     apply_Q,
-    apply_winv,
     biharmonic,
-    biharmonic_via_rules,
     make_expansion,
     monomial_image,
-    monomial_rule,
-    monomial_rule_generic,
 )
 from exact_references import biharmonic_fraction, expansion_add, expansion_scale
 from kernel_fixtures import RAW_H2
@@ -45,6 +42,11 @@ def rand_expansion(rng, gamma):
     return make_expansion(gamma, terms)
 
 
+def one_term_image(gamma, beta, k):
+    """Generic biharmonic image of the single monomial t^k / |1-z|^(2 beta)."""
+    return biharmonic(make_expansion(gamma, {beta: {k: 1}}))
+
+
 def seq_equal(a, b):
     clean = lambda s: {m: p for m, p in s.items() if p}
     return clean(a) == clean(b)
@@ -67,12 +69,11 @@ def test_apply_q_hand_values():
     assert apply_Q(3, {2: Fraction(1)}) == {2: Fraction(3)}
 
 
-def test_apply_winv_shifts_exponents():
-    assert apply_winv(2, {5: Fraction(1), 2: Fraction(-3)}) == {
-        3: Fraction(1),
-        0: Fraction(-3),
+def test_weight_division_shifts_exponents():
+    assert _seq_winv(2, {1: {5: Fraction(1), 2: Fraction(-3)}}) == {
+        1: {3: Fraction(1), 0: Fraction(-3)}
     }
-    assert apply_winv(0, {4: Fraction(7)}) == {4: Fraction(7)}
+    assert _seq_winv(0, {2: {4: Fraction(7)}}) == {2: {4: Fraction(7)}}
 
 
 def test_operators_are_linear():
@@ -88,19 +89,13 @@ def test_operators_are_linear():
 
 
 # ---------------------------------------------------------------------------
-# closed monomial rules
+# closed monomial image
 
 
 def test_rule_hand_value():
-    # QQ on t^4 at band 3, weight exponent 2: 3*4*(3-4)*(3+2+1-4) t^(4-2)
-    assert monomial_rule(2, 3, 4, "QQ") == {2: Fraction(-24)}
-
-
-def test_rule_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        monomial_rule(1, 1, 2, "XX")
-    with pytest.raises(ValueError):
-        monomial_rule_generic(1, 1, 2, "XX")
+    # Q_4 w^-1 Q_3 on t^4 at band 3, weight exponent 2, lands in band 5:
+    # 3*4*(3-4)*(3+2+1-4) t^(4-2)
+    assert monomial_image(2, 3, 4)[5] == {2: -24}
 
 
 def test_rules_match_generic_composition_random():
@@ -109,10 +104,7 @@ def test_rules_match_generic_composition_random():
         gamma = rng.randint(0, 6)
         beta = rng.randint(1, gamma + 3)
         k = rng.randint(0, 3 * gamma + 6)
-        for which in RULE_KINDS:
-            assert monomial_rule(gamma, beta, k, which) == monomial_rule_generic(
-                gamma, beta, k, which
-            ), (gamma, beta, k, which)
+        assert monomial_image(gamma, beta, k) == one_term_image(gamma, beta, k), (gamma, beta, k)
 
 
 def test_monomial_image_band_support():
@@ -123,8 +115,8 @@ def test_monomial_image_band_support():
         k = rng.randint(0, 3 * gamma + 6)
         img = monomial_image(gamma, beta, k)
         assert set(img) <= {beta, beta + 1, beta + 2}
-        for offset, which in ((0, "PP"), (1, "PQ+QP"), (2, "QQ")):
-            assert img.get(beta + offset, {}) == monomial_rule(gamma, beta, k, which)
+        assert all(type(c) is int for p in img.values() for c in p.values())
+        assert img == one_term_image(gamma, beta, k), (gamma, beta, k)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +129,12 @@ def test_make_expansion_validates():
             make_expansion(gamma, {})
     with pytest.raises(ValueError):
         make_expansion(2, {0: {1: Fraction(1)}})
+
+
+def test_dirichlet_factor_validates_gamma():
+    for gamma in (-1, True, 2.0):
+        with pytest.raises(ValueError, match="gamma must be an int >= 0"):
+            dirichlet_factor(gamma, "F", 3, Fraction(1, 4))
 
 
 def test_make_expansion_drops_zero_polynomials():
@@ -186,20 +184,13 @@ def test_laplacian_of_reciprocal_band():
 def test_fixture_is_biharmonic_zero_both_paths():
     u = make_expansion(2, RAW_H2)
     assert not biharmonic(u)
-    assert not biharmonic_via_rules(u)
+    assert not biharmonic_fraction(u.gamma, u.terms)
 
 
 def test_fixture_laplacian_is_not_zero():
     # The fixture solves the weighted problem but is not harmonic itself.
     u = make_expansion(2, RAW_H2)
     assert laplacian(u)
-
-
-def test_biharmonic_agrees_with_rules_on_random_expansions():
-    rng = random.Random(2004)
-    for _ in range(60):
-        u = rand_expansion(rng, rng.randint(0, 5))
-        assert seq_equal(biharmonic(u), biharmonic_via_rules(u))
 
 
 def _perturbed(gamma, kind, k, c):
@@ -231,9 +222,9 @@ MIXED_DENOMINATORS = [
 def test_biharmonic_passes_match_fraction_composition(u):
     expected = biharmonic_fraction(u.gamma, u.terms)
     assert expected  # a zero image would not see a scale or a lost denominator
-    for image in (biharmonic(u), biharmonic_via_rules(u)):
-        assert image == expected
-        assert all(type(c) is Fraction for p in image.values() for c in p.values())
+    image = biharmonic(u)
+    assert image == expected
+    assert all(type(c) is Fraction for p in image.values() for c in p.values())
 
 
 def test_biharmonic_is_linear():
