@@ -15,7 +15,10 @@ Everything downstream of this module is built from three ingredients:
   * ``solve_linear`` — exact solving of a sparse integer linear system:
     fraction-free forward elimination (each pivot row divided by its
     content), then back substitution, the only step that forms rationals.
-    It returns the unique solution, or ``None`` when there is none.
+    It returns the unique solution, or ``None`` when there is none;
+  * ``bernstein_coefficients`` and ``isolate_roots`` — the real roots of an
+    integer polynomial on an interval, isolated by de Casteljau bisection
+    of its Bernstein form in integers.
 
 No floating point enters this module.
 """
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Rational = Fraction
 
@@ -222,3 +225,109 @@ def solve_linear(system: RationalLinearSystem) -> Optional[Tuple[Fraction, ...]]
                     den *= vden // g
         x[j] = Fraction(num, den * rows[p][j])
     return tuple(x)
+
+
+# ---------------------------------------------------------------------------
+# real roots in Bernstein form
+
+# isolate_roots stops bisecting at pieces of width 2^-_MAX_DEPTH, far below
+# the float resolution of any root in (0, 1) that a radius r < 1 produces.
+_MAX_DEPTH = 200
+
+
+def _primitive(b: List[int]) -> List[int]:
+    """b divided by the gcd of its entries (unchanged if all are 0)."""
+    g = math.gcd(*b)
+    return [c // g for c in b] if g > 1 else b
+
+
+def bernstein_coefficients(p: Sequence[int], a: int, c: int, d: int) -> List[int]:
+    """Bernstein coefficients of sum_j p[j] q^j on the interval [a/d, c/d],
+    times a positive integer (so with their signs), in lowest terms.
+
+    With q = (a s + c lam) / d on s + lam = 1, the polynomial is
+    H(s, lam) / d^n, H = sum_j p[j] (a s + c lam)^j (d (s + lam))^(n - j),
+    built by Horner's rule one degree at a time.  Its coefficient of
+    s^(n-i) lam^i is C(n, i) d^n times the i-th Bernstein coefficient, so
+    times i! (n - i)! it is n! d^n times that coefficient.
+    """
+    n = len(p) - 1
+    h = [p[n]]
+    dk = 1
+    for k in range(1, n + 1):
+        dk *= d
+        low = p[n - k] * dk
+        nxt = [a * x for x in h]
+        nxt.append(0)
+        for i, x in enumerate(h):
+            nxt[i + 1] += c * x
+        for i in range(k + 1):
+            nxt[i] += low * binom(k, i)
+        h = nxt
+    return _primitive([x * math.factorial(i) * math.factorial(n - i) for i, x in enumerate(h)])
+
+
+def _sign_variations(b: List[int]) -> int:
+    """Sign changes along b, zeros skipped; counting stops at 2."""
+    changes, last = 0, 0
+    for c in b:
+        if c:
+            if last and (c > 0) != (last > 0):
+                changes += 1
+                if changes == 2:
+                    break
+            last = c
+    return changes
+
+
+def _halves(b: List[int]) -> Tuple[List[int], List[int]]:
+    """Bernstein coefficients of the halves [0, 1/2] and [1/2, 1], by de
+    Casteljau's algorithm in integers: row k of sums b_i + b_(i+1) is 2^k
+    times row k of the averages, so every entry is scaled by 2^n."""
+    n = len(b) - 1
+    left, right = [0] * (n + 1), [0] * (n + 1)
+    row = b
+    for k in range(n + 1):
+        if k:
+            row = [x + y for x, y in zip(row, row[1:])]
+        left[k] = row[0] << (n - k)
+        right[n - k] = row[-1] << (n - k)
+    return _primitive(left), _primitive(right)
+
+
+def isolate_roots(b: List[int]) -> List[Tuple[int, int, Optional[List[int]]]]:
+    """The real roots in (0, 1) of the polynomial with Bernstein coefficients
+    b, in increasing order, each as (k, depth, piece) with dyadic position
+    k / 2^depth:
+
+    * piece ``None``: a root exactly at k / 2^depth;
+    * otherwise the interval [k / 2^depth, (k + 1) / 2^depth] holds exactly
+      one root, a simple one, in its interior, and piece is the polynomial's
+      Bernstein form on it.
+
+    A piece whose coefficients show no sign change has no root in its
+    interior, and one with a single change has exactly one simple root
+    (Descartes' rule of signs in Bernstein form); any other piece is halved
+    (Collins & Akritas 1976).  The midpoint of a halved piece is tested
+    apart, since the count of either half cannot see a root there.  A
+    piece still undecided at width 2^-_MAX_DEPTH (a multiple root or a
+    cluster) is returned as one root at its midpoint.  All zeros: no roots.
+    """
+    found = []
+    # Depth first, left before right; an exact root waits on the stack
+    # between the two halves it separates.
+    stack = [(0, 0, b)]
+    while stack:
+        k, depth, piece = stack.pop()
+        changes = 1 if piece is None else _sign_variations(piece)
+        if changes == 1:
+            found.append((k, depth, piece))
+        elif changes and depth == _MAX_DEPTH:
+            found.append((2 * k + 1, depth + 1, None))
+        elif changes:
+            left, right = _halves(piece)
+            stack.append((2 * k + 1, depth + 1, right))
+            if left[-1] == 0:
+                stack.append((2 * k + 1, depth + 1, None))
+            stack.append((2 * k, depth + 1, left))
+    return found

@@ -13,6 +13,7 @@ import biharm.cli as cli
 from biharm import __version__
 from biharm.builder import KernelSpec, build
 from biharm.cli import from_document, latex_lines, main, text_line, to_document
+from biharm.numeric import l1_norm
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -240,12 +241,21 @@ def test_means_near_the_boundary(capsys):
     assert float(lines[1].split("\t")[1]) == 1.0
 
 
-def test_l1check_writes_no_partial_table(capsys):
-    # The 0.5 row succeeds; node doubling at 0.999 does not settle.
+def test_l1check_writes_no_partial_table(monkeypatch, capsys):
+    # The 0.5 row succeeds; the second radius fails.
+    radii = []
+
+    def fail_second(kernel, r):
+        radii.append(r)
+        if len(radii) == 2:
+            raise RuntimeError(f"no L1 norm at r={r}")
+        return l1_norm(kernel, r)
+
+    monkeypatch.setattr(cli, "l1_norm", fail_second)
     assert main(["l1check", "--gamma", "2", "--kernel", "F", "--r-grid", "0.5,0.999"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "did not stabilize" in captured.err
+    assert "no L1 norm at r=0.999" in captured.err
 
 
 # ---------------------------------------------------------------------------

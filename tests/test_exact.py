@@ -8,7 +8,9 @@ import pytest
 from biharm.builder import KERNEL_KINDS, KernelSpec, ansatz_grid, assemble_system
 from biharm.exact import (
     RationalLinearSystem,
+    bernstein_coefficients,
     binom,
+    isolate_roots,
     poly_add,
     poly_d_dx,
     poly_mul_x,
@@ -344,3 +346,94 @@ def test_solve_builder_systems(kind, dropped, gamma):
     else:
         assert len(sol) == system.ncols()
         assert not any(residual(system, sol))
+
+
+# ---------------------------------------------------------------------------
+# real roots in Bernstein form
+
+
+def _bernstein_reference(p, lo, hi):
+    """Bernstein coefficients of sum_j p[j] q^j on [lo, hi] over Fractions:
+    the power coefficients e_j in lam of p(lo + (hi - lo) lam), then
+    b_i = sum_(j <= i) C(i, j) / C(n, j) e_j."""
+    n = len(p) - 1
+    e = [Fraction(0)] * (n + 1)
+    for j, c in enumerate(p):
+        for i in range(j + 1):
+            e[i] += c * binom(j, i) * lo ** (j - i) * (hi - lo) ** i
+    return [sum(Fraction(binom(i, j), binom(n, j)) * e[j] for j in range(i + 1)) for i in range(n + 1)]
+
+
+def test_bernstein_coefficients_are_a_positive_multiple():
+    rng = random.Random(7)
+    for _ in range(30):
+        p = [rng.randint(-50, 50) for _ in range(rng.randint(1, 7))]
+        d = 2 ** rng.randint(0, 6)
+        a = rng.randint(0, 3 * d)
+        c = a + rng.randint(0, 3 * d)
+        got = bernstein_coefficients(p, a, c, d)
+        want = _bernstein_reference(p, Fraction(a, d), Fraction(c, d))
+        if not any(want):
+            assert not any(got)
+            continue
+        i = next(i for i, w in enumerate(want) if w)
+        ratio = got[i] / want[i]
+        assert ratio > 0
+        assert got == [ratio * w for w in want]
+
+
+def _from_roots(roots):
+    """Integer power coefficients of prod (den q - num) over the roots."""
+    p = [1]
+    for root in roots:
+        num, den = root.numerator, root.denominator
+        p = [den * x for x in [0] + p]
+        for j in range(len(p) - 1):
+            p[j] -= num * p[j + 1] // den
+    return p
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        [Fraction(1, 3)],
+        [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)],
+        [Fraction(1, 2), Fraction(3, 8), Fraction(5, 7), Fraction(-2), Fraction(3, 2)],
+        [Fraction(1, 1000), Fraction(1, 999), Fraction(998, 999), Fraction(0), Fraction(1)],
+        [Fraction(k, 11) for k in range(1, 11)],
+    ],
+)
+def test_isolate_roots_brackets_each_root_once(roots):
+    p = _from_roots(roots)
+    assert [sum(c * r**j for j, c in enumerate(p)) for r in roots] == [0] * len(roots)
+    found = isolate_roots(bernstein_coefficients(p, 0, 1, 1))
+    inside = sorted(r for r in roots if 0 < r < 1)
+    assert len(found) == len(inside)
+    for root, (k, depth, piece) in zip(inside, found):
+        lo = Fraction(k, 2**depth)
+        if piece is None:
+            assert root == lo
+        else:
+            assert lo < root < lo + Fraction(1, 2**depth)
+            assert piece == bernstein_coefficients(p, k, k + 1, 2**depth)
+
+
+def test_isolate_roots_at_a_split_point():
+    # The first bisection splits at 1/2, a root between two others.
+    p = _from_roots([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+    assert (1, 1, None) in isolate_roots(bernstein_coefficients(p, 0, 1, 1))
+
+
+def test_isolate_roots_of_a_double_root_stops():
+    # (3 lam - 1)^2 never shows a single sign change; the bisection stops at
+    # width 2^-200 and reports the midpoint.
+    (found,) = isolate_roots(bernstein_coefficients([1, -6, 9], 0, 1, 1))
+    k, depth, piece = found
+    assert piece is None
+    assert abs(Fraction(k, 2**depth) - Fraction(1, 3)) < Fraction(1, 2**200)
+
+
+def test_isolate_roots_of_zero_and_constants():
+    assert isolate_roots([0, 0, 0]) == []
+    assert isolate_roots([5]) == []
+    assert isolate_roots(bernstein_coefficients([3, 0, 1], 0, 1, 1)) == []

@@ -28,6 +28,7 @@ from biharm.numeric import (
 from biharm.operators import make_expansion
 from exact_references import expansion_scale, integral_means_poly, poly_eval
 from fd_oracle import StencilOutOfDomainError, fd_biharmonic_residual
+from l1_oracle import l1_reference
 
 F0 = build(KernelSpec(gamma=0, kind="F"))
 H0 = build(KernelSpec(gamma=0, kind="H"))
@@ -351,9 +352,59 @@ def test_l1_norm_dominates_mean():
     assert l1_norm(h3, 0.9) >= abs(integral_mean(h3, 0.9)) - 1e-12
 
 
-def test_l1_norm_raises_at_node_cap():
-    with pytest.raises(QuadratureConvergenceError):
-        l1_norm(F2, 0.999)
+def test_l1_norm_of_f2_at_0999():
+    # F_2 changes sign twice on this circle, at theta = 5.8e-4, inside the
+    # peak of width 1e-3, and at 2.09.
+    assert l1_norm(F2, 0.999) == pytest.approx(l1_reference(F2, 0.999), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "gamma, kind, r",
+    [(2, "H", 0.999), (8, "F", 0.99), (4, "F", 0.99), (4, "F", 0.5)],
+)
+def test_l1_norm_of_sign_changing_kernels(gamma, kind, r):
+    kernel = conjectured_kernel(gamma, kind)
+    assert l1_norm(kernel, r) == pytest.approx(l1_reference(kernel, r), rel=1e-12, abs=0.0)
+
+
+def test_l1_norm_with_a_root_at_the_split_point():
+    # At r = 1/2, q = 1/4 + 2 lam and P(q) = (4q - 3)(4q - 5)(4q - 7) has
+    # roots at lam = 1/4, 1/2 and 3/4, theta = pi/3, pi/2 and 2 pi/3.  The
+    # first bisection splits at lam = 1/2, where neither half's sign count
+    # sees the root.
+    kernel = make_expansion(0, {1: {0: 64}, 2: {0: -240}, 3: {0: 284}, 4: {0: -105}})
+    assert l1_norm(kernel, 0.5) == pytest.approx(l1_reference(kernel, 0.5), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kernel", [F2, H2, conjectured_kernel(4, "F"), expansion_scale(-1, F0)])
+def test_l1_norm_at_the_centre(kernel):
+    # At r = 0 the q interval is the point 1 and K is constant on the circle.
+    assert l1_norm(kernel, 0.0) == pytest.approx(abs(values_at(kernel, 0.0, [0.0])[0]), rel=1e-14)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.9, 0.99])
+def test_l1_norm_of_positive_f0_is_its_mean(r):
+    assert l1_norm(F0, r) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_l1_norm_raises_where_the_rules_disagree(monkeypatch):
+    # Noise at the nodes makes the 40- and 80-node sums differ.
+    rng = np.random.default_rng(0)
+    plain_values_at = biharm.numeric.values_at
+    monkeypatch.setattr(
+        biharm.numeric,
+        "values_at",
+        lambda kernel, r, thetas: plain_values_at(kernel, r, thetas) * (1 + 1e-6 * rng.standard_normal(len(thetas))),
+    )
+    with pytest.raises(QuadratureConvergenceError, match="differ"):
+        l1_norm(F2, 0.9)
+
+
+@pytest.mark.parametrize("gamma", range(25))
+def test_integral_mean_of_f_is_exactly_one(gamma):
+    kernel = build(KernelSpec(gamma=gamma, kind="F"))
+    for r in (0.0, 0.3, 0.5, 0.9, 0.99, 0.999, 0.99999):
+        assert integral_mean(kernel, r) == 1.0, r
 
 
 # ---------------------------------------------------------------------------
