@@ -4,7 +4,9 @@ Exact expansions become numbers here.  Every pointwise value comes from one
 band sum, Horner's rule in u = 1/|1 - z|^2: sum_beta f_beta(t) u^beta with
 one add and one multiply per band, on float64 arrays (``values_at``,
 ``l1_norm``), Python floats (scalar ``eval_kernel``, which skips numpy
-apart from one sine) and mpmath numbers.
+apart from one sine) and mpmath numbers.  The float paths take each
+kernel's coefficients rounded once per kernel (``float_bands``), not once
+per call; the mpmath path converts them at its working precision.
 
 ``eval_kernel`` measures kappa = sum |term| / |sum term|, the factor by
 which the terms cancel, and sums again in mpmath with about
@@ -87,26 +89,33 @@ def abs1mz_sq(r, theta):
     not always ``s * s``, and numpy squares arrays by multiplication, so
     this keeps a scalar call bit-identical to the same angle in an array.
     """
-    s = np.sin(theta / 2.0)
-    return (1.0 - r) ** 2 + 4.0 * r * (s * s)
+    q = np.sin(theta / 2.0)
+    # In place on an array; on the np.float64 of a scalar theta each
+    # operation rebinds q instead.
+    q *= q
+    q *= 4.0 * r
+    q += (1.0 - r) ** 2
+    return q
 
 
 def _mpf(c: Fraction):
     return mpmath.mpf(c.numerator) / c.denominator
 
 
-def _float(c: Fraction) -> float:
-    # float(c) rounds the same quotient, through a slower Python-level call.
-    return c.numerator / c.denominator
-
-
-def _band_terms(kernel: KernelExpansion, t, coeff) -> list:
-    """The terms c t^k of each band f_beta(t), top band first, None for an
-    absent band; coeff converts each exact coefficient once (_float or _mpf)."""
+def _band_terms(kernel: KernelExpansion, t) -> list:
+    """The terms c t^k of each band f_beta(t) in mpmath, top band first, None
+    for an absent band; each exact coefficient is converted at the working
+    precision."""
     return [
-        [coeff(c) * t**k for k, c in poly.items()] if poly else None
+        [_mpf(c) * t**k for k, c in poly.items()] if poly else None
         for poly in map(kernel.terms.get, range(kernel.max_beta(), 0, -1))
     ]
+
+
+def _float_terms(kernel: KernelExpansion, t) -> list:
+    """The terms c t^k of each band in float64, in _band_terms' layout, from
+    the coefficients the kernel rounded once (``float_bands``)."""
+    return [[c * t**k for k, c in band] if band else None for band in kernel.float_bands.bands]
 
 
 def _horner(bands: list, u, reduce=sum):
@@ -134,9 +143,11 @@ def values_at(kernel: KernelExpansion, r: float, thetas: np.ndarray) -> np.ndarr
     thetas = np.asarray(thetas, dtype=float)
     if not np.isfinite(thetas).all():
         raise ValueError("values_at requires finite angles")
-    u = 1 / abs1mz_sq(r, thetas)
+    q = abs1mz_sq(r, thetas)
+    # u in q's buffer; np.asarray also takes the scalar q of a 0-d thetas.
+    u = np.divide(1.0, q, out=np.asarray(q))
     # (1 - r)(1 + r) keeps the digits that 1 - r*r loses as r -> 1.
-    return _horner(_band_terms(kernel, (1.0 - r) * (1.0 + r), _float), u)
+    return _horner(_float_terms(kernel, (1.0 - r) * (1.0 + r)), u)
 
 
 def _eval_extended(kernel: KernelExpansion, r: float, theta: float, kappa: float) -> float:
@@ -154,7 +165,7 @@ def _eval_extended(kernel: KernelExpansion, r: float, theta: float, kappa: float
         with mpmath.workdps(dps):
             rm = mpmath.mpf(r)
             u = 1 / ((1 - rm) ** 2 + 4 * rm * mpmath.sin(mpmath.mpf(theta) / 2) ** 2)
-            bands = _band_terms(kernel, 1 - rm * rm, _mpf)
+            bands = _band_terms(kernel, 1 - rm * rm)
             total, size = _horner(bands, u), _horner(bands, u, _abs_sum)
             floor = max(abs(total), math.ulp(0.0))
             if size <= floor * mpmath.mpf(10) ** (dps - _GUARD_DIGITS):
@@ -173,15 +184,14 @@ def eval_kernel(kernel: KernelExpansion, p: DiscPoint) -> float:
     """
     t = (1.0 - p.r) * (1.0 + p.r)
     u = 1 / float(abs1mz_sq(p.r, p.theta))
-    bands = _band_terms(kernel, t, _float)
+    bands = _float_terms(kernel, t)
     total, size = _horner(bands, u), _horner(bands, u, _abs_sum)
     kappa = size / abs(total) if total else math.inf
     if kappa <= _KAPPA_MAX:
         # kappa cannot see a power t^k (least at the largest k) or a term
         # c t^k that fell below the normal range and lost its digits.
         lowest = min(map(abs, chain.from_iterable(filter(None, bands))))
-        k_max = max(map(max, filter(None, kernel.terms.values())))
-        if min(lowest, t**k_max) >= sys.float_info.min:
+        if min(lowest, t ** kernel.float_bands.k_max) >= sys.float_info.min:
             return total
     return _eval_extended(kernel, p.r, p.theta, kappa)
 

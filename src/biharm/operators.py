@@ -28,10 +28,11 @@ The two agree on every monomial (see the operator tests and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .exact import (
     LaurentPoly,
@@ -48,6 +49,23 @@ from .exact import (
 CoeffSequence = Dict[int, LaurentPoly]
 
 
+def _float(c: Fraction) -> float:
+    # float(c) rounds the same quotient, through a slower Python-level call.
+    return c.numerator / c.denominator
+
+
+class FloatBands(NamedTuple):
+    """A kernel's coefficients rounded to float.
+
+    bands holds one entry per band, top band first: a tuple of (k, c) pairs,
+    c the coefficient of t^k, or None for an absent band.  k_max is the
+    largest power of t (0 for an expansion with no band).
+    """
+
+    bands: Tuple[Optional[Tuple[Tuple[int, float], ...]], ...]
+    k_max: int
+
+
 @dataclass(frozen=True)
 class KernelExpansion:
     """A finite banded expansion sum_beta f_beta(t) / |1-z|^(2 beta).
@@ -55,6 +73,8 @@ class KernelExpansion:
     terms maps beta >= 1 to a nonzero polynomial in t = 1 - x.  Instances
     are treated as immutable; the constructor helper ``make_expansion``
     canonicalizes by dropping zero coefficients and zero polynomials.
+    Because they are, each exact coefficient is rounded to float once per
+    kernel, on first use (``float_bands``), however often it is evaluated.
     """
 
     gamma: int
@@ -62,6 +82,18 @@ class KernelExpansion:
 
     def max_beta(self) -> int:
         return max(self.terms) if self.terms else 0
+
+    @functools.cached_property
+    def float_bands(self) -> FloatBands:
+        """The float image of terms, made on first use and kept.  It is not
+        a dataclass field, so == and repr still see gamma and terms alone."""
+        polys = map(self.terms.get, range(self.max_beta(), 0, -1))
+        return FloatBands(
+            bands=tuple(
+                tuple((k, _float(c)) for k, c in poly.items()) if poly else None for poly in polys
+            ),
+            k_max=max((k for poly in self.terms.values() for k in poly), default=0),
+        )
 
 
 def check_gamma(gamma: int) -> None:

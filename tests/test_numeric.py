@@ -12,6 +12,7 @@ import pytest
 
 import biharm.builder
 import biharm.numeric
+import biharm.operators
 from biharm.boundary import radial_factor
 from biharm.builder import KernelSpec, build, build_pair
 from biharm.conjecture import conjectured_kernel
@@ -94,6 +95,9 @@ def test_eval_kernel_matches_vectorized_path():
     vals = values_at(H2, 0.85, thetas)
     for theta, val in zip(thetas, vals):
         assert eval_kernel(H2, DiscPoint(r=0.85, theta=theta)) == val
+    # A scalar angle (a 0-d array) gives a scalar.
+    one = values_at(H2, 0.85, thetas[3])
+    assert np.ndim(one) == 0 and one == vals[3]
 
 
 @pytest.fixture
@@ -170,6 +174,53 @@ def test_band_sum_on_sparse_bands(kernel):
             ]
             for value in got:
                 assert value == pytest.approx(want, rel=1e-13, abs=0.0), (r, theta)
+
+
+# Each kernel's float image: bands top first, None where a band is absent.
+FLOAT_IMAGES = [
+    (((5, 5 / 4), (1, 1 / 9)), None, ((2, 1 / 3), (0, 2 / 7))),
+    (((3, 7 / 5), (6, 1 / 11)), None, None, None),
+    (),
+]
+
+
+@pytest.mark.parametrize("kernel, bands, k_max", zip(SPARSE_EXPANSIONS, FLOAT_IMAGES, (5, 6, 0)))
+def test_float_image_of_sparse_bands(kernel, bands, k_max):
+    assert kernel.float_bands == (bands, k_max)
+
+
+def test_float_image_of_f8_rounds_every_coefficient():
+    f8 = conjectured_kernel(8, "F")
+    twin = make_expansion(8, f8.terms)
+    eval_kernel(f8, DiscPoint(r=0.5, theta=1.0))
+    image = f8.float_bands
+    assert len(image.bands) == f8.max_beta() == 10
+    for beta, band in zip(range(10, 0, -1), image.bands):
+        poly = f8.terms[beta]
+        assert [k for k, _ in band] == list(poly)
+        for k, c in band:
+            assert type(c) is float and c == poly[k].numerator / poly[k].denominator
+    assert image.k_max == max(max(poly) for poly in f8.terms.values())
+    # The cached image is no dataclass field: equality still sees the terms.
+    assert "float_bands" in vars(f8) and "float_bands" not in vars(twin)
+    assert f8 == twin and repr(f8) == repr(twin)
+
+
+def test_coefficients_are_rounded_once_per_kernel(monkeypatch):
+    f4 = conjectured_kernel(4, "F")  # a new expansion, never evaluated
+    rounded = []
+    to_float = biharm.operators._float
+
+    def record(c):
+        rounded.append(c)
+        return to_float(c)
+
+    monkeypatch.setattr(biharm.operators, "_float", record)
+    thetas = np.linspace(0.1, 3.0, 100)
+    for theta in thetas:
+        eval_kernel(f4, DiscPoint(r=0.6, theta=float(theta)))
+    values_at(f4, 0.6, thetas)
+    assert sorted(rounded) == sorted(c for poly in f4.terms.values() for c in poly.values())
 
 
 def test_band_sum_of_empty_expansion_is_zero(sized_calls):
