@@ -8,15 +8,29 @@ of Pascal's triangle:
     2 beta h_beta(t)   = sum_k c_k C(gamma-2k,   beta-1-k) t^(beta+gamma+1-k)   (H)
 
 with k running from 0 to beta+gamma+1 - max(2 beta - 1, gamma+2) (F) or
-beta+gamma+1 - max(2 beta, gamma+2) (H).  The scalars c_k are determined by
-a unit-diagonal triangular recurrence:
+beta+gamma+1 - max(2 beta, gamma+2) (H).  The c_k are defined by
+unit-diagonal triangular relations, which fix them (the tests check these):
 
     c_0 = 1,   sum_{k=0}^{j} c_k C(gamma+1-2k, j-k) = 0   (F, 1 <= j <= floor((gamma+1)/2))
     c_0 = 1,   sum_{k=0}^{j} c_k C(gamma-2k,   j-k) = 1   (H, 1 <= j <= floor(gamma/2))
 
-This module generates the closed forms from those recurrences alone and
-checks them three independent ways: symbolic biharmonicity, exact boundary
-data, and coefficient-for-coefficient agreement with the builder.
+They are Chebyshev coefficients: with n = gamma + 1, T_n(x) = sum_k c_k
+(2x)^(n-2k) / 2 for F and U_gamma(x) = sum_k c_k (2x)^(gamma-2k) for H, so
+
+    c_k = (-1)^k n/(n-k) C(n-k, k)   (F),        c_k = (-1)^k C(gamma-k, k)   (H)
+
+Summed by the binomial theorem, F's Pascal columns give the product form
+
+    2F = t^(gamma+2) sum_k c_k u^(k+1) (1 + t u)^(gamma+1-2k),   u = 1/|1-z|^2,
+
+the Lucas-Waring expansion of a^n + b^n in a + b = 1 + t u and a b = u,
+where a = 1/(1-z) and b is its conjugate.  With psi = arg a, that is
+
+    F_gamma = (1-|z|^2)^(gamma+2) cos((gamma+1) psi) / |1-z|^(gamma+3),
+
+which the "matches-builder" check certifies for every gamma it passes.
+Each closed form is checked three independent ways: symbolic
+biharmonicity, exact boundary data, and agreement with the builder.
 """
 
 from __future__ import annotations
@@ -31,47 +45,29 @@ from .exact import LaurentPoly, Rational, binom
 from .operators import KernelExpansion, biharmonic, check_gamma, make_expansion
 
 
-def _c_count(gamma: int, kind: str) -> int:
-    return ((gamma + 1) // 2 if kind == "F" else gamma // 2) + 1
-
-
-def _binom_row(gamma: int, kind: str, k: int) -> int:
-    """Upper index of the Pascal row attached to column offset k."""
-    return gamma + 1 - 2 * k if kind == "F" else gamma - 2 * k
-
-
 def solve_ck(gamma: int, kind: str) -> Tuple[Rational, ...]:
-    """Forward-substitute the unit-diagonal recurrence for the c_k; c_0 = 1."""
+    """The c_k displayed above: T_(gamma+1)'s (F) or U_gamma's (H); c_0 = 1."""
     check_gamma(gamma)
     if kind not in ("F", "H"):
         raise ValueError(f"kind must be 'F' or 'H', got {kind!r}")
-    target = Fraction(0) if kind == "F" else Fraction(1)
-    c: List[Fraction] = [Fraction(1)]
-    for j in range(1, _c_count(gamma, kind)):
-        acc = sum(
-            (c[k] * binom(_binom_row(gamma, kind, k), j - k) for k in range(j)),
-            Fraction(0),
-        )
-        # The j-th relation has leading coefficient C(row(j), 0) = 1 on c_j.
-        c.append(target - acc)
-    return tuple(c)
+    if kind == "H":
+        return tuple(Fraction((-1) ** k * binom(gamma - k, k)) for k in range(gamma // 2 + 1))
+    n = gamma + 1
+    return tuple(Fraction((-1) ** k * n * binom(n - k, k), n - k) for k in range(n // 2 + 1))
 
 
 def conjectured_kernel(gamma: int, kind: str) -> KernelExpansion:
-    """Assemble the closed-form expansion exactly as displayed above."""
+    """The expansion displayed above; make_expansion drops its zero entries."""
     c = solve_ck(gamma, kind)
+    row = gamma + 1 if kind == "F" else gamma
     _, floor = grid_geometry(gamma, kind)
     terms: Dict[int, LaurentPoly] = {}
     for beta, lo in floor.items():
-        kmax = beta + gamma + 1 - lo
-        scale = Fraction(1, 2) if kind == "F" else Fraction(1, 2 * beta)
-        poly: LaurentPoly = {}
-        for k in range(0, kmax + 1):
-            value = c[k] * binom(_binom_row(gamma, kind, k), beta - 1 - k) * scale
-            if value:
-                poly[beta + gamma + 1 - k] = value
-        if poly:
-            terms[beta] = poly
+        scale = 2 if kind == "F" else 2 * beta
+        terms[beta] = {
+            beta + gamma + 1 - k: c[k] * binom(row - 2 * k, beta - 1 - k) / scale
+            for k in range(beta + gamma + 2 - lo)
+        }
     return make_expansion(gamma, terms)
 
 

@@ -310,7 +310,9 @@ def l1_norm(kernel: KernelExpansion, r: float) -> float:
     The node values are values_at's float64 band sums, whose rounding grows
     with gamma: the result is within 2e-14 of an mpmath reference for the
     kernels up to gamma 8 at r <= 0.999, 8e-11 off for F_20 at 0.99,
-    and F_40 raises at r = 0.5, its two sums 2e-7 to 1e-5 apart.
+    and F_40 raises at r = 0.5, its two sums 2e-7 to 1e-5 apart.  From
+    gamma 24 on it can be wrong without raising (F_80 at r = 0.3: 8.5e21,
+    not 1.1e8) until values come from the closed forms (ROADMAP.md).
     """
     _require_radius("l1_norm", r)
     cuts = {0.0, math.pi, *_sign_changes(kernel, r)}
@@ -351,9 +353,11 @@ def solve_dirichlet(
     (conjugate-symmetric) data produces a real value.
     """
     check_gamma(gamma)
-    for n in (*f0, *f1):
-        if not isinstance(n, int):
+    for n, c in (*f0.items(), *f1.items()):
+        if type(n) is bool or not isinstance(n, int):
             raise ValueError(f"harmonics must be ints, got {n!r}")
+        if not cmath.isfinite(c):
+            raise ValueError(f"data coefficients must be finite, got {c!r}")
     s = Fraction(p.r) ** 2
     u = 0.0 + 0.0j
     for kind, data in (("F", f0), ("H", f1)):

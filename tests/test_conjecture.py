@@ -27,6 +27,8 @@ F = Fraction
         (3, "F", (1, -4, 2)),
         (4, "F", (1, -5, 5)),
         (4, "H", (1, -3, 1)),
+        (8, "F", (1, -9, 27, -30, 9)),
+        (8, "H", (1, -7, 15, -10, 1)),
     ],
 )
 def test_solve_ck_small_values(gamma, kind, expected):
@@ -56,9 +58,15 @@ def test_solve_ck_satisfies_defining_relations():
     # F: the relations are sum_k c_k C(gamma+1-2k, j-k) = 0 for j >= 1
     # (interior bands vanish at x = 0); H: the same sums against rows
     # C(gamma-2k, .) equal 1 (every band value 2 beta h_beta(0) = 1).
-    for gamma in range(0, 30):
+    # The relations are unit-diagonal, so they fix the c_k uniquely.
+    for gamma in range(0, 201):
         for kind, row_top, target in (("F", gamma + 1, 0), ("H", gamma, 1)):
             c = solve_ck(gamma, kind)
+            # Integer relations with a unit diagonal and c_0 = 1 force
+            # integer c_k, so the sums can run in ints.
+            assert all(v.denominator == 1 for v in c), (gamma, kind)
+            c = [v.numerator for v in c]
+            assert c[0] == 1 and len(c) == row_top // 2 + 1, (gamma, kind)
             for j in range(1, len(c)):
                 total = sum(c[k] * binom(row_top - 2 * k, j - k) for k in range(j + 1))
                 assert total == target, (gamma, kind, j)
@@ -107,8 +115,8 @@ def test_pascal_columns_accepts_built_kernels(kind, gamma):
     # Column k of the built kernel's table, the coefficients of
     # t^(beta+gamma+1-k) in 2 f_beta (F) or 2 beta h_beta (H) across beta,
     # is the Pascal row C(row(k), beta-1-k) scaled by its own entry at
-    # beta = k + 1.  The scales are read off the kernel, not taken from the
-    # c_k recurrence, and no monomial falls below a band's grid floor.
+    # beta = k + 1.  The scales are read off the kernel, not taken from
+    # solve_ck, and no monomial falls below a band's grid floor.
     kernel = build(KernelSpec(gamma=gamma, kind=kind))
     row_top = gamma + 1 if kind == "F" else gamma
 

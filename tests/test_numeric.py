@@ -19,6 +19,7 @@ from biharm.conjecture import conjectured_kernel
 from biharm.numeric import (
     DiscPoint,
     QuadratureConvergenceError,
+    _sign_changes,
     abs1mz_sq,
     eval_kernel,
     integral_mean,
@@ -427,6 +428,35 @@ def test_l1_norm_with_a_root_at_the_split_point():
     assert l1_norm(kernel, 0.5) == pytest.approx(l1_reference(kernel, 0.5), rel=1e-12, abs=0.0)
 
 
+def _f_zeros(gamma, r):
+    # F_gamma is proportional to cos((gamma+1) psi), psi = arg 1/(1-z), which
+    # vanishes at psi_j = (2j-1) pi / (2 gamma + 2).  On |z| = r the angle psi
+    # stays below asin r, and the law of sines in the triangle 0, 1, z puts
+    # each psi_j < asin r at theta = x - psi_j and pi - x - psi_j, where
+    # x = asin(sin psi_j / r).
+    zeros = []
+    j = 1
+    while (psi := (2 * j - 1) * math.pi / (2 * gamma + 2)) < math.asin(r):
+        x = math.asin(math.sin(psi) / r)
+        zeros += [x - psi, math.pi - x - psi]
+        j += 1
+    return sorted(zeros)
+
+
+@pytest.mark.parametrize("gamma, r, count", [(8, 0.9, 6), (20, 0.99, 20), (40, 0.998, 40), (80, 0.99, 74)])
+def test_sign_changes_of_f_are_its_explicit_zeros(gamma, r, count):
+    zeros = _f_zeros(gamma, r)
+    assert len(zeros) == count
+    got = sorted(_sign_changes(conjectured_kernel(gamma, "F"), r))
+    assert got == pytest.approx(zeros, rel=0.0, abs=1e-14)
+
+
+def test_sign_changes_of_f2_at_its_double_root():
+    # sin psi_1 = sin(pi/6) = r: both zeros of the formula fall on pi/3, a
+    # double root, which _sign_changes reports once.
+    assert _sign_changes(conjectured_kernel(2, "F"), 0.5) == pytest.approx([math.pi / 3], rel=0.0, abs=1e-14)
+
+
 @pytest.mark.parametrize("kernel", [F2, H2, conjectured_kernel(4, "F"), expansion_scale(-1, F0)])
 def test_l1_norm_at_the_centre(kernel):
     # At r = 0 the q interval is the point 1 and K is constant on the circle.
@@ -517,10 +547,15 @@ def test_dirichlet_validates_gamma_and_harmonics():
         for f0 in ({}, {0: 1.0}):
             with pytest.raises(ValueError, match="gamma"):
                 solve_dirichlet(gamma, f0, {}, p)
-    for data in ({0.5: 1.0}, {1.0: 1.0}, {"1": 1.0}):
+    for data in ({0.5: 1.0}, {1.0: 1.0}, {"1": 1.0}, {True: 1.0}):
         with pytest.raises(ValueError, match="harmonic"):
             solve_dirichlet(2, data, {}, p)
         with pytest.raises(ValueError, match="harmonic"):
+            solve_dirichlet(2, {}, data, p)
+    for data in ({1: float("nan")}, {0: float("inf")}, {-1: complex(0.5, float("nan"))}):
+        with pytest.raises(ValueError, match="finite"):
+            solve_dirichlet(2, data, {}, p)
+        with pytest.raises(ValueError, match="finite"):
             solve_dirichlet(2, {}, data, p)
 
 
