@@ -56,7 +56,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .exact import LaurentPoly, Rational, binom
-from .operators import KernelExpansion, check_gamma
+from .operators import KernelExpansion, check_gamma, check_kind
 
 
 class NonDeltaBoundaryError(ValueError):
@@ -112,13 +112,9 @@ def dirichlet_factor(gamma: int, kind: str, n: int, s: Fraction) -> Fraction:
     divided by r^|n|, from the radial ODE, exactly as a function of
     s = r^2 < 1.  Equal to ``radial_factor`` of the built kernel."""
     check_gamma(gamma)
+    check_kind(kind)
     n = abs(n)
-    if kind == "F":
-        m, base = n, Fraction(1)
-    elif kind == "H":
-        m, base = 1, Fraction(0)
-    else:
-        raise ValueError(f"kind must be 'F' or 'H', got {kind!r}")
+    m, base = (n, Fraction(1)) if kind == "F" else (1, Fraction(0))
     if not m:
         return base
     a = {j: Fraction((-1) ** j * binom(gamma, j), (n + j + 1) * (j + 1)) for j in range(gamma + 1)}

@@ -42,11 +42,10 @@ from .operators import (
     KernelExpansion,
     biharmonic,
     check_gamma,
+    check_kind,
     make_expansion,
     monomial_image,
 )
-
-KERNEL_KINDS = ("F", "H")
 
 # Boundary pair (a, b) of each kernel: F carries the boundary value, H the
 # inward normal derivative.
@@ -60,8 +59,7 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         check_gamma(self.gamma)
-        if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
+        check_kind(self.kind)
 
 
 def grid_geometry(gamma: int, kind: str) -> Tuple[int, Dict[int, int]]:
@@ -70,6 +68,7 @@ def grid_geometry(gamma: int, kind: str) -> Tuple[int, Dict[int, int]]:
     Band beta spans the exponents floor[beta] .. beta + gamma + 1.  At beta_0
     the two ends meet, so the top band is the single monomial t^floor[beta_0].
     """
+    check_kind(kind)
     offset = 1 if kind == "F" else 0
     beta0 = gamma + 1 + offset
     return beta0, {beta: max(2 * beta - offset, gamma + 2) for beta in range(1, beta0 + 1)}

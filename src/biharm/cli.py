@@ -31,11 +31,11 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import __version__
 from .boundary import expansion_boundary
-from .builder import KERNEL_KINDS, KernelSpec, build
+from .builder import KernelSpec, build
 from .conjecture import ConjectureVerdict, verify_conjecture
 from .exact import LaurentPoly
 from .numeric import DiscPoint, eval_kernel, integral_mean, l1_norm
-from .operators import KernelExpansion, biharmonic, make_expansion, monomial_image
+from .operators import KERNEL_KINDS, KernelExpansion, biharmonic, make_expansion, monomial_image
 
 
 # ---------------------------------------------------------------------------

@@ -31,25 +31,49 @@ where a = 1/(1-z) and b is its conjugate.  With psi = arg a, that is
 which the "matches-builder" check certifies for every gamma it passes.
 Each closed form is checked three independent ways: symbolic
 biharmonicity, exact boundary data, and agreement with the builder.
+
+H has an (a, b) form too, read off the kernels and not proved:
+
+    H_gamma = t^(gamma+2) u / (2 (gamma+1)) sum_(i+j <= gamma) w_ij a^i b^j,
+    w_ij = C(gamma-i, j) / C(gamma, j),
+
+with positive weights, symmetric in i and j.  So both kernels read
+
+    K = t^(gamma+2) u sum_d Re(a^d) P_d(u)                          (ab_form)
+
+F with the one term d = gamma + 1, P_d = 1, and H with
+P_d(u) = eps_d / (2 (gamma+1)) sum_l w_(l+d,l) u^l, eps_0 = 1 and eps_d = 2
+for d >= 1.  ``ab_expansion`` expands a form into bands exactly: a^d + b^d
+is a polynomial in a + b = 1 + t u and a b = u by Lucas-Waring, with the
+coefficients c_k of F at gamma = d - 1.  ``certified_ab_form`` gives a
+kernel its form only where that expansion is == to the kernel's terms, so
+H's form is certified kernel by kernel, wherever numeric evaluates by it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .boundary import expansion_boundary
 from .builder import BOUNDARY_TARGETS, build_pair, grid_geometry
 from .exact import LaurentPoly, Rational, binom
-from .operators import KernelExpansion, biharmonic, check_gamma, make_expansion
+from .operators import (
+    KERNEL_KINDS,
+    KernelExpansion,
+    biharmonic,
+    check_gamma,
+    check_kind,
+    make_expansion,
+)
 
 
 def solve_ck(gamma: int, kind: str) -> Tuple[Rational, ...]:
     """The c_k displayed above: T_(gamma+1)'s (F) or U_gamma's (H); c_0 = 1."""
     check_gamma(gamma)
-    if kind not in ("F", "H"):
-        raise ValueError(f"kind must be 'F' or 'H', got {kind!r}")
+    check_kind(kind)
     if kind == "H":
         return tuple(Fraction((-1) ** k * binom(gamma - k, k)) for k in range(gamma // 2 + 1))
     n = gamma + 1
@@ -69,6 +93,61 @@ def conjectured_kernel(gamma: int, kind: str) -> KernelExpansion:
             for k in range(beta + gamma + 2 - lo)
         }
     return make_expansion(gamma, terms)
+
+
+def ab_form(gamma: int, kind: str) -> Dict[int, Tuple[Rational, ...]]:
+    """The (a, b) form displayed above as {d: (p_(d,0), p_(d,1), ...)}, the
+    coefficients of P_d(u), with p_(d,l) = eps_d w_(l+d,l) / (2 (gamma+1))
+    for H."""
+    check_gamma(gamma)
+    check_kind(kind)
+    if kind == "F":
+        return {gamma + 1: (Fraction(1),)}
+    return {
+        d: tuple(
+            Fraction((2 if d else 1) * binom(gamma - d - l, l), 2 * (gamma + 1) * binom(gamma, l))
+            for l in range((gamma - d) // 2 + 1)
+        )
+        for d in range(gamma + 1)
+    }
+
+
+def ab_expansion(gamma: int, kind: str) -> KernelExpansion:
+    """The (a, b) form expanded into bands, exactly.
+
+    Re(a^d) = (a^d + b^d) / 2 = sum_k c_k (1 + t u)^(d-2k) u^k / 2, the c_k
+    of F at gamma = d - 1, and (1 + t u)^m by the binomial theorem; the
+    sums run in integers over the lcm of the p_(d,l)'s denominators.
+    """
+    form = ab_form(gamma, kind)
+    lcm = math.lcm(*(p.denominator for ps in form.values() for p in ps))
+    # acc[j][beta]: 2 lcm times the coefficient of t^(gamma+2+j) u^beta
+    acc = [[0] * (gamma + 3) for _ in range(gamma + 2)]
+    for d, ps in form.items():
+        lucas = [int(c) for c in solve_ck(d - 1, "F")] if d else [2]
+        for k, c in enumerate(lucas):
+            row = [binom(d - 2 * k, j) for j in range(d - 2 * k + 1)]
+            for l, p in enumerate(ps):
+                scaled = c * p.numerator * (lcm // p.denominator)
+                for j, b in enumerate(row):
+                    acc[j][1 + l + k + j] += scaled * b
+    return make_expansion(
+        gamma,
+        {
+            beta: {gamma + 2 + j: Fraction(acc[j][beta], 2 * lcm) for j in range(gamma + 2)}
+            for beta in range(1, gamma + 3)
+        },
+    )
+
+
+def certified_ab_form(kernel: KernelExpansion) -> Optional[Dict[int, Tuple[Rational, ...]]]:
+    """The ab_form of the kind whose top band the kernel has (grid_geometry),
+    if its ab_expansion is == to the kernel's terms; otherwise None."""
+    for kind in KERNEL_KINDS:
+        if grid_geometry(kernel.gamma, kind)[0] == kernel.max_beta():
+            if ab_expansion(kernel.gamma, kind).terms == kernel.terms:
+                return ab_form(kernel.gamma, kind)
+    return None
 
 
 @dataclass(frozen=True)

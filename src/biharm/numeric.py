@@ -1,16 +1,23 @@
 """Floating-point evaluation, Fourier multipliers and L1 quadrature.
 
-Exact expansions become numbers here.  Every pointwise value comes from one
-band sum, Horner's rule in u = 1/|1 - z|^2: sum_beta f_beta(t) u^beta with
-one add and one multiply per band, on float64 arrays (``values_at``,
-``l1_norm``), Python floats (scalar ``eval_kernel``, which skips numpy
-apart from one sine) and mpmath numbers.  The float paths take each
-kernel's coefficients rounded once per kernel (``float_bands``), not once
-per call; the mpmath path converts them at its working precision.
+Exact expansions become numbers here.  Scalar ``eval_kernel`` evaluates F
+and H by their (a, b) form, K = t^(gamma+2) u sum_d Re(a^d) P_d(u) with
+a = 1/(1 - z) (``conjecture``), in Python floats: F's sum has one term,
+and H's terms cancel little where the band sum's cancel by up to 1e30.  A
+kernel takes that form only where its exact band expansion is == to the
+kernel's terms, decided once per kernel (``float_ab_form``), and a point
+keeps its value only where an error estimate and an underflow floor allow.
 
-``eval_kernel`` measures kappa = sum |term| / |sum term|, the factor by
-which the terms cancel, and sums again in mpmath with about
-20 + log10(kappa) digits where float64 would miss 1e-12.
+Every other value comes from one band sum, Horner's rule in
+u = 1/|1 - z|^2: sum_beta f_beta(t) u^beta with one add and one multiply
+per band, on float64 arrays (``values_at``, ``l1_norm``), Python floats
+(the rest of ``eval_kernel``, which skips numpy apart from one sine) and
+mpmath numbers.  The float paths take each kernel's coefficients rounded
+once per kernel (``float_bands``), not once per call; the mpmath path
+converts them at its working precision.  ``eval_kernel``'s band sum
+measures kappa = sum |term| / |sum term|, the factor by which the terms
+cancel, and sums again in mpmath with about 20 + log10(kappa) digits where
+float64 would miss 1e-12.
 
 Integral means and Dirichlet solves use no quadrature: Fourier
 coefficients on |z| = r are exact rationals in r^2, rounded to float once
@@ -42,19 +49,24 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import List, Mapping
+from typing import List, Mapping, Optional
 
 import mpmath
 import numpy as np
 
 from .boundary import dirichlet_factor, radial_factor
 from .exact import bernstein_coefficients, isolate_roots
-from .operators import KernelExpansion, check_gamma
+from .operators import FloatABForm, KernelExpansion, check_gamma
 
 # eval_kernel keeps a float64 sum whose terms cancel by at most this factor.
 # At 2400 seeded points with gamma <= 24 the sum's error stayed below
 # 1.2 kappa eps where kappa >= 16, and below 2.4e-14 wherever kappa <= 256.
 _KAPPA_MAX = 256
+# eval_kernel keeps a closed-form value whose error estimate sum_d (d + 1)
+# |c|^d Q_d is at most this many times |sum|.  At 12480 seeded points with
+# gamma <= 80, r up to 1 - 1e-5 and theta down to 1e-9, the kept values
+# stayed within 1e-13 of 120- to 300-digit band sums.
+_ESTIMATE_MAX = 1000
 # Digits the mpmath sum carries beyond the log10(kappa) that cancellation costs.
 _GUARD_DIGITS = 20
 # l1_norm's 40- and 80-node Gauss-Legendre sums agree to this, or it raises.
@@ -174,14 +186,74 @@ def _eval_extended(kernel: KernelExpansion, r: float, theta: float, kappa: float
         dps = max(needed, 2 * dps)
 
 
+def _eval_ab_form(form: FloatABForm, r: float, theta: float) -> Optional[float]:
+    """K = u sum_d Re(c^d) Q_d in Python floats, or None where it may miss
+    1e-12.
+
+    1 - z = x - i y with x = (1 - r) + 2 r sin^2(theta/2), which does not
+    cancel near z = 1, so a = (x + i y) / q with q = x^2 + y^2.  The powers
+    are taken of c = t a and v = |c|^2 = t^2 u, which stay below 1 + r and
+    (1 + r)^2, so none overflows however large gamma is.  P_d's terms are
+    positive, so Q_d = t^base sum_l p_(d,l) v^l (t^2)^(L-l) does not cancel;
+    only the sum over d does.  Horner's rule in c sums it, and in |c| the
+    estimate sum_d (d + 1) |c|^d Q_d.  The value is kept where that estimate
+    is at most _ESTIMATE_MAX times |sum| and |sum| >= form.floor.
+
+    The floor: |c| < 2, v < 4 and p_(d,l) <= 1, so the error of at most
+    2^-1075 that a power or a product makes below the normal range (gradual
+    underflow) grows less than 2^(2 gamma + 2) times, and gamma + 2 times
+    more in the estimate.  Over fewer than (gamma + 3)^2 operations that
+    stays below 2^-60 of any |sum| >= form.floor = 2^(3 gamma - 1000).
+    """
+    h = math.sin(0.5 * theta)
+    x = (1.0 - r) + 2.0 * r * h * h
+    y = r * math.sin(theta)
+    q = x * x + y * y
+    t = (1.0 - r) * (1.0 + r)
+    g = t / q
+    c = complex(x * g, y * g)
+    v = g * t
+    rho = math.sqrt(v)
+    powers = [1.0]
+    s = t * t
+    for _ in range(form.l_max):
+        powers.append(powers[-1] * s)
+    total = size = 0.0
+    for d, base, coefficients in form.terms:
+        band = 0.0
+        for p, power in zip(coefficients, powers):
+            band = band * v + p * power
+        band *= t**base
+        total = total * c + band
+        size = size * rho + (d + 1) * band
+    if d:
+        total *= c**d
+        size *= rho**d
+    value = total.real / q
+    if form.floor <= abs(total.real) and size <= _ESTIMATE_MAX * abs(total.real) and abs(value) < math.inf:
+        return value
+    return None
+
+
 def eval_kernel(kernel: KernelExpansion, p: DiscPoint) -> float:
     """Kernel value at one point of the disc, to 1e-12 relative.
 
-    t >= 0 and u > 0, so a term c t^k u^beta has the sign of c, and the
-    Horner sum of |c t^k| is size = sum |term|.  The float64 sum (values_at's
-    operations on Python floats) is kept where kappa = size / |sum| <=
-    _KAPPA_MAX and no term underflowed; elsewhere _eval_extended sums again.
+    A kernel whose (a, b) form is certified (``float_ab_form``: F and H,
+    also when built) is evaluated by it in Python floats
+    (``_eval_ab_form``).  Every other point, and every other expansion,
+    takes the band sum: t >= 0 and u > 0, so a term c t^k u^beta has the
+    sign of c, and the Horner sum of |c t^k| is size = sum |term|.  The
+    float64 sum (values_at's operations on Python floats) is kept where
+    kappa = size / |sum| <= _KAPPA_MAX and no term underflowed; elsewhere
+    _eval_extended sums again.
     """
+    form = kernel.float_ab_form
+    value = None if form is None else _eval_ab_form(form, p.r, p.theta)
+    return _eval_band_sum(kernel, p) if value is None else value
+
+
+def _eval_band_sum(kernel: KernelExpansion, p: DiscPoint) -> float:
+    """eval_kernel by the band sum, in float64 where kappa allows."""
     t = (1.0 - p.r) * (1.0 + p.r)
     u = 1 / float(abs1mz_sq(p.r, p.theta))
     bands = _float_terms(kernel, t)

@@ -54,6 +54,22 @@ def _float(c: Fraction) -> float:
     return c.numerator / c.denominator
 
 
+class FloatABForm(NamedTuple):
+    """A kernel's certified (a, b) form, K = t^(gamma+2) u sum_d Re(a^d) P_d(u),
+    with P_d's coefficients p_(d,l) rounded to float.
+
+    numeric evaluates it in c = t a and v = |c|^2 = t^2 u, where the terms
+    are p_(d,l) Re(c^d) v^l t^(gamma+2-d-2l).  terms holds one entry per d,
+    d falling by one from the top: (d, base, (p_(d,L), ..., p_(d,0))),
+    base = gamma + 2 - d - 2L the least power of t in P_d's terms.  l_max
+    is the largest L, and floor the least |sum| that numeric keeps.
+    """
+
+    terms: Tuple[Tuple[int, int, Tuple[float, ...]], ...]
+    l_max: int
+    floor: float
+
+
 class FloatBands(NamedTuple):
     """A kernel's coefficients rounded to float.
 
@@ -95,12 +111,45 @@ class KernelExpansion:
             k_max=max((k for poly in self.terms.values() for k in poly), default=0),
         )
 
+    @functools.cached_property
+    def float_ab_form(self) -> Optional[FloatABForm]:
+        """The float image of the kernel's (a, b) form, or None unless that
+        form expands to terms exactly (``conjecture.certified_ab_form``).
+        Decided on first use and kept, like float_bands."""
+        # Imported here: conjecture builds on this module.
+        from .conjecture import certified_ab_form
+
+        form = certified_ab_form(self)
+        if form is None:
+            return None
+        gamma = self.gamma
+        return FloatABForm(
+            terms=tuple(
+                (d, gamma + 2 - d - 2 * (len(p) - 1), tuple(map(float, reversed(p))))
+                for d, p in sorted(form.items(), reverse=True)
+            ),
+            l_max=max(map(len, form.values())) - 1,
+            # Past 2^(3 gamma - 1000) the underflow of a power or a term cannot
+            # reach 1e-18 of the sum (numeric._eval_ab_form).
+            floor=2.0 ** min(3 * gamma - 1000, 1023),
+        )
+
 
 def check_gamma(gamma: int) -> None:
     """The one rule for every gamma the package accepts: an ``int`` >= 0,
     not a ``bool``; anything else raises ``ValueError``."""
     if type(gamma) is bool or not isinstance(gamma, int) or gamma < 0:
         raise ValueError(f"gamma must be an int >= 0, got {gamma!r}")
+
+
+KERNEL_KINDS = ("F", "H")
+
+
+def check_kind(kind: str) -> None:
+    """The one rule for a kernel kind: 'F' or 'H'; anything else raises
+    ``ValueError``."""
+    if kind not in KERNEL_KINDS:
+        raise ValueError(f"kind must be 'F' or 'H', got {kind!r}")
 
 
 def make_expansion(gamma: int, terms: Dict[int, LaurentPoly]) -> KernelExpansion:

@@ -15,7 +15,7 @@ import pytest
 
 from biharm.boundary import BoundaryData, expansion_boundary
 from biharm.builder import KernelSpec, build, build_pair
-from biharm.conjecture import verify_conjecture
+from biharm.conjecture import ab_expansion, conjectured_kernel, verify_conjecture
 from biharm.exact import binom
 from biharm.numeric import DiscPoint, integral_mean, l1_norm, solve_dirichlet
 from biharm.operators import biharmonic, make_expansion, monomial_image
@@ -52,6 +52,19 @@ def test_closed_form_sweep():
     elapsed = time.perf_counter() - start
     assert elapsed < budget, f"sweep to {gamma_max} took {elapsed:.1f}s"
     print(f"closed-form-sweep: PASS (gamma<={gamma_max} in {elapsed:.1f}s)")
+
+
+def test_ab_forms_expand_to_closed_forms():
+    """The (a, b) form of F and H, expanded into bands, == the closed form.
+
+    gamma <= 40 by default, <= 80 with BIHARM_ACCEPT_EXTENDED=1.  This is
+    the check that certifies each kernel numeric evaluates by its form.
+    """
+    gamma_max = 80 if os.environ.get("BIHARM_ACCEPT_EXTENDED") else 40
+    for gamma in range(gamma_max + 1):
+        for kind in ("F", "H"):
+            assert ab_expansion(gamma, kind) == conjectured_kernel(gamma, kind), (gamma, kind)
+    print(f"ab-form-expansion: PASS (gamma<={gamma_max})")
 
 
 def test_boundary_double_sums():

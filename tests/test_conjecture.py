@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from biharm.builder import KernelSpec, build, grid_geometry
-from biharm.conjecture import conjectured_kernel, solve_ck, verify_conjecture
+from biharm.builder import KernelSpec, build, build_pair, grid_geometry
+from biharm.conjecture import ab_form, certified_ab_form, conjectured_kernel, solve_ck, verify_conjecture
+from biharm.operators import make_expansion
 from biharm.exact import binom
 
 F = Fraction
@@ -33,6 +34,21 @@ F = Fraction
 )
 def test_solve_ck_small_values(gamma, kind, expected):
     assert solve_ck(gamma, kind) == tuple(F(v) for v in expected)
+
+
+def test_ab_form_small_values():
+    # H_2 = t^4 u / 6 (1 + a + b + a^2 + b^2 + a b / 2): the weights w_ij.
+    assert ab_form(2, "H") == {0: (F(1, 6), F(1, 12)), 1: (F(1, 3),), 2: (F(1, 3),)}
+    assert ab_form(0, "H") == {0: (F(1, 2),)}
+    assert ab_form(3, "F") == {4: (F(1),)}
+
+
+def test_certified_ab_form_follows_the_top_band():
+    f5, h5 = build_pair(5)  # stored in another order than the closed form
+    assert certified_ab_form(f5) == ab_form(5, "F")
+    assert certified_ab_form(h5) == ab_form(5, "H")
+    # H's bands under F's top band: F's form is tried, and does not expand to it.
+    assert certified_ab_form(make_expansion(5, {**h5.terms, 7: f5.terms[7]})) is None
 
 
 def test_solve_ck_rejects_bad_kind():

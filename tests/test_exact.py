@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from biharm.builder import KERNEL_KINDS, KernelSpec, ansatz_grid, assemble_system
+from biharm.builder import KernelSpec, ansatz_grid, assemble_system
 from biharm.exact import (
     RationalLinearSystem,
     bernstein_coefficients,
@@ -20,6 +20,7 @@ from biharm.exact import (
     poly_sub,
     solve_linear,
 )
+from biharm.operators import KERNEL_KINDS
 from exact_references import poly_diff, poly_eval, poly_from_terms, poly_mul
 
 

@@ -91,13 +91,25 @@ def test_eval_kernel_angle_symmetry():
         assert plus == pytest.approx(minus, rel=1e-14)
 
 
+def _perturbed(kernel):
+    """The kernel with its top band's one coefficient moved by 1e-30.  No
+    (a, b) form expands to it, so eval_kernel takes the band sum, and its
+    float image is the kernel's own."""
+    terms = {beta: dict(poly) for beta, poly in kernel.terms.items()}
+    ((k, c),) = terms[kernel.max_beta()].items()
+    terms[kernel.max_beta()][k] = c + Fraction(1, 10**30)
+    return make_expansion(kernel.gamma, terms)
+
+
 def test_eval_kernel_matches_vectorized_path():
+    h2 = _perturbed(H2)
+    assert h2.float_ab_form is None
     thetas = np.linspace(0.0, 2.0 * np.pi, 7)
-    vals = values_at(H2, 0.85, thetas)
+    vals = values_at(h2, 0.85, thetas)
     for theta, val in zip(thetas, vals):
-        assert eval_kernel(H2, DiscPoint(r=0.85, theta=theta)) == val
+        assert eval_kernel(h2, DiscPoint(r=0.85, theta=theta)) == val
     # A scalar angle (a 0-d array) gives a scalar.
-    one = values_at(H2, 0.85, thetas[3])
+    one = values_at(h2, 0.85, thetas[3])
     assert np.ndim(one) == 0 and one == vals[3]
 
 
@@ -116,23 +128,41 @@ def sized_calls(monkeypatch):
 
 
 def test_eval_kernel_is_bit_identical_to_values_at(sized_calls):
-    # Where it keeps the float64 sum, the scalar path skips numpy's arrays
-    # but must round exactly as the batch does, angle by angle.  Squaring
-    # the sine with ** 2 in abs1mz_sq breaks a few of these 7200 points.
+    # Where it keeps the float64 band sum, the scalar path skips numpy's
+    # arrays but must round exactly as the batch does, angle by angle.
+    # Squaring the sine with ** 2 in abs1mz_sq breaks a few of these 8400
+    # points.  F and H take their (a, b) forms, so the kernels here are
+    # perturbed ones and the expansions no kernel has.
     rng = random.Random(1)
     compared = 0
+    kernels = [*map(_perturbed, (k for gamma in range(9) for k in build_pair(gamma))), *SPARSE_EXPANSIONS]
+    for kernel in kernels:
+        assert kernel.float_ab_form is None
+        for r in (0.0, 0.3, 0.9, 0.998):
+            thetas = [rng.uniform(-7.0, 7.0) for _ in range(100)]
+            vals = values_at(kernel, r, thetas)
+            for i, theta in enumerate(thetas):
+                sized_calls.clear()
+                got = eval_kernel(kernel, DiscPoint(r=r, theta=theta))
+                if not sized_calls:
+                    assert got == vals[i], (kernel, r, theta)
+                    compared += 1
+    assert compared > 6500
+
+
+def test_eval_kernel_closed_forms_match_direct_sum(sized_calls):
+    # The (a, b) forms' values for the built F and H, to 1e-12 of the band
+    # sum in mpmath, over the points the bit-identity test used to cover.
+    rng = random.Random(1)
     for gamma in range(9):
         for kernel in build_pair(gamma):
+            assert kernel.float_ab_form is not None
             for r in (0.0, 0.3, 0.9, 0.998):
-                thetas = [rng.uniform(-7.0, 7.0) for _ in range(100)]
-                vals = values_at(kernel, r, thetas)
-                for i, theta in enumerate(thetas):
-                    sized_calls.clear()
+                for theta in (rng.uniform(-7.0, 7.0) for _ in range(10)):
                     got = eval_kernel(kernel, DiscPoint(r=r, theta=theta))
-                    if not sized_calls:
-                        assert got == vals[i], (gamma, r, theta)
-                        compared += 1
-    assert compared > 6000
+                    want = float(_direct_sum(kernel, r, theta))
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), (gamma, r, theta)
+    assert not sized_calls
 
 
 # Band shapes no closed-form kernel has: a missing middle band, only the top
@@ -240,8 +270,8 @@ def test_eval_kernel_exact_zero_ends_digit_loop():
 
 
 def test_eval_kernel_precision_paths_agree(sized_calls):
-    # A well-conditioned point keeps the float64 sum, which the mpmath
-    # path reproduces.
+    # A well-conditioned point keeps a float value (here F_2's closed
+    # form), which the mpmath path reproduces.
     p = DiscPoint(r=0.7, theta=1.1)
     d = eval_kernel(F2, p)
     assert sized_calls == []
@@ -260,14 +290,78 @@ def test_values_at_near_the_boundary_matches_extended():
 
 
 def test_eval_kernel_singular_corner_upgrades(sized_calls):
-    # Near z = 1 at gamma 80, u^beta overflows float64: the non-finite sum
-    # takes the mpmath path, also for an angle outside [-pi, pi].
-    f80 = conjectured_kernel(80, "F")
+    # Near z = 1 at gamma 80, u^beta overflows float64: the non-finite band
+    # sum takes the mpmath path, also for an angle outside [-pi, pi].  F_80
+    # itself takes its (a, b) form there, so the kernel is a perturbed one.
+    f80 = _perturbed(conjectured_kernel(80, "F"))
+    assert f80.float_ab_form is None
     for theta in (1e-4, 2.0 * math.pi + 1e-4):
         sized_calls.clear()
         got = eval_kernel(f80, DiscPoint(r=0.99, theta=theta))
         assert sized_calls == [(0.99, theta)]
         assert got == pytest.approx(float(_direct_sum(f80, 0.99, theta, 300)), rel=1e-12, abs=0.0)
+
+
+# (r, theta) where F and H are normal floats at every gamma below: moderate
+# radii all round the circle, and r -> 1 as theta -> 0.
+CLOSED_FORM_POINTS = [
+    *((r, theta) for r in (0.3, 0.9, 0.99) for theta in (0.0, 1e-3, 2.0)),
+    *((r, theta) for r in (0.999, 0.99999) for theta in (0.0, 1e-9, 1e-4)),
+]
+
+
+@pytest.mark.parametrize("kind", ["F", "H"])
+@pytest.mark.parametrize("gamma", [8, 20, 40, 80])
+def test_closed_forms_match_300_digit_band_sum(gamma, kind):
+    kernel = conjectured_kernel(gamma, kind)
+    kept = 0
+    for r, theta in CLOSED_FORM_POINTS:
+        closed = biharm.numeric._eval_ab_form(kernel.float_ab_form, r, theta)
+        got = eval_kernel(kernel, DiscPoint(r=r, theta=theta))
+        want = float(_direct_sum(kernel, r, theta, 300))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), (r, theta)
+        if closed is not None:
+            assert closed == got
+            kept += 1
+    # H_80 at r = 0.99, theta = 1e-3 is near a zero and falls back.
+    assert kept >= len(CLOSED_FORM_POINTS) - 1
+
+
+@pytest.mark.parametrize("gamma, r", [(8, 0.9), (20, 0.99), (40, 0.999), (80, 0.99999)])
+def test_closed_form_falls_back_at_the_zeros_of_f(gamma, r, sized_calls):
+    # On a zero of cos((gamma+1) psi) the closed form's one term is all
+    # rounding: its estimate is past _ESTIMATE_MAX, so the band path sums it.
+    kernel = conjectured_kernel(gamma, "F")
+    zeros = _f_zeros(gamma, r)
+    for theta in (zeros[0], zeros[len(zeros) // 2], -zeros[-1]):
+        assert biharm.numeric._eval_ab_form(kernel.float_ab_form, r, theta) is None
+        got = eval_kernel(kernel, DiscPoint(r=r, theta=theta))
+        assert got == pytest.approx(float(_direct_sum(kernel, r, theta, 300)), rel=1e-12, abs=0.0)
+    assert len(sized_calls) == 3
+
+
+@pytest.mark.parametrize("kind", ["F", "H"])
+def test_closed_form_falls_back_rarely(kind):
+    # Measured: 0 to 2 of 200 at seeds 1 to 3, and 0.4 to 0.7 % of 20000.
+    form = conjectured_kernel(8, kind).float_ab_form
+    rng = random.Random(2)
+    points = [(rng.uniform(0.0, 0.99), rng.uniform(-math.pi, math.pi)) for _ in range(200)]
+    assert sum(biharm.numeric._eval_ab_form(form, r, theta) is None for r, theta in points) <= 4
+
+
+def test_perturbed_kernel_is_not_certified(monkeypatch):
+    f8 = conjectured_kernel(8, "F")
+    moved = _perturbed(f8)
+    assert f8.float_ab_form is not None and moved.float_ab_form is None
+    assert "float_ab_form" in vars(moved)  # the verdict is kept
+    band_sums = []
+    band_sum = biharm.numeric._eval_band_sum
+    monkeypatch.setattr(
+        biharm.numeric, "_eval_band_sum", lambda kernel, p: band_sums.append(p) or band_sum(kernel, p)
+    )
+    p = DiscPoint(r=0.5, theta=0.2)
+    assert eval_kernel(moved, p) == pytest.approx(eval_kernel(f8, p), rel=1e-12)
+    assert band_sums == [p]
 
 
 # (kind, gamma, r, theta): the four float64 probes of the benchmark's

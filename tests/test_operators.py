@@ -6,14 +6,17 @@ from fractions import Fraction
 import pytest
 
 from biharm.boundary import dirichlet_factor
-from biharm.conjecture import conjectured_kernel
+from biharm.builder import KernelSpec, grid_geometry
+from biharm.conjecture import ab_form, conjectured_kernel, solve_ck
 from biharm.exact import poly_add, poly_scale
 from biharm.operators import (
+    KERNEL_KINDS,
     _seq_pq,
     _seq_winv,
     apply_P,
     apply_Q,
     biharmonic,
+    check_kind,
     make_expansion,
     monomial_image,
 )
@@ -135,6 +138,26 @@ def test_dirichlet_factor_validates_gamma():
     for gamma in (-1, True, 2.0):
         with pytest.raises(ValueError, match="gamma must be an int >= 0"):
             dirichlet_factor(gamma, "F", 3, Fraction(1, 4))
+
+
+KIND_ENTRY_POINTS = {
+    "check_kind": check_kind,
+    "solve_ck": lambda kind: solve_ck(3, kind),
+    "dirichlet_factor": lambda kind: dirichlet_factor(3, kind, 2, Fraction(1, 4)),
+    "KernelSpec": lambda kind: KernelSpec(gamma=3, kind=kind),
+    "grid_geometry": lambda kind: grid_geometry(3, kind),
+    "ab_form": lambda kind: ab_form(3, kind),
+}
+
+
+@pytest.mark.parametrize("entry", KIND_ENTRY_POINTS.values(), ids=KIND_ENTRY_POINTS)
+def test_kind_has_one_rule(entry):
+    # grid_geometry used to take any kind but "F" for H.
+    for kind in KERNEL_KINDS:
+        entry(kind)
+    for kind in ("G", "f", "h", "", None, ("F",), ["H"]):
+        with pytest.raises(ValueError, match=r"^kind must be 'F' or 'H', got "):
+            entry(kind)
 
 
 def test_make_expansion_drops_zero_polynomials():
