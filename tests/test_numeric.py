@@ -20,9 +20,9 @@ from biharm.numeric import (
     DiscPoint,
     QuadratureConvergenceError,
     _sign_changes,
-    abs1mz_sq,
     eval_kernel,
     integral_mean,
+    inv_abs1mz_sq,
     l1_norm,
     solve_dirichlet,
     values_at,
@@ -53,11 +53,51 @@ def test_disc_point_validation():
             DiscPoint(r=r, theta=theta)
 
 
-def test_abs1mz_sq_values():
-    assert abs1mz_sq(0.5, np.pi) == pytest.approx(2.25, abs=1e-15)
-    assert abs1mz_sq(0.5, 0.0) == pytest.approx(0.25, abs=1e-15)
-    arr = abs1mz_sq(0.3, np.array([0.0, np.pi]))
-    assert arr == pytest.approx([0.49, 1.69], abs=1e-15)
+def test_inv_abs1mz_sq_values():
+    assert inv_abs1mz_sq(0.5, np.pi) == pytest.approx(4 / 9, abs=1e-15)
+    assert inv_abs1mz_sq(0.5, 0.0) == pytest.approx(4.0, abs=1e-15)
+    arr = inv_abs1mz_sq(0.3, np.array([0.0, np.pi]))
+    assert arr == pytest.approx([1 / 0.49, 1 / 1.69], abs=1e-15)
+
+
+# Angles where tan(theta/2) is huge (+-pi, 3 pi), zero of either sign or
+# subnormal, small, and far outside [-pi, pi]; radii from 0 to near the
+# boundary.
+EXTREME_ANGLES = [np.pi, -np.pi, 3.0 * np.pi, -0.0, 5e-324, 1e-9, 1e22, 1e300]
+EXTREME_RADII = [0.0, 0.5, 0.999999]
+
+
+def test_inv_abs1mz_sq_matches_mpmath():
+    for r in EXTREME_RADII:
+        batch = inv_abs1mz_sq(r, np.array(EXTREME_ANGLES))
+        for theta, got in zip(EXTREME_ANGLES, batch):
+            with mpmath.workdps(40):
+                rm = mpmath.mpf(r)
+                want = 1 / ((1 - rm) ** 2 + 4 * rm * mpmath.sin(mpmath.mpf(theta) / 2) ** 2)
+                assert abs(got - want) <= 1e-15 * want, (r, theta)
+            # A scalar angle rounds as the same angle in an array.
+            assert inv_abs1mz_sq(r, theta) == got, (r, theta)
+
+
+def test_values_at_matches_direct_sum_at_extreme_angles():
+    for gamma in range(9):
+        for kernel in build_pair(gamma):
+            for r in EXTREME_RADII:
+                for theta, got in zip(EXTREME_ANGLES, values_at(kernel, r, EXTREME_ANGLES)):
+                    want = float(_direct_sum(kernel, r, theta))
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), (gamma, kernel.max_beta(), r, theta)
+
+
+def test_inv_abs1mz_sq_and_values_at_keep_the_shape_of_the_angles():
+    grid = np.linspace(-4.0, 4.0, 6).reshape(2, 3)
+    before = grid.copy()
+    for thetas in (np.array(0.7), np.empty(0), np.empty((0, 3)), grid):
+        assert np.shape(inv_abs1mz_sq(0.5, thetas)) == thetas.shape
+        assert np.shape(values_at(F2, 0.5, thetas)) == thetas.shape
+    assert np.ndim(inv_abs1mz_sq(0.5, 0.7)) == 0
+    # The caller's angles are read, not overwritten.
+    assert np.array_equal(grid, before)
+    assert np.array_equal(values_at(F2, 0.5, grid).ravel(), values_at(F2, 0.5, grid.ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +170,9 @@ def sized_calls(monkeypatch):
 def test_eval_kernel_is_bit_identical_to_values_at(sized_calls):
     # Where it keeps the float64 band sum, the scalar path skips numpy's
     # arrays but must round exactly as the batch does, angle by angle.
-    # Squaring the sine with ** 2 in abs1mz_sq breaks a few of these 8400
-    # points.  F and H take their (a, b) forms, so the kernels here are
-    # perturbed ones and the expansions no kernel has.
+    # Taking the scalar's tan(theta/2) from math.tan, not numpy's, breaks
+    # a few of these 8400 points.  F and H take their (a, b) forms, so the
+    # kernels here are perturbed ones and the expansions no kernel has.
     rng = random.Random(1)
     compared = 0
     kernels = [*map(_perturbed, (k for gamma in range(9) for k in build_pair(gamma))), *SPARSE_EXPANSIONS]
