@@ -257,8 +257,9 @@ def cmd_gen(gamma: int, kind: str, fmt: str, out=None) -> int:
     kernel = build(KernelSpec(gamma=gamma, kind=kind))
     if fmt == "json":
         # build raises unless the kernel passes both checks.
-        json.dump(to_document(kernel, kind, ("biharmonic-zero", "boundary-exact")), out, indent=2)
-        out.write("\n")
+        # One write: json.dump would make thousands of small ones.
+        doc = to_document(kernel, kind, ("biharmonic-zero", "boundary-exact"))
+        out.write(json.dumps(doc, indent=2) + "\n")
     elif fmt == "latex":
         out.write("\n".join(latex_lines(kernel, kind)) + "\n")
     else:

@@ -134,7 +134,10 @@ def solve_linear(system: RationalLinearSystem) -> Optional[Tuple[Fraction, ...]]
 
     Columns are eliminated in index order, and within a column the pivot row
     is the sparsest available row (ties broken by row index), which keeps
-    fill-in low on banded systems.
+    fill-in low on banded systems.  Fill-in and integer growth therefore
+    follow the caller's column numbering: a caller whose system is banded
+    in some order of its columns numbers them in that order (the builder
+    numbers its columns along the grid diagonals).
 
     Elimination is fraction-free.  A row chosen as pivot is divided by its
     content, the gcd of its entries and right-hand side; then, with pivot

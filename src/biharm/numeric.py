@@ -171,7 +171,9 @@ def values_at(kernel: KernelExpansion, r: float, thetas: np.ndarray) -> np.ndarr
     """Vectorized float64 kernel values at fixed radius, arbitrary angles."""
     _require_radius("values_at", r)
     thetas = np.asarray(thetas, dtype=float)
-    if not np.isfinite(thetas).all():
+    # A nan or an infinity reaches min or max, which allocate nothing, unlike
+    # an isfinite mask.  Both raise on an empty array, which has nothing to check.
+    if thetas.size and not (math.isfinite(thetas.min()) and math.isfinite(thetas.max())):
         raise ValueError("values_at requires finite angles")
     u = inv_abs1mz_sq(r, thetas)
     # (1 - r)(1 + r) keeps the digits that 1 - r*r loses as r -> 1.

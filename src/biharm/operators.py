@@ -16,12 +16,18 @@ where, writing ' for d/dx,
     P_beta f = (1 - beta) f' + x f'',
     Q_beta f = beta (beta f + (1 - x) f').
 
+Since d/dx = -d/dt, both act on one monomial t^k by a coefficient form:
+
+    P_beta t^k = k (k - 1) t^(k-2) + k (beta - k) t^(k-1),
+    Q_beta t^k = beta (beta - k) t^k.
+
 Iterating the band map through division by the weight
 ``w(x) = (1 - x)^gamma`` gives the weighted biharmonic image of an
 expansion.  The module computes that image two ways: one closed form,
 ``monomial_image``, for a single monomial ``t^k``, whose three two-step
 compositions collapse to integer products (the builder's columns), and
-one generic composition, ``biharmonic``, for any expansion (every check).
+one generic composition, ``biharmonic``, for any expansion (every check),
+which applies the coefficient forms one Laplacian step at a time.
 The two agree on every monomial (see the operator tests and
 ``verify --deep``).
 """
@@ -34,14 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .exact import (
-    LaurentPoly,
-    poly_add,
-    poly_d_dx,
-    poly_mul_x,
-    poly_scale,
-    poly_shift,
-)
+from .exact import LaurentPoly, poly_shift
 
 # Band-indexed coefficient sequence: beta -> polynomial in t.  The same shape
 # as KernelExpansion.terms, but entries may be genuinely Laurent (negative
@@ -165,23 +164,6 @@ def make_expansion(gamma: int, terms: Dict[int, LaurentPoly]) -> KernelExpansion
 
 
 # ---------------------------------------------------------------------------
-# single-band operators
-
-
-def apply_P(beta: int, f: LaurentPoly) -> LaurentPoly:
-    """P_beta f = (1 - beta) f' + x f'' with ' = d/dx."""
-    df = poly_d_dx(f)
-    return poly_add(poly_scale(1 - beta, df), poly_mul_x(poly_d_dx(df)))
-
-
-def apply_Q(beta: int, f: LaurentPoly) -> LaurentPoly:
-    """Q_beta f = beta (beta f + t f') with ' = d/dx.  Q_0 is identically 0."""
-    if beta == 0:
-        return {}
-    return poly_scale(beta, poly_add(poly_scale(beta, f), poly_shift(poly_d_dx(f), 1)))
-
-
-# ---------------------------------------------------------------------------
 # closed-form monomial image
 
 
@@ -229,16 +211,17 @@ def monomial_image(gamma: int, beta: int, k: int) -> Dict[int, Dict[int, int]]:
 
 
 def _seq_pq(seq: CoeffSequence) -> CoeffSequence:
-    """One Laplacian pass on a band sequence: g_m = P_m s_m + Q_(m-1) s_(m-1)."""
-    if not seq:
-        return {}
+    """One Laplacian pass on a band sequence: g_m = P_m s_m + Q_(m-1) s_(m-1),
+    accumulated term by term from the coefficient forms of P and Q."""
     out: CoeffSequence = {}
-    top = max(seq)
-    for m in range(1, top + 2):
-        g = poly_add(apply_P(m, seq.get(m, {})), apply_Q(m - 1, seq.get(m - 1, {})))
-        if g:
-            out[m] = g
-    return out
+    for m, poly in seq.items():
+        here, above = out.setdefault(m, {}), out.setdefault(m + 1, {})
+        for k, c in poly.items():
+            here[k - 2] = here.get(k - 2, 0) + k * (k - 1) * c
+            here[k - 1] = here.get(k - 1, 0) + k * (m - k) * c
+            above[k] = above.get(k, 0) + m * (m - k) * c
+    images = {m: {e: c for e, c in p.items() if c} for m, p in out.items()}
+    return {m: p for m, p in images.items() if p}
 
 
 def _seq_winv(gamma: int, seq: CoeffSequence) -> CoeffSequence:

@@ -2,8 +2,12 @@
 
 ``poly_from_terms``, ``poly_mul``, ``poly_diff`` and ``poly_eval`` build,
 multiply, differentiate in t and evaluate Laurent polynomials.
-``biharmonic_fraction`` composes the banded image under D w^-1 D in
-``Fraction`` arithmetic, the oracle of the package's integer passes.
+``apply_P`` and ``apply_Q`` are the single-band operators P_beta and
+Q_beta from their derivative forms, and ``laplacian_pass`` composes them
+into one Laplacian step on a band sequence, the oracle of the package's
+fused pass ``operators._seq_pq``.  ``biharmonic_fraction`` composes the
+banded image under D w^-1 D in ``Fraction`` arithmetic, the oracle of the
+package's integer passes.
 ``ab_sums`` (with ``_inner_sum``) computes the boundary data (a, b) of
 t^(2 beta - 1) / |1-z|^(2 beta) from the paper's double sums, and
 ``integral_means_poly`` gives the integral-means polynomial p(s) whose
@@ -77,7 +81,7 @@ def _d_dx(p: LaurentPoly) -> LaurentPoly:
     return {k - 1: -k * c for k, c in p.items() if k != 0}
 
 
-def _band_p(beta: int, f: LaurentPoly) -> LaurentPoly:
+def apply_P(beta: int, f: LaurentPoly) -> LaurentPoly:
     """P_beta f = (1 - beta) f' + x f'', with x f'' = f'' - t f''."""
     df = _d_dx(f)
     ddf = _d_dx(df)
@@ -88,7 +92,7 @@ def _band_p(beta: int, f: LaurentPoly) -> LaurentPoly:
     )
 
 
-def _band_q(beta: int, f: LaurentPoly) -> LaurentPoly:
+def apply_Q(beta: int, f: LaurentPoly) -> LaurentPoly:
     """Q_beta f = beta (beta f + t f')."""
     return poly_from_terms(
         [(k, beta * beta * c) for k, c in f.items()]
@@ -96,13 +100,13 @@ def _band_q(beta: int, f: LaurentPoly) -> LaurentPoly:
     )
 
 
-def _laplacian_pass(seq: Dict[int, LaurentPoly]) -> Dict[int, LaurentPoly]:
+def laplacian_pass(seq: Dict[int, LaurentPoly]) -> Dict[int, LaurentPoly]:
     """Band m of D applied to a band sequence: P_m s_m + Q_(m-1) s_(m-1)."""
     out = {}
     for m in range(1, max(seq, default=0) + 2):
         g = poly_from_terms(
-            list(_band_p(m, seq.get(m, {})).items())
-            + list(_band_q(m - 1, seq.get(m - 1, {})).items())
+            list(apply_P(m, seq.get(m, {})).items())
+            + list(apply_Q(m - 1, seq.get(m - 1, {})).items())
         )
         if g:
             out[m] = g
@@ -112,10 +116,10 @@ def _laplacian_pass(seq: Dict[int, LaurentPoly]) -> Dict[int, LaurentPoly]:
 def biharmonic_fraction(gamma: int, terms: Dict[int, LaurentPoly]) -> Dict[int, LaurentPoly]:
     """Banded image of sum_beta terms[beta](t) / |1-z|^(2 beta) under
     D w^-1 D, w = t^gamma, with every coefficient a ``Fraction``."""
-    first = _laplacian_pass(
+    first = laplacian_pass(
         {m: {k: Fraction(c) for k, c in p.items()} for m, p in terms.items()}
     )
-    return _laplacian_pass({m: {k - gamma: c for k, c in p.items()} for m, p in first.items()})
+    return laplacian_pass({m: {k - gamma: c for k, c in p.items()} for m, p in first.items()})
 
 
 @dataclass(frozen=True)

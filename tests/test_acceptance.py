@@ -2,7 +2,8 @@
 
 Run with `pytest -v tests/test_acceptance.py` to get one pass/fail line per
 item.  Setting BIHARM_ACCEPT_EXTENDED=1 widens the re-derivation sweep from
-gamma <= 40 to gamma <= 80 (about half a minute of exact arithmetic).
+gamma <= 40 to gamma <= 80 (about 4 s of exact arithmetic on a 2-core
+x86 machine with Python 3.11).
 """
 
 import math

@@ -87,11 +87,40 @@ def test_ansatz_grid_ranges():
 # linear system structure
 
 
-def test_assemble_system_columns_sorted():
+def diagonal(column):
+    """The grid diagonal 2 beta - k of column (beta, k)."""
+    beta, k = column
+    return 2 * beta - k
+
+
+def test_assemble_system_columns_in_diagonal_order():
     spec = KernelSpec(gamma=3, kind="F")
-    columns, system = assemble_system(spec, ansatz_grid(spec))
-    assert columns == sorted(columns)
+    grid = ansatz_grid(spec)
+    columns, system = assemble_system(spec, grid)
+    assert columns == sorted(columns, key=lambda col: (diagonal(col), col[0]))
+    assert sorted(columns) == [(beta, k) for beta, ks in grid.items() for k in ks]
     assert system.ncols() == len(columns)
+
+
+@pytest.mark.parametrize("kind", ["F", "H"])
+@pytest.mark.parametrize("gamma", range(0, 13))
+def test_system_is_banded_along_grid_diagonals(kind, gamma):
+    # A column on diagonal d reaches image rows (band b, exponent e) on the
+    # diagonals 2b - e = d + gamma + 2 .. d + gamma + 4 only, so an image
+    # row holds columns of at most three neighbouring diagonals, and in
+    # diagonal order the system is block-banded.  The boundary rows hold
+    # only the diagonals 0 and 1 (k = 2 beta and k = 2 beta - 1).
+    spec = KernelSpec(gamma=gamma, kind=kind)
+    columns, system = assemble_system(spec, ansatz_grid(spec))
+    for column in columns:
+        for band, img in biharm.operators.monomial_image(gamma, *column).items():
+            for e in img:
+                assert 2 * band - e - diagonal(column) in (gamma + 2, gamma + 3, gamma + 4)
+    for row, _ in system.rows[:A_ROW]:
+        diagonals = {diagonal(columns[j]) for j in row}
+        assert max(diagonals) - min(diagonals) <= 2
+    for row, _ in system.rows[A_ROW:]:
+        assert {diagonal(columns[j]) for j in row} <= {0, 1}
 
 
 @pytest.mark.parametrize(
@@ -278,6 +307,20 @@ def test_built_kernel_invariants(kind, gamma):
         lo = max(2 * beta - offset, gamma + 2)
         hi = beta + gamma + 1
         assert all(lo <= k <= hi for k in poly), (beta, sorted(poly))
+
+
+@pytest.mark.parametrize("gamma", [0, 1, 2, 5, 12, 24])
+@pytest.mark.parametrize("kind", ("F", "H"))
+def test_built_kernel_terms_are_in_ascending_order(kind, gamma):
+    # The solve runs in diagonal order; build stores the bands, and each
+    # band's exponents, in ascending order, so repr and the float layout
+    # (float_bands) do not follow the solver's column numbering.
+    kernel = build(KernelSpec(gamma=gamma, kind=kind))
+    assert list(kernel.terms) == sorted(kernel.terms)
+    for poly in kernel.terms.values():
+        assert list(poly) == sorted(poly)
+    for band in kernel.float_bands.bands:
+        assert [k for k, _ in band] == sorted(k for k, _ in band)
 
 
 @pytest.mark.parametrize("gamma", range(0, 9))

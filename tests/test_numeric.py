@@ -499,6 +499,26 @@ def test_values_at_rejects_non_finite_angles():
     assert values_at(F2, 0.5, []).shape == (0,)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_values_at_finds_a_non_finite_angle_anywhere(bad):
+    # values_at checks its angles by their min and max; a nan or an infinity
+    # must reach one of them from any position and in any shape.
+    angles = np.linspace(-3.0, 3.0, 7)
+    for position in (0, 3, 6):
+        thetas = angles.copy()
+        thetas[position] = bad
+        with pytest.raises(ValueError, match="values_at requires finite angles"):
+            values_at(F2, 0.5, thetas)
+    grid = angles[:6].reshape(2, 3).copy()
+    grid[1, 1] = bad
+    with pytest.raises(ValueError, match="values_at requires finite angles"):
+        values_at(F2, 0.5, grid)
+    with pytest.raises(ValueError, match="values_at requires finite angles"):
+        values_at(F2, 0.5, np.float64(bad))
+    assert values_at(F2, 0.5, np.empty((0, 3))).shape == (0, 3)
+    assert np.isfinite(values_at(F2, 0.5, np.float64(0.3)))
+
+
 def _multiplier(kernel, n, r):
     return r**n * float(radial_factor(kernel, n, Fraction(r) ** 2))
 

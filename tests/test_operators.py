@@ -13,14 +13,19 @@ from biharm.operators import (
     KERNEL_KINDS,
     _seq_pq,
     _seq_winv,
-    apply_P,
-    apply_Q,
     biharmonic,
     check_kind,
     make_expansion,
     monomial_image,
 )
-from exact_references import biharmonic_fraction, expansion_add, expansion_scale
+from exact_references import (
+    apply_P,
+    apply_Q,
+    biharmonic_fraction,
+    expansion_add,
+    expansion_scale,
+    laplacian_pass,
+)
 from kernel_fixtures import RAW_H2
 
 
@@ -89,6 +94,39 @@ def test_operators_are_linear():
         for op in (lambda p: apply_P(beta, p), lambda p: apply_Q(beta, p)):
             assert op(poly_add(f, g)) == poly_add(op(f), op(g))
             assert op(poly_scale(a, f)) == poly_scale(a, op(f))
+
+
+def rand_band_sequence(rng, coeff):
+    """A seeded band sequence with exponents down to -8, as after the weight
+    division, and coefficients drawn by coeff."""
+    seq = {}
+    for beta in rng.sample(range(1, 9), rng.randint(1, 5)):
+        poly = {k: coeff(rng) for k in rng.sample(range(-8, 12), rng.randint(1, 6))}
+        seq[beta] = {k: c for k, c in poly.items() if c}
+    return seq
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [
+        lambda rng: rng.randint(-9, 9),
+        lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+    ],
+    ids=["int", "Fraction"],
+)
+def test_fused_laplacian_pass_matches_composition_of_p_and_q(coeff):
+    # _seq_pq applies P and Q by their coefficient forms; the reference
+    # composes them from their derivative forms, band by band.  An int
+    # sequence stays in ints, as the biharmonic passes rely on.
+    rng = random.Random(2006)
+    kind = type(coeff(rng))
+    for _ in range(300):
+        seq = rand_band_sequence(rng, coeff)
+        image = _seq_pq(seq)
+        assert image == laplacian_pass(seq), seq
+        assert all(p for p in image.values())
+        assert all(type(c) is kind and c for p in image.values() for c in p.values())
+    assert _seq_pq({}) == {}
 
 
 # ---------------------------------------------------------------------------
