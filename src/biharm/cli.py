@@ -9,8 +9,9 @@ Subcommands:
   means    tabulate integral means against their boundary prediction (TSV)
 
 Exit codes: 0 success, 1 mathematical failure, 2 usage error.  `eval`
-prints float64 values, summed in mpmath where the kernel's terms cancel
-(see ``numeric.eval_kernel``).
+prints float64 values: the (a, b) form's float value where its error
+estimate allows, otherwise the kernel's terms summed in mpmath (see
+``numeric.eval_kernel``).
 
 The JSON document serializes every coefficient as exact decimal
 numerator/denominator strings — coefficients outgrow 64-bit integers well

@@ -1,17 +1,17 @@
 """Exact arithmetic substrate: rationals, sparse Laurent polynomials, linear solving.
 
-Everything downstream of this module is built from three ingredients:
+Everything downstream of this module is built from four ingredients:
 
   * ``Rational`` — exact fractions of any size (stdlib ``fractions.Fraction``,
     which already guarantees the canonical form we need: reduced to lowest
     terms, positive denominator, zero stored as 0/1);
   * ``LaurentPoly`` — a sparse polynomial in one variable, stored as a dict
     mapping integer exponent -> coefficient, a nonzero ``int`` or
-    ``Fraction``.  Exponents may be negative.  The operations below keep
-    ``int`` coefficients ``int`` until a ``Fraction`` enters, so a pass over
-    denominator-cleared coefficients runs in integers.  The variable is
-    written ``t`` throughout and in the kernel modules stands for
-    ``t = 1 - x`` with ``x = |z|^2``;
+    ``Fraction``.  Exponents may be negative; ``poly_shift`` multiplies by
+    a power of the variable, and the kernel modules form sums and products
+    where they need them, on denominator-cleared ``int`` coefficients where
+    they can.  The variable is written ``t`` throughout and in the kernel
+    modules stands for ``t = 1 - x`` with ``x = |z|^2``;
   * ``solve_linear`` — exact solving of a sparse integer linear system:
     fraction-free forward elimination (each pivot row divided by its
     content), then back substitution, the only step that forms rationals.
@@ -60,51 +60,9 @@ def binom(n: int, r: int) -> int:
 # polynomials
 
 
-def poly_add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    out = dict(p)
-    for k, c in q.items():
-        new = out.get(k, 0) + c
-        if new:
-            out[k] = new
-        else:
-            out.pop(k, None)
-    return out
-
-
-def poly_neg(p: LaurentPoly) -> LaurentPoly:
-    return {k: -c for k, c in p.items()}
-
-
-def poly_sub(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return poly_add(p, poly_neg(q))
-
-
-def poly_scale(c: Fraction | int, p: LaurentPoly) -> LaurentPoly:
-    """c * p.  An ``int`` factor stays an ``int``; any other factor is taken
-    exactly as ``Fraction(c)``."""
-    if not isinstance(c, int):
-        c = Fraction(c)
-    if not c:
-        return {}
-    return {k: c * v for k, v in p.items()}
-
-
 def poly_shift(p: LaurentPoly, m: int) -> LaurentPoly:
     """Multiply by t^m, i.e. shift every exponent by m."""
     return {k + m: c for k, c in p.items()}
-
-
-def poly_d_dx(p: LaurentPoly) -> LaurentPoly:
-    """Derivative in x of a polynomial written in t = 1 - x.
-
-    Chain rule: d/dx t^k = -k t^(k-1), so this is the negated t-derivative.
-    """
-    return {k - 1: -k * c for k, c in p.items() if k != 0}
-
-
-def poly_mul_x(p: LaurentPoly) -> LaurentPoly:
-    """Multiply by x = 1 - t, staying in the t-representation."""
-    return poly_sub(p, poly_shift(p, 1))
 
 
 # ---------------------------------------------------------------------------

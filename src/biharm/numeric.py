@@ -10,14 +10,13 @@ keeps its value only where an error estimate and an underflow floor allow.
 
 Every other value comes from one band sum, Horner's rule in
 u = 1/|1 - z|^2: sum_beta f_beta(t) u^beta with one add and one multiply
-per band, on float64 arrays (``values_at``, ``l1_norm``), Python floats
-(the rest of ``eval_kernel``, which takes u from values_at's numpy
-operations on a 0-d array) and mpmath numbers.  The float paths take each
+per band, on float64 arrays (``values_at``, ``l1_norm``) and on mpmath
+numbers (the rest of ``eval_kernel``).  The float path takes each
 kernel's coefficients rounded once per kernel (``float_bands``), not once
-per call; the mpmath path converts them at its working precision.
-``eval_kernel``'s band sum measures kappa = sum |term| / |sum term|, the
-factor by which the terms cancel, and sums again in mpmath with about
-20 + log10(kappa) digits where float64 would miss 1e-12.
+per call; the mpmath path converts them at its working precision, measures
+kappa = sum |term| / |sum term|, the factor by which the terms cancel, and
+sums again with about 20 + log10(kappa) digits where its first pass would
+miss 1e-12.
 
 Integral means and Dirichlet solves use no quadrature: Fourier
 coefficients on |z| = r are exact rationals in r^2, rounded to float once
@@ -35,7 +34,7 @@ Between them, and on pieces graded towards the peak at theta = 0, |K| is
 analytic, and Gauss-Legendre rules of 40 and 80 nodes per piece check each
 other.
 
-The float band sums take u = 1/|1 - z|^2 as
+The float band sum takes u = 1/|1 - z|^2 as
 (1 + T^2) / ((1 - r)^2 + (1 + r)^2 T^2) with T = tan(theta/2)
 (``inv_abs1mz_sq``), which is (1 - r)^2 + 4 r sin^2(theta/2) = |1 - z|^2
 rewritten by sin^2 = T^2 / (1 + T^2): a sum of positive terms, free of the
@@ -49,10 +48,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import List, Mapping, Optional
 
 import mpmath
@@ -62,10 +59,6 @@ from .boundary import dirichlet_factor, radial_factor
 from .exact import bernstein_coefficients, isolate_roots
 from .operators import FloatABForm, KernelExpansion, check_gamma
 
-# eval_kernel keeps a float64 sum whose terms cancel by at most this factor.
-# At 2400 seeded points with gamma <= 24 the sum's error stayed below
-# 1.2 kappa eps where kappa >= 16, and below 2.4e-14 wherever kappa <= 256.
-_KAPPA_MAX = 256
 # eval_kernel keeps a closed-form value whose error estimate sum_d (d + 1)
 # |c|^d Q_d is at most this many times |sum|.  At 12480 seeded points with
 # gamma <= 80, r up to 1 - 1e-5 and theta down to 1e-9, the kept values
@@ -110,9 +103,10 @@ def inv_abs1mz_sq(r, theta):
     and u rounds to 1/(1 + r)^2.  numpy's float64 tan took 75 us on 2^15
     angles where its sine took 525 us (2-core x86 with AVX-512, numpy 2.4).
 
-    An array's steps run in theta/2's buffer and one more.  A scalar theta
-    goes through the same numpy operations on np.float64 scalars, so it
-    rounds exactly as the same angle in an array.
+    An array's steps run in theta/2's buffer and one more.  A scalar theta,
+    which is what values_at's 0-d input becomes, goes through the same numpy
+    operations on np.float64 scalars, so it rounds exactly as the same
+    angle in an array.
     """
     half = theta / 2.0
     # In place on an array; on a scalar each augmented operation below
@@ -143,12 +137,12 @@ def _band_terms(kernel: KernelExpansion, t) -> list:
 def _float_terms(kernel: KernelExpansion, t) -> list:
     """The terms c t^k of each band in float64, in _band_terms' layout, from
     the coefficients the kernel rounded once (``float_bands``)."""
-    return [[c * t**k for k, c in band] if band else None for band in kernel.float_bands.bands]
+    return [[c * t**k for k, c in band] if band else None for band in kernel.float_bands]
 
 
 def _horner(bands: list, u, reduce=sum):
-    """sum_beta reduce(band terms) u^beta, u = 1/|1 - z|^2 a float64 array, a
-    Python float or an mpmath number, by Horner's rule from the top band down.
+    """sum_beta reduce(band terms) u^beta, u = 1/|1 - z|^2 a float64 array or
+    scalar or an mpmath number, by Horner's rule from the top band down.
 
     No power of u is formed, and the updates are in place: a numpy u costs
     the array total, which starts as u times the top band, and no temporary
@@ -180,17 +174,19 @@ def values_at(kernel: KernelExpansion, r: float, thetas: np.ndarray) -> np.ndarr
     return _horner(_float_terms(kernel, (1.0 - r) * (1.0 + r)), u)
 
 
-def _eval_extended(kernel: KernelExpansion, r: float, theta: float, kappa: float) -> float:
-    """The band sum in mpmath with _GUARD_DIGITS more digits than log10(kappa).
+def _eval_extended(kernel: KernelExpansion, r: float, theta: float) -> float:
+    """The band sum in mpmath, to 1e-12 relative.
 
-    A non-finite float kappa starts at 1e17.  Each pass measures kappa anew,
+    t >= 0 and u > 0, so a term c t^k u^beta has the sign of c, and the
+    Horner sum of |c t^k| is size = sum |term|.  The first pass carries
+    _GUARD_DIGITS + 17 digits.  Each pass measures kappa = size / |sum|,
     which bounds its sum's error by size 10^(_GUARD_DIGITS - dps), and keeps
     the sum once that bound is below |sum| or below the smallest float (then
     the rounding is exact: 0.0 for an empty expansion or a zero of the
-    kernel).  Otherwise it retries with the digits the new kappa asks for,
+    kernel).  Otherwise it retries with _GUARD_DIGITS + log10(kappa) digits,
     at least doubled, so it stops by 2 (_GUARD_DIGITS + log10(size) + 324).
     """
-    dps = _GUARD_DIGITS + (math.ceil(math.log10(kappa)) if math.isfinite(kappa) else 17)
+    dps = _GUARD_DIGITS + 17
     while True:
         with mpmath.workdps(dps):
             rm = mpmath.mpf(r)
@@ -258,32 +254,12 @@ def eval_kernel(kernel: KernelExpansion, p: DiscPoint) -> float:
 
     A kernel whose (a, b) form is certified (``float_ab_form``: F and H,
     also when built) is evaluated by it in Python floats
-    (``_eval_ab_form``).  Every other point, and every other expansion,
-    takes the band sum: t >= 0 and u > 0, so a term c t^k u^beta has the
-    sign of c, and the Horner sum of |c t^k| is size = sum |term|.  The
-    float64 sum (values_at's operations on Python floats) is kept where
-    kappa = size / |sum| <= _KAPPA_MAX and no term underflowed; elsewhere
-    _eval_extended sums again.
+    (``_eval_ab_form``).  Every point that form does not keep, and every
+    other expansion, takes the band sum in mpmath (``_eval_extended``).
     """
     form = kernel.float_ab_form
     value = None if form is None else _eval_ab_form(form, p.r, p.theta)
-    return _eval_band_sum(kernel, p) if value is None else value
-
-
-def _eval_band_sum(kernel: KernelExpansion, p: DiscPoint) -> float:
-    """eval_kernel by the band sum, in float64 where kappa allows."""
-    t = (1.0 - p.r) * (1.0 + p.r)
-    u = float(inv_abs1mz_sq(p.r, p.theta))
-    bands = _float_terms(kernel, t)
-    total, size = _horner(bands, u), _horner(bands, u, _abs_sum)
-    kappa = size / abs(total) if total else math.inf
-    if kappa <= _KAPPA_MAX:
-        # kappa cannot see a power t^k (least at the largest k) or a term
-        # c t^k that fell below the normal range and lost its digits.
-        lowest = min(map(abs, chain.from_iterable(filter(None, bands))))
-        if min(lowest, t ** kernel.float_bands.k_max) >= sys.float_info.min:
-            return total
-    return _eval_extended(kernel, p.r, p.theta, kappa)
+    return _eval_extended(kernel, p.r, p.theta) if value is None else value
 
 
 def integral_mean(kernel: KernelExpansion, r: float) -> float:

@@ -69,18 +69,6 @@ class FloatABForm(NamedTuple):
     floor: float
 
 
-class FloatBands(NamedTuple):
-    """A kernel's coefficients rounded to float.
-
-    bands holds one entry per band, top band first: a tuple of (k, c) pairs,
-    c the coefficient of t^k, or None for an absent band.  k_max is the
-    largest power of t (0 for an expansion with no band).
-    """
-
-    bands: Tuple[Optional[Tuple[Tuple[int, float], ...]], ...]
-    k_max: int
-
-
 @dataclass(frozen=True)
 class KernelExpansion:
     """A finite banded expansion sum_beta f_beta(t) / |1-z|^(2 beta).
@@ -89,7 +77,9 @@ class KernelExpansion:
     are treated as immutable; the constructor helper ``make_expansion``
     canonicalizes by dropping zero coefficients and zero polynomials.
     Because they are, each exact coefficient is rounded to float once per
-    kernel, on first use (``float_bands``), however often it is evaluated.
+    kernel, on first use (``float_bands``, which values_at reads), and the
+    kernel's (a, b) form is certified once (``float_ab_form``, which
+    eval_kernel reads), however often the kernel is evaluated.
     """
 
     gamma: int
@@ -99,16 +89,13 @@ class KernelExpansion:
         return max(self.terms) if self.terms else 0
 
     @functools.cached_property
-    def float_bands(self) -> FloatBands:
-        """The float image of terms, made on first use and kept.  It is not
-        a dataclass field, so == and repr still see gamma and terms alone."""
+    def float_bands(self) -> Tuple[Optional[Tuple[Tuple[int, float], ...]], ...]:
+        """The float image of terms, made on first use and kept: one entry per
+        band, top band first, a tuple of (k, c) pairs with c the coefficient
+        of t^k rounded to float, or None for an absent band.  It is not a
+        dataclass field, so == and repr still see gamma and terms alone."""
         polys = map(self.terms.get, range(self.max_beta(), 0, -1))
-        return FloatBands(
-            bands=tuple(
-                tuple((k, _float(c)) for k, c in poly.items()) if poly else None for poly in polys
-            ),
-            k_max=max((k for poly in self.terms.values() for k in poly), default=0),
-        )
+        return tuple(tuple((k, _float(c)) for k, c in poly.items()) if poly else None for poly in polys)
 
     @functools.cached_property
     def float_ab_form(self) -> Optional[FloatABForm]:

@@ -1,7 +1,8 @@
 """Independent references that only the tests use.
 
-``poly_from_terms``, ``poly_mul``, ``poly_diff`` and ``poly_eval`` build,
-multiply, differentiate in t and evaluate Laurent polynomials.
+``poly_from_terms``, ``poly_add``, ``poly_scale``, ``poly_mul``,
+``poly_diff`` and ``poly_eval`` build, add, scale, multiply, differentiate
+in t and evaluate Laurent polynomials.
 ``apply_P`` and ``apply_Q`` are the single-band operators P_beta and
 Q_beta from their derivative forms, and ``laplacian_pass`` composes them
 into one Laplacian step on a band sequence, the oracle of the package's
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from biharm.boundary import BoundaryData, fourier_poly
-from biharm.exact import ZERO, LaurentPoly, binom, poly_add, poly_scale
+from biharm.exact import ZERO, LaurentPoly, binom
 from biharm.operators import KernelExpansion, make_expansion
 
 
@@ -38,6 +39,23 @@ def poly_from_terms(terms: Sequence[Tuple[int, Fraction | int]]) -> LaurentPoly:
         else:
             out.pop(k, None)
     return out
+
+
+def poly_add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    out = dict(p)
+    for k, c in q.items():
+        new = out.get(k, ZERO) + c
+        if new:
+            out[k] = new
+        else:
+            out.pop(k, None)
+    return out
+
+
+def poly_scale(c: Fraction | int, p: LaurentPoly) -> LaurentPoly:
+    """c * p, with c taken exactly as ``Fraction(c)``."""
+    c = Fraction(c)
+    return {k: c * v for k, v in p.items()} if c else {}
 
 
 def poly_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:

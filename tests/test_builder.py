@@ -319,7 +319,7 @@ def test_built_kernel_terms_are_in_ascending_order(kind, gamma):
     assert list(kernel.terms) == sorted(kernel.terms)
     for poly in kernel.terms.values():
         assert list(poly) == sorted(poly)
-    for band in kernel.float_bands.bands:
+    for band in kernel.float_bands:
         assert [k for k, _ in band] == sorted(k for k, _ in band)
 
 

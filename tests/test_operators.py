@@ -8,7 +8,6 @@ import pytest
 from biharm.boundary import dirichlet_factor
 from biharm.builder import KernelSpec, grid_geometry
 from biharm.conjecture import ab_form, conjectured_kernel, solve_ck
-from biharm.exact import poly_add, poly_scale
 from biharm.operators import (
     KERNEL_KINDS,
     _seq_pq,
@@ -25,6 +24,8 @@ from exact_references import (
     expansion_add,
     expansion_scale,
     laplacian_pass,
+    poly_add,
+    poly_scale,
 )
 from kernel_fixtures import RAW_H2
 
