@@ -10,8 +10,12 @@ n-th Fourier coefficient
 The 2F1 terminates at degree beta - 1 (``fourier_poly``), so after r^|n|
 the coefficient is exact over the rationals; ``radial_factor`` sums it over
 the bands of an expansion.  Its n = 0 case p(s) = sum_j C(beta - 1, j)^2 s^j
-is the integral mean of t^(2 beta - 1) / |1-z|^(2 beta).  Both polynomials
-are evaluated by Horner's rule, with no fresh power of t per monomial.
+is the integral mean of t^(2 beta - 1) / |1-z|^(2 beta).  Its coefficients
+are integers.  Horner's rule runs in integers over one common denominator:
+with s = m / d and t = (d - m) / d, each band and each Fourier polynomial is
+an integer Horner sum over a power of d (and the lcm of the kernel's
+denominators), the bands are added over one common denominator, and one
+Fraction is formed per multiplier, at the end.
 
 For F and H the same multipliers follow without the kernels, from the
 Dirichlet problem they solve (``dirichlet_factor``).  For data e^(i n theta)
@@ -26,8 +30,9 @@ Then D u = C z^n w, so w^-1 D u is analytic and D w^-1 D u = 0.  On
 phi'(1) = B(|n| + 1, gamma + 1).  So
 F (u = 1, -d_r u = 0) has multiplier 1 + |n| (phi(1) - phi(s)) / (2 phi'(1))
 and H (u = 0, -d_r u = 1) has (phi(1) - phi(s)) / (2 phi'(1)), times r^|n|:
-a polynomial of degree gamma + 1 in s, O(gamma) exact operations per
-harmonic.  The built kernels' ``radial_factor`` equals it exactly.
+a polynomial of degree gamma + 1 in s, O(gamma) integer operations per
+harmonic over the denominator lcm_j (|n|+j+1)(j+1) d^(gamma+1).  The built
+kernels' ``radial_factor`` equals it exactly.
 
 As r -> 1 the circular means of u = t^k / |1-z|^(2 beta) concentrate at
 z = 1: tested against a smooth function phi,
@@ -51,9 +56,10 @@ terms of an expansion, and the builder takes its boundary rows from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from .exact import LaurentPoly, Rational, binom
 from .operators import KernelExpansion, check_gamma, check_kind
@@ -74,53 +80,85 @@ class BoundaryData:
 
 def fourier_poly(beta: int, n: int) -> LaurentPoly:
     """C(|n| + beta - 1, |n|) 2F1(|n| + 1 - beta, 1 - beta; |n| + 1; s) as a
-    polynomial in s, of degree at most beta - 1 (beta >= 1)."""
+    polynomial in s, of degree at most beta - 1 (beta >= 1).
+
+    It is t^(2 beta - 1) times the integer series sum_k C(k + beta - 1, k)
+    C(k + |n| + beta - 1, k + |n|) s^k, so every coefficient is an int and
+    each step of the recurrence divides exactly."""
     n = abs(n)
     coeffs: LaurentPoly = {}
-    c = Fraction(binom(n + beta - 1, n))
+    c = binom(n + beta - 1, n)
     for j in range(beta):
         if not c:
             break
         coeffs[j] = c
-        c = c * (n + 1 - beta + j) * (1 - beta + j) / ((n + 1 + j) * (j + 1))
+        c = c * (n + 1 - beta + j) * (1 - beta + j) // ((n + 1 + j) * (j + 1))
     return coeffs
 
 
-def _horner(poly: LaurentPoly, x: Fraction, low: int) -> Fraction:
-    """sum_k poly[k] x^(k - low) by Horner's rule, for poly's exponents k >= low."""
-    total = Fraction(0)
-    for k in range(max(poly, default=low), low - 1, -1):
-        total = total * x + poly.get(k, 0)
+def _horner(coeffs: Sequence[int], x: int, y: int) -> int:
+    """sum_i coeffs[i] x^i y^(d - i), d = len(coeffs) - 1: the polynomial at
+    x / y times y^d, by Horner's rule in integers."""
+    total, power = 0, 1
+    for c in reversed(coeffs):
+        total = total * x + c * power
+        power *= y
     return total
 
 
 def radial_factor(kernel: KernelExpansion, n: int, s: Fraction) -> Fraction:
     """The kernel's n-th Fourier coefficient on |z| = r, divided by r^|n|,
-    exactly as a function of s = r^2 < 1."""
-    t = 1 - s
-    total = Fraction(0)
+    exactly as a function of s = r^2 < 1.
+
+    With s = m / d and t = (d - m) / d, band beta is
+    f_beta(t) t^(1 - 2 beta) P_beta(s) (``fourier_poly``).  Over the lcm of
+    the kernel's denominators, f_beta(t) / t^low is an integer Horner sum in
+    d - m over d^(high - low), and P_beta(s) one in m over d^deg; t^(low + 1
+    - 2 beta) adds a power of d - m above or below.  The bands are summed
+    over one common denominator, and one Fraction is formed at the end.
+    """
+    m, d = s.numerator, s.denominator
+    t = d - m
+    scale = math.lcm(*(c.denominator for poly in kernel.terms.values() for c in poly.values()))
+    bands = []
     for beta, poly in kernel.terms.items():
-        # f_beta(t) / t^(2 beta - 1), by Horner's rule from its lowest power
-        low = min(poly)
-        band = _horner(poly, t, low) * t ** (low - 2 * beta + 1)
-        total += band * _horner(fourier_poly(beta, n), s, 0)
-    return total
+        low, high = min(poly), max(poly)
+        coeffs = [poly.get(k, 0) for k in range(low, high + 1)]
+        band = _horner([c.numerator * (scale // c.denominator) for c in coeffs], t, d)
+        fourier = list(fourier_poly(beta, n).values())
+        # band * fourier * t^t_exp / (scale d^d_exp)
+        t_exp = low - 2 * beta + 1
+        bands.append((band * _horner(fourier, m, d), t_exp, high - 2 * beta + len(fourier)))
+    t_low = min([0, *(e for _, e, _ in bands)])
+    d_top = max([0, *(e for _, _, e in bands)])
+    total = sum(num * t ** (t_exp - t_low) * d ** (d_top - d_exp) for num, t_exp, d_exp in bands)
+    return Fraction(total, scale * d**d_top * t**-t_low)
 
 
 def dirichlet_factor(gamma: int, kind: str, n: int, s: Fraction) -> Fraction:
     """A + C phi_|n|(s): the n-th Fourier multiplier of F or H on |z| = r,
     divided by r^|n|, from the radial ODE, exactly as a function of
-    s = r^2 < 1.  Equal to ``radial_factor`` of the built kernel."""
+    s = r^2 < 1.  Equal to ``radial_factor`` of the built kernel.
+
+    With s = m / d, phi(1) - phi(s) is an integer over lcm d^(gamma + 1),
+    lcm = lcm_j (|n| + j + 1)(j + 1): the coefficients of phi times lcm are
+    integers a_j, and sum_j a_j m^j d^(gamma - j) is one Horner pass in m.
+    """
     check_gamma(gamma)
     check_kind(kind)
     n = abs(n)
-    m, base = (n, Fraction(1)) if kind == "F" else (1, Fraction(0))
-    if not m:
-        return base
-    a = {j: Fraction((-1) ** j * binom(gamma, j), (n + j + 1) * (j + 1)) for j in range(gamma + 1)}
-    # phi(1) - phi(s), and 1 / (2 phi'(1)) = (n + gamma + 1) C(n + gamma, n) / 2
-    drop = sum(a.values()) - s * _horner(a, s, 0)
-    return base + Fraction(m * (n + gamma + 1) * binom(n + gamma, n), 2) * drop
+    mult, base = (n, 1) if kind == "F" else (1, 0)
+    if not mult:
+        return Fraction(base)
+    m, d = s.numerator, s.denominator
+    lcm = math.lcm(*((n + j + 1) * (j + 1) for j in range(gamma + 1)))
+    a = [(-1) ** j * binom(gamma, j) * (lcm // ((n + j + 1) * (j + 1))) for j in range(gamma + 1)]
+    # phi(1) - phi(s) = drop / (lcm d^(gamma + 1))
+    top = d ** (gamma + 1)
+    drop = sum(a) * top - m * _horner(a, m, d)
+    # 1 / (2 phi'(1)) = (n + gamma + 1) C(n + gamma, n) / 2
+    den = 2 * lcm * top
+    return Fraction(base * den + mult * (n + gamma + 1) * binom(n + gamma, n) * drop, den)
 
 
 def term_boundary(beta: int, k: int) -> Tuple[int, int]:

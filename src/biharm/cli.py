@@ -22,6 +22,7 @@ document.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import multiprocessing
@@ -206,7 +207,10 @@ def _radius_grid(text: str) -> List[float]:
     return grid
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser as it was, and
+    # its five subparsers take about a millisecond each to build.
     parser = argparse.ArgumentParser(
         prog="biharm",
         description="Exact kernel pair of the weighted biharmonic Dirichlet "

@@ -24,7 +24,8 @@ per multiplier.  ``integral_mean`` takes them from the kernel it is given
 (``boundary.radial_factor``).  ``solve_dirichlet`` takes those of F and H
 from the radial ODE (``boundary.dirichlet_factor``), so it builds no
 kernel; its solution for trigonometric boundary data is a finite sum of
-data coefficients times multipliers.
+data coefficients times multipliers, with one exact multiplier and one
+rounding per (kind, |n|), shared by the harmonics n and -n.
 
 Only the L1 norm, where |K| is not linear in K, is a quadrature.  On
 |z| = r the kernel is P_r(q) / q^B in q = |1 - z|^2, and a float r is a
@@ -415,8 +416,8 @@ def solve_dirichlet(
     two circular convolutions with the F and H kernels at radius p.r, that
     is, sum_n [f0(n) F_r(n) + f1(n) H_r(n)] e^(i n theta).  The kernels'
     exact Fourier multipliers come from the radial ODE
-    (``boundary.dirichlet_factor``), so no kernel is built.  Real
-    (conjugate-symmetric) data produces a real value.
+    (``boundary.dirichlet_factor``), so no kernel is built; n and -n
+    share one.  Real (conjugate-symmetric) data produces a real value.
     """
     check_gamma(gamma)
     for n, c in (*f0.items(), *f1.items()):
@@ -427,8 +428,10 @@ def solve_dirichlet(
     s = Fraction(p.r) ** 2
     u = 0.0 + 0.0j
     for kind, data in (("F", f0), ("H", f1)):
+        # One multiplier per |n|, shared by n and -n.  r^|n| in float keeps
+        # the exact part's cost independent of |n|.
+        harmonics = {abs(n) for n in data}
+        multiplier = {m: p.r**m * float(dirichlet_factor(gamma, kind, m, s)) for m in harmonics}
         for n, c in data.items():
-            # r^|n| in float keeps the exact part's cost independent of |n|.
-            multiplier = p.r ** abs(n) * float(dirichlet_factor(gamma, kind, n, s))
-            u += c * multiplier * cmath.exp(1j * n * p.theta)
+            u += c * multiplier[abs(n)] * cmath.exp(1j * n * p.theta)
     return float(u.real)

@@ -18,15 +18,19 @@ one-term expansions), ``boundary.fourier_poly`` and the two biharmonic
 passes of ``operators`` against a second derivation.
 ``expansion_add`` and ``expansion_scale`` form linear combinations of
 kernel expansions, such as the paper's unnormalized weight-two solutions.
+``fraction_fourier_poly``, ``fraction_radial_factor`` and
+``fraction_dirichlet_factor`` are the exact Fourier multipliers of
+``boundary`` in ``Fraction`` arithmetic, one rational operation per Horner
+step: the oracles of its integer forms.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
-from biharm.boundary import BoundaryData, fourier_poly
+from biharm.boundary import BoundaryData
 from biharm.exact import ZERO, LaurentPoly, binom
-from biharm.operators import KernelExpansion, make_expansion
+from biharm.operators import KernelExpansion, check_gamma, check_kind, make_expansion
 
 
 def poly_from_terms(terms: Sequence[Tuple[int, Fraction | int]]) -> LaurentPoly:
@@ -178,4 +182,56 @@ def integral_means_poly(beta: int) -> IntegralMeansPoly:
     """Exact integral-means polynomial p(s) for t^(2 beta - 1)/|1-z|^(2 beta)."""
     if beta < 2:
         raise ValueError(f"integral_means_poly requires beta >= 2, got {beta}")
-    return IntegralMeansPoly(beta=beta, poly=fourier_poly(beta, 0))
+    return IntegralMeansPoly(beta=beta, poly=fraction_fourier_poly(beta, 0))
+
+
+# ---------------------------------------------------------------------------
+# Fourier multipliers in Fraction arithmetic
+
+
+def fraction_fourier_poly(beta: int, n: int) -> LaurentPoly:
+    """C(|n| + beta - 1, |n|) 2F1(|n| + 1 - beta, 1 - beta; |n| + 1; s) as a
+    polynomial in s with ``Fraction`` coefficients (beta >= 1)."""
+    n = abs(n)
+    coeffs: LaurentPoly = {}
+    c = Fraction(binom(n + beta - 1, n))
+    for j in range(beta):
+        if not c:
+            break
+        coeffs[j] = c
+        c = c * (n + 1 - beta + j) * (1 - beta + j) / ((n + 1 + j) * (j + 1))
+    return coeffs
+
+
+def _fraction_horner(poly: LaurentPoly, x: Fraction, low: int) -> Fraction:
+    """sum_k poly[k] x^(k - low) by Horner's rule, for poly's exponents k >= low."""
+    total = Fraction(0)
+    for k in range(max(poly, default=low), low - 1, -1):
+        total = total * x + poly.get(k, 0)
+    return total
+
+
+def fraction_radial_factor(kernel: KernelExpansion, n: int, s: Fraction) -> Fraction:
+    """The kernel's n-th Fourier coefficient on |z| = r, divided by r^|n|,
+    with one ``Fraction`` operation per Horner step."""
+    t = 1 - s
+    total = Fraction(0)
+    for beta, poly in kernel.terms.items():
+        low = min(poly)
+        band = _fraction_horner(poly, t, low) * t ** (low - 2 * beta + 1)
+        total += band * _fraction_horner(fraction_fourier_poly(beta, n), s, 0)
+    return total
+
+
+def fraction_dirichlet_factor(gamma: int, kind: str, n: int, s: Fraction) -> Fraction:
+    """A + C phi_|n|(s), the multiplier of F or H from the radial ODE, with
+    one ``Fraction`` operation per Horner step."""
+    check_gamma(gamma)
+    check_kind(kind)
+    n = abs(n)
+    m, base = (n, Fraction(1)) if kind == "F" else (1, Fraction(0))
+    if not m:
+        return base
+    a = {j: Fraction((-1) ** j * binom(gamma, j), (n + j + 1) * (j + 1)) for j in range(gamma + 1)}
+    drop = sum(a.values()) - s * _fraction_horner(a, s, 0)
+    return base + Fraction(m * (n + gamma + 1) * binom(n + gamma, n), 2) * drop

@@ -18,7 +18,15 @@ from biharm.conjecture import conjectured_kernel
 from biharm.exact import binom
 from biharm.numeric import integral_mean
 from biharm.operators import make_expansion
-from exact_references import ab_sums, integral_means_poly, poly_eval, poly_mul
+from exact_references import (
+    ab_sums,
+    fraction_dirichlet_factor,
+    fraction_fourier_poly,
+    fraction_radial_factor,
+    integral_means_poly,
+    poly_eval,
+    poly_mul,
+)
 from kernel_fixtures import RAW_F2, RAW_H2
 
 
@@ -115,11 +123,16 @@ def direct_radial_factor(kernel, n, s):
     t = 1 - s
     return sum(
         (
-            poly_eval(poly, t) / t ** (2 * beta - 1) * poly_eval(fourier_poly(beta, n), s)
+            poly_eval(poly, t) / t ** (2 * beta - 1) * poly_eval(fraction_fourier_poly(beta, n), s)
             for beta, poly in kernel.terms.items()
         ),
         Fraction(0),
     )
+
+
+# s = 0, two rationals with odd denominators, and the dyadic s of two float radii
+ORACLE_S = (Fraction(0), Fraction(1, 3), Fraction(99, 100), Fraction(0.3) ** 2, Fraction(0.999) ** 2)
+ORACLE_N = (0, 1, 5, 17)  # each also as -n
 
 
 @pytest.mark.parametrize(
@@ -127,15 +140,40 @@ def direct_radial_factor(kernel, n, s):
     [
         conjectured_kernel(7, "F"),
         conjectured_kernel(16, "H"),
-        # gaps between exponents, a band starting below 2 beta - 1, no band 2
+        # gaps between exponents, a band starting below 2 beta - 1 (a power
+        # of t in the denominator), no band 2
         make_expansion(1, {1: {0: Fraction(2, 7), 3: Fraction(1, 3)}, 3: {4: Fraction(-5, 4), 9: Fraction(1, 9)}}),
     ],
 )
 def test_radial_factor_horner_matches_direct_sum(kernel):
     for n in (0, 1, -2, 5):
-        for r in (0.0, 0.3, 0.99, 0.999):
-            s = Fraction(r) ** 2
-            assert radial_factor(kernel, n, s) == direct_radial_factor(kernel, n, s), (n, r)
+        for s in ORACLE_S + (Fraction(0.99) ** 2,):
+            got = radial_factor(kernel, n, s)
+            assert got == direct_radial_factor(kernel, n, s) == fraction_radial_factor(kernel, n, s), (n, s)
+
+
+@pytest.mark.parametrize("gamma", list(range(9)) + [24, 80])
+def test_integer_multipliers_equal_fraction_oracles(gamma):
+    # The integer Horner sums return the same rationals as one Fraction
+    # operation per step, for every denominator of s, not only powers of 2.
+    # The oracles take |n| themselves, so each runs once for n and -n.
+    for kind in "FH":
+        kernel = conjectured_kernel(gamma, kind)
+        for n in ORACLE_N:
+            for s in ORACLE_S:
+                radial = fraction_radial_factor(kernel, n, s)
+                ode = fraction_dirichlet_factor(gamma, kind, n, s)
+                for sign in (1, -1):
+                    assert radial_factor(kernel, sign * n, s) == radial, (kind, sign * n, s)
+                    assert dirichlet_factor(gamma, kind, sign * n, s) == ode, (kind, sign * n, s)
+
+
+def test_fourier_poly_has_int_coefficients():
+    for beta in range(1, 41):
+        for n in range(-12, 13):
+            poly = fourier_poly(beta, n)
+            assert poly == fraction_fourier_poly(beta, n), (beta, n)
+            assert all(type(c) is int for c in poly.values()), (beta, n)
 
 
 @pytest.mark.parametrize("gamma", list(range(13)) + [24])

@@ -3,12 +3,16 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
 import pytest
 
+import biharm
 import biharm.cli as cli
 from biharm import __version__
 from biharm.builder import KernelSpec, build
@@ -291,3 +295,36 @@ def test_math_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "l1_norm", boom)
     assert main(["l1check", "--gamma", "0", "--kernel", "F", "--r-grid", "0.5"]) == 1
     assert "quadrature fell over" in capsys.readouterr().err
+
+
+def _separate_run(argv):
+    """main(argv) in a fresh interpreter: (exit code, stdout, stderr)."""
+    src = str(Path(biharm.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "biharm.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=False,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_repeated_main_calls_match_separate_runs(capsys):
+    # main builds its parser once per process; a usage error in between
+    # must leave later calls as they would be in a process of their own.
+    means = ["means", "--gamma", "2", "--kernel", "H", "--r-grid", "0.5,0.9"]
+    usage = ["means", "--gamma", "0", "--kernel", "F", "--r-grid", ","]
+    l1check = ["l1check", "--gamma", "0", "--kernel", "F", "--r-grid", "0.5,0.9"]
+    in_process = []
+    for argv in (means, usage, l1check, means):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in in_process] == [0, 2, 0, 0]
+    assert in_process[3] == in_process[0]
+    for argv, got in zip((means, usage, l1check), in_process):
+        assert got == _separate_run(argv), argv

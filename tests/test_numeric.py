@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import biharm.boundary
 import biharm.builder
 import biharm.numeric
 import biharm.operators
@@ -28,7 +29,7 @@ from biharm.numeric import (
     values_at,
 )
 from biharm.operators import make_expansion
-from exact_references import expansion_scale, integral_means_poly, poly_eval
+from exact_references import expansion_scale, fraction_dirichlet_factor, integral_means_poly, poly_eval
 from fd_oracle import StencilOutOfDomainError, fd_biharmonic_residual
 from l1_oracle import l1_reference
 
@@ -690,6 +691,33 @@ def test_dirichlet_is_bit_identical_to_kernel_route(gamma):
         f1 = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in rng.sample(range(-6, 7), 3)}
         p = DiscPoint(r=rng.choice([0.0, 0.5, 0.9, 0.99, 0.999]), theta=rng.uniform(-math.pi, math.pi))
         assert solve_dirichlet(gamma, f0, f1, p) == _kernel_route_solve(gamma, f0, f1, p), (f0, f1, p)
+
+
+@pytest.mark.parametrize("gamma", [0, 3, 16])
+def test_dirichlet_shares_multipliers_between_n_and_minus_n(gamma, monkeypatch):
+    # n and -n carry different coefficients but one multiplier, computed
+    # once per (kind, |n|); the sum equals a per-harmonic loop over the
+    # Fraction oracle, operation for operation.
+    f0 = {0: 0.5, 1: 0.25 + 0.5j, -1: -0.75, 3: 0.1j, -3: 0.3 - 0.2j, 4: 0.05}
+    f1 = {0: 0.3, 2: 0.2j, -2: -0.6 + 0.1j, -5: 0.4}
+    calls = []
+
+    def counted(gamma, kind, n, s):
+        calls.append((kind, n))
+        return biharm.boundary.dirichlet_factor(gamma, kind, n, s)
+
+    monkeypatch.setattr(biharm.numeric, "dirichlet_factor", counted)
+    for r in (0.0, 0.5, 0.999):
+        p = DiscPoint(r=r, theta=0.7)
+        s = Fraction(r) ** 2
+        want = 0.0 + 0.0j
+        for kind, data in (("F", f0), ("H", f1)):
+            for n, c in data.items():
+                multiplier = r ** abs(n) * float(fraction_dirichlet_factor(gamma, kind, n, s))
+                want += c * multiplier * cmath.exp(1j * n * p.theta)
+        calls.clear()
+        assert solve_dirichlet(gamma, f0, f1, p) == float(want.real), r
+        assert sorted(calls) == [("F", 0), ("F", 1), ("F", 3), ("F", 4), ("H", 0), ("H", 2), ("H", 5)]
 
 
 def test_dirichlet_validates_gamma_and_harmonics():
