@@ -178,13 +178,21 @@ def term_boundary(beta: int, k: int) -> Tuple[int, int]:
 
 
 def expansion_boundary(u: KernelExpansion) -> BoundaryData:
-    """Boundary data of a banded expansion, by linearity over its terms."""
-    a = Fraction(0)
-    b = Fraction(0)
+    """Boundary data of a banded expansion, by linearity over its terms.
+
+    Only the terms k = 2 beta - 1 and k = 2 beta of a band carry data, so
+    only those are read, once the band's least exponent has passed
+    ``term_boundary``'s check.  Their sum runs in integers over the lcm of
+    their denominators, and one Fraction is formed per field."""
+    terms = []
     for beta, poly in u.terms.items():
-        for k, coeff in poly.items():
-            ta, tb = term_boundary(beta, k)
-            if ta or tb:
-                a += ta * coeff
-                b += tb * coeff
-    return BoundaryData(a=a, b=b)
+        if poly:
+            term_boundary(beta, min(poly))  # raises below k = 2 beta - 1
+        for k in (2 * beta - 1, 2 * beta):
+            coeff = poly.get(k)
+            if coeff:
+                terms.append((term_boundary(beta, k), coeff.numerator, coeff.denominator))
+    den = math.lcm(*(d for _, _, d in terms))
+    a = sum(ta * num * (den // d) for (ta, _), num, d in terms)
+    b = sum(tb * num * (den // d) for (_, tb), num, d in terms)
+    return BoundaryData(a=Fraction(a, den), b=Fraction(b, den))

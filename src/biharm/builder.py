@@ -13,12 +13,17 @@ biharmonic operator D w^-1 D, with distributional boundary data
      (band, exponent) pair of the image contributes one homogeneous exact
      linear equation, a sparse row of integers: the columns are generated
      by the closed monomial image, whose coefficients are integers.  Two
-     boundary rows follow, a = 1, b = 0 (F) or a = 0, b = 1 (H), since the
-     boundary pair (a, b) is linear in the coefficients
-     (``boundary.term_boundary``).  H's grid has no t^(2 beta - 1) term, so
-     its a-row is empty;
+     boundary rows follow, a and b, since the boundary pair (a, b) is
+     linear in the coefficients (``boundary.term_boundary``); each target
+     pair, (1, 0) for F and (0, 1) for H, is one right-hand side of them.
+     H's grid has no t^(2 beta - 1) term, so its a-row is empty;
   3. one solve: fraction-free forward elimination and back substitution
-     (``exact.solve_linear``) gives the normalized kernel directly.  The
+     (``exact.solve_linear``) gives each normalized kernel directly from
+     its own right-hand side.  ``build`` solves one kernel on its own grid.
+     ``build_pair`` solves both on F's grid, which holds H's: one
+     assembly and one elimination carry both right-hand sides, then one
+     back substitution per kernel, and H comes out zero on F's extra
+     columns, so it is the H ``build`` gives, down to ``repr``.  The
      columns are numbered along the grid diagonals delta = 2 beta - k: a
      column on diagonal delta reaches only image rows (band b, exponent e)
      with 2 b - e in delta + gamma + 2 .. delta + gamma + 4, and the
@@ -26,22 +31,22 @@ biharmonic operator D w^-1 D, with distributional boundary data
      block-banded, so the solver's fill-in and integer growth stay small
      (at gamma 80, widest intermediate integer 287 bits, against 12896 in
      (beta, k) order);
-  4. check: the solved kernel is biharmonic-zero by the generic
+  4. check: each solved kernel is biharmonic-zero by the generic
      composition (``operators.biharmonic``), independent of the closed form
-     that assembled the rows, and has the target boundary pair.
+     that assembled the rows, and has its target boundary pair.
 
 The closed-form kernels lie on this tight grid, and the system is uniquely
 solvable for every gamma the closed-form sweep checks (gamma <= 80): the
 image rows leave exactly the span of F and H, and the boundary rows pick
-one point of it.  A system without a unique solution is therefore a
-defect, not a case to retry: the build raises ``RuntimeError`` naming gamma
-and kind.
+one point of it per right-hand side.  A system without a unique solution
+is therefore a defect, not a case to retry: the build raises
+``RuntimeError`` naming gamma and kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .boundary import expansion_boundary, term_boundary
 from .exact import LaurentPoly, RationalLinearSystem, solve_linear
@@ -88,15 +93,16 @@ def ansatz_grid(spec: KernelSpec) -> Dict[int, List[int]]:
 
 
 def assemble_system(
-    spec: KernelSpec, grid: Dict[int, List[int]]
+    gamma: int, grid: Dict[int, List[int]], targets: Sequence[Tuple[int, int]]
 ) -> Tuple[List[Tuple[int, int]], RationalLinearSystem]:
-    """Linear system for the kernel of spec over the grid unknowns.
+    """Linear system for the kernels at gamma over the grid unknowns, one
+    right-hand side per boundary pair (a, b) in targets.
 
     Returns the column labels (beta, k) in diagonal order, ascending in
     (2 beta - k, beta), together with the system.  Its rows are the (band,
     exponent) pairs of the image space, each a sparse ``{column: int}`` row
-    with right-hand side 0, then the a-row and the b-row, whose right-hand
-    sides are spec's boundary pair.
+    with zero right-hand sides, then the a-row and the b-row, whose
+    right-hand sides are the targets' a and b.
 
     ``monomial_image`` sends the column t^k / |1-z|^(2 beta) on diagonal
     delta = 2 beta - k to the rows (b, e) with 2 b - e = delta + gamma + 2,
@@ -114,41 +120,57 @@ def assemble_system(
     boundary_rows: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
     for j, (beta, k) in enumerate(columns):
         # A column's image lands in distinct bands, so no entry is written twice.
-        for band, img in monomial_image(spec.gamma, beta, k).items():
+        for band, img in monomial_image(gamma, beta, k).items():
             for e, c in img.items():
                 coeff.setdefault((band, e), {})[j] = c
         for row, c in zip(boundary_rows, term_boundary(beta, k)):
             if c:
                 row[j] = c
 
-    rows = [(coeff[key], 0) for key in sorted(coeff)]
-    rows += zip(boundary_rows, BOUNDARY_TARGETS[spec.kind])
+    zeros = (0,) * len(targets)
+    rows = [(coeff[key], zeros) for key in sorted(coeff)]
+    rows += zip(boundary_rows, zip(*targets))
     return columns, RationalLinearSystem(rows=rows, unknowns=len(columns))
 
 
-def build(spec: KernelSpec) -> KernelExpansion:
-    """The normalized kernel for spec: boundary (1,0) for F, (0,1) for H."""
-    columns, system = assemble_system(spec, ansatz_grid(spec))
-    values = solve_linear(system)
-    if values is None:
+def _solve(spec: KernelSpec, kinds: Sequence[str]) -> Tuple[KernelExpansion, ...]:
+    """The normalized kernels of kinds at spec.gamma, from one assembly and
+    one solve on spec's grid, one boundary right-hand side per kind.  Each
+    kernel comes from its own right-hand side and gets its own check."""
+    gamma = spec.gamma
+    columns, system = assemble_system(
+        gamma, ansatz_grid(spec), [BOUNDARY_TARGETS[kind] for kind in kinds]
+    )
+    solutions = solve_linear(system)
+    if solutions is None:
         raise RuntimeError(
             f"no unique biharmonic-zero expansion on the tight grid "
-            f"(gamma={spec.gamma}, kind={spec.kind})"
+            f"(gamma={gamma}, kind={' and '.join(kinds)})"
         )
-    terms: Dict[int, LaurentPoly] = {}
-    # Bands and exponents ascend, whatever the solve's column order.
-    for (beta, k), v in sorted(zip(columns, values)):
-        terms.setdefault(beta, {})[k] = v
-    kernel = make_expansion(spec.gamma, terms)
-    bd = expansion_boundary(kernel)
-    if biharmonic(kernel) or (bd.a, bd.b) != BOUNDARY_TARGETS[spec.kind]:
-        raise RuntimeError(
-            f"internal error: solved expansion is not biharmonic-zero or misses "
-            f"its boundary pair (gamma={spec.gamma}, kind={spec.kind})"
-        )
-    return kernel
+    kernels = []
+    for kind, values in zip(kinds, solutions):
+        terms: Dict[int, LaurentPoly] = {}
+        # Bands and exponents ascend, whatever the solve's column order.
+        for (beta, k), v in sorted(zip(columns, values)):
+            terms.setdefault(beta, {})[k] = v
+        kernel = make_expansion(gamma, terms)
+        bd = expansion_boundary(kernel)
+        if biharmonic(kernel) or (bd.a, bd.b) != BOUNDARY_TARGETS[kind]:
+            raise RuntimeError(
+                f"internal error: solved expansion is not biharmonic-zero or misses "
+                f"its boundary pair (gamma={gamma}, kind={kind})"
+            )
+        kernels.append(kernel)
+    return tuple(kernels)
+
+
+def build(spec: KernelSpec) -> KernelExpansion:
+    """The normalized kernel for spec, on its own grid: boundary (1,0) for
+    F, (0,1) for H."""
+    return _solve(spec, (spec.kind,))[0]
 
 
 def build_pair(gamma: int) -> Tuple[KernelExpansion, KernelExpansion]:
-    """The normalized pair (F, H) at gamma."""
-    return build(KernelSpec(gamma=gamma, kind="F")), build(KernelSpec(gamma=gamma, kind="H"))
+    """The normalized pair (F, H) at gamma, from one elimination on F's
+    grid, which holds H's."""
+    return _solve(KernelSpec(gamma=gamma, kind="F"), ("F", "H"))

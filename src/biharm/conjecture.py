@@ -81,15 +81,23 @@ def solve_ck(gamma: int, kind: str) -> Tuple[Rational, ...]:
 
 
 def conjectured_kernel(gamma: int, kind: str) -> KernelExpansion:
-    """The expansion displayed above; make_expansion drops its zero entries."""
+    """The expansion displayed above; make_expansion drops its zero entries.
+
+    Each coefficient is one Fraction of integers, c_k's numerator times the
+    Pascal entry over c_k's denominator times the band's scale, so it is
+    normalized once: (-1)^k n C(n-k, k) C(n-2k, beta-1-k) over 2 (n-k) for
+    F (n = gamma + 1), (-1)^k C(gamma-k, k) C(gamma-2k, beta-1-k) over
+    2 beta for H.
+    """
     c = solve_ck(gamma, kind)
+    nums, dens = [ck.numerator for ck in c], [ck.denominator for ck in c]
     row = gamma + 1 if kind == "F" else gamma
     _, floor = grid_geometry(gamma, kind)
     terms: Dict[int, LaurentPoly] = {}
     for beta, lo in floor.items():
         scale = 2 if kind == "F" else 2 * beta
         terms[beta] = {
-            beta + gamma + 1 - k: c[k] * binom(row - 2 * k, beta - 1 - k) / scale
+            beta + gamma + 1 - k: Fraction(nums[k] * binom(row - 2 * k, beta - 1 - k), dens[k] * scale)
             for k in range(beta + gamma + 2 - lo)
         }
     return make_expansion(gamma, terms)

@@ -12,10 +12,12 @@ Everything downstream of this module is built from four ingredients:
     where they need them, on denominator-cleared ``int`` coefficients where
     they can.  The variable is written ``t`` throughout and in the kernel
     modules stands for ``t = 1 - x`` with ``x = |z|^2``;
-  * ``solve_linear`` — exact solving of a sparse integer linear system:
-    fraction-free forward elimination (each pivot row divided by its
-    content), then back substitution, the only step that forms rationals.
-    It returns the unique solution, or ``None`` when there is none;
+  * ``solve_linear`` — exact solving of a sparse integer linear system
+    with one or more right-hand sides, carried as extra columns of the
+    augmented rows: one fraction-free forward elimination (each pivot row
+    divided by its content), then one back substitution per right-hand
+    side, the only step that forms rationals.  It returns the unique
+    solution of each, or ``None`` when one has none;
   * ``bernstein_coefficients`` and ``isolate_roots`` — the real roots of an
     integer polynomial on an interval, isolated by de Casteljau bisection
     of its Bernstein form in integers.
@@ -71,35 +73,41 @@ def poly_shift(p: LaurentPoly, m: int) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class RationalLinearSystem:
-    """A list of exact linear equations over ``unknowns`` columns.
+    """A list of exact linear equations over ``unknowns`` columns, with one
+    or more right-hand sides.
 
-    Each equation is a sparse integer row ``{column: coefficient}`` with an
-    integer right-hand side; absent columns and zero entries stand for zero.
-    A system may have unknowns but no equations.
+    Each equation is a sparse integer row ``{column: coefficient}`` with a
+    tuple of integer right-hand sides, one per system to solve; every row's
+    tuple has the same length.  Absent columns and zero entries stand for
+    zero.  A system may have unknowns but no equations.
     """
 
-    rows: List[Tuple[Dict[int, int], int]]
+    rows: List[Tuple[Dict[int, int], Tuple[int, ...]]]
     unknowns: int
 
     def ncols(self) -> int:
         return self.unknowns
 
 
-def solve_linear(system: RationalLinearSystem) -> Optional[Tuple[Fraction, ...]]:
-    """The unique solution, by forward elimination in integers and back
-    substitution over the rationals; ``None`` if the system has no unique
-    solution: a column admits no pivot, or a leftover row reads 0 = b.
+def solve_linear(system: RationalLinearSystem) -> Optional[Tuple[Tuple[Fraction, ...], ...]]:
+    """The unique solution for each right-hand side, in their order, by
+    forward elimination in integers and back substitution over the
+    rationals; ``None`` if some right-hand side has no unique solution: a
+    column admits no pivot, or a leftover row reads 0 = b.
 
-    Columns are eliminated in index order, and within a column the pivot row
-    is the sparsest available row (ties broken by row index), which keeps
-    fill-in low on banded systems.  Fill-in and integer growth therefore
-    follow the caller's column numbering: a caller whose system is banded
-    in some order of its columns numbers them in that order (the builder
-    numbers its columns along the grid diagonals).
+    The right-hand sides ride along as extra columns ``ncols, ncols + 1,
+    ...`` of each sparse row, so a zero right-hand side stores nothing, and
+    one elimination serves them all.  Columns are eliminated in index order,
+    and within a column the pivot row is the sparsest available row (ties
+    broken by row index), which keeps fill-in low on banded systems.
+    Fill-in and integer growth therefore follow the caller's column
+    numbering: a caller whose system is banded in some order of its columns
+    numbers them in that order (the builder numbers its columns along the
+    grid diagonals).
 
     Elimination is fraction-free.  A row chosen as pivot is divided by its
-    content, the gcd of its entries and right-hand side; then, with pivot
-    entry p, row i's entry f and g = gcd(p, f), each update is
+    content, the gcd of its entries, right-hand sides included; then, with
+    pivot entry p, row i's entry f and g = gcd(p, f), each update is
     row_i <- (p/g) row_i - (f/g) pivot_row.  (Bareiss's exact division
     needs a fixed pivot sequence, which sparsest-row pivoting does not give.
     Removing the content once per pivot row, not after every update, spends
@@ -109,17 +117,21 @@ def solve_linear(system: RationalLinearSystem) -> Optional[Tuple[Fraction, ...]]
     ``Fraction``s.
     """
     ncols = system.ncols()
-    # Working copies of the rows and right-hand sides, plus a column index
-    # over the rows that have no pivot yet.
+    nrhs = len(system.rows[0][1]) if system.rows else 0
+    width = ncols + nrhs
+    # Working copies of the augmented rows, plus a column index over the
+    # rows that have no pivot yet.
     rows: List[Dict[int, int]] = []
-    rhs: List[int] = []
-    for coeffs, b in system.rows:
+    for coeffs, rhs in system.rows:
+        if len(rhs) != nrhs:
+            raise ValueError(f"a row has {len(rhs)} right-hand sides, the first has {nrhs}")
         for j in coeffs:
             if not 0 <= j < ncols:
                 raise ValueError(f"column index {j} out of range for {ncols} unknowns")
-        rows.append({j: c for j, c in coeffs.items() if c})
-        rhs.append(b)
-    occupancy: Dict[int, set] = {j: set() for j in range(ncols)}
+        row = {j: c for j, c in coeffs.items() if c}
+        row.update((ncols + r, b) for r, b in enumerate(rhs) if b)
+        rows.append(row)
+    occupancy: Dict[int, set] = {j: set() for j in range(width)}
     for i, row in enumerate(rows):
         for j in row:
             occupancy[j].add(i)
@@ -134,11 +146,10 @@ def solve_linear(system: RationalLinearSystem) -> Optional[Tuple[Fraction, ...]]
         prow = rows[p]
         for k in prow:
             occupancy[k].discard(p)
-        content = math.gcd(rhs[p], *prow.values())
+        content = math.gcd(*prow.values())
         if content > 1:
             for k in prow:
                 prow[k] //= content
-            rhs[p] //= content
         pivot = prow[j]
 
         # Eliminate column j from the rows that have no pivot yet.
@@ -158,34 +169,40 @@ def solve_linear(system: RationalLinearSystem) -> Optional[Tuple[Fraction, ...]]
                 else:
                     target.pop(k, None)
                     occupancy[k].discard(i)
-            rhs[i] = mult * rhs[i] - factor * rhs[p]
 
-    # A row never chosen as pivot is fully eliminated; a leftover right-hand
-    # side is a contradiction 0 = b.
-    pivoted = set(pivots)
-    if any(b for i, b in enumerate(rhs) if i not in pivoted):
+    # A row never chosen as pivot is eliminated down to its right-hand
+    # sides; one still holding an entry is a contradiction 0 = b.
+    if any(occupancy[k] for k in range(ncols, width)):
         return None
 
-    # Pivot row p of column j reads a_j x_j + sum_{k > j} a_k x_k = b, so the
-    # unknowns follow one by one from the last column down.  The sum is kept
-    # as num / den over a common denominator and reduced once, by the
-    # Fraction that becomes x_j.
-    x = [ZERO] * ncols
+    # Pivot row p of column j reads a_j x_j + sum_{k > j} a_k x_k = b_r.
+    # With x_(ncols + r) = -1 and the other right-hand-side columns 0, that
+    # is a_j x_j = -sum_{k != j} a_k x_k over the whole augmented row, so the
+    # unknowns of each right-hand side follow one by one from the last
+    # column down.  Each unknown is kept as an integer numerator and
+    # denominator; the sum is kept as num / den over a common denominator
+    # and reduced once, by the Fraction that becomes x_j.
+    nums = [[0] * ncols + [-1 if s == r else 0 for s in range(nrhs)] for r in range(nrhs)]
+    dens = [[1] * width for _ in range(nrhs)]
+    xs = [[ZERO] * ncols for _ in range(nrhs)]
     for j in reversed(range(ncols)):
-        p = pivots[j]
-        num, den = rhs[p], 1
-        for k, c in rows[p].items():
-            v = x[k]
-            if k != j and v:
-                vden = v.denominator
-                if vden == den:
-                    num -= c * v.numerator
-                else:
-                    g = math.gcd(den, vden)
-                    num = num * (vden // g) - c * v.numerator * (den // g)
-                    den *= vden // g
-        x[j] = Fraction(num, den * rows[p][j])
-    return tuple(x)
+        prow = rows[pivots[j]]
+        a = prow.pop(j)
+        for xnum, xden, x in zip(nums, dens, xs):
+            num, den = 0, 1
+            for k, c in prow.items():
+                vnum = xnum[k]
+                if vnum:
+                    vden = xden[k]
+                    if vden == den:
+                        num -= c * vnum
+                    else:
+                        g = math.gcd(den, vden)
+                        num = num * (vden // g) - c * vnum * (den // g)
+                        den *= vden // g
+            v = x[j] = Fraction(num, den * a)
+            xnum[j], xden[j] = v.numerator, v.denominator
+    return tuple(tuple(x) for x in xs)
 
 
 # ---------------------------------------------------------------------------

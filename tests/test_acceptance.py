@@ -3,7 +3,8 @@
 Run with `pytest -v tests/test_acceptance.py` to get one pass/fail line per
 item.  Setting BIHARM_ACCEPT_EXTENDED=1 widens the re-derivation sweep from
 gamma <= 40 to gamma <= 80 (about 4 s of exact arithmetic on a 2-core
-x86 machine with Python 3.11).
+x86 machine with Python 3.11), and checks build_pair against build at
+gamma 60 and 80 too.
 """
 
 import math
@@ -66,6 +67,20 @@ def test_ab_forms_expand_to_closed_forms():
         for kind in ("F", "H"):
             assert ab_expansion(gamma, kind) == conjectured_kernel(gamma, kind), (gamma, kind)
     print(f"ab-form-expansion: PASS (gamma<={gamma_max})")
+
+
+def test_build_pair_matches_build_at_high_gamma():
+    """build_pair == (build F, build H), down to repr, at gamma 40 by
+    default and also at 60 and 80 with BIHARM_ACCEPT_EXTENDED=1: the pair
+    solves H on F's grid, build on H's own."""
+    extended = bool(os.environ.get("BIHARM_ACCEPT_EXTENDED"))
+    gammas = (40, 60, 80) if extended else (40,)
+    for gamma in gammas:
+        pair = build_pair(gamma)
+        single = (build(KernelSpec(gamma=gamma, kind="F")), build(KernelSpec(gamma=gamma, kind="H")))
+        assert pair == single, gamma
+        assert repr(pair) == repr(single), gamma
+    print(f"pair-matches-build: PASS (gamma in {gammas})")
 
 
 def test_boundary_double_sums():

@@ -9,6 +9,7 @@ import biharm.builder
 import biharm.operators
 from biharm.boundary import BoundaryData, expansion_boundary
 from biharm.builder import (
+    BOUNDARY_TARGETS,
     KernelSpec,
     ansatz_grid,
     assemble_system,
@@ -28,22 +29,27 @@ A_ROW, B_ROW = -2, -1
 
 
 def builder_system(spec, targets=None, drop=None):
-    """spec's columns and system, with the boundary targets replaced by
-    ``targets`` and the boundary row ``drop`` left out, if given."""
-    columns, system = assemble_system(spec, ansatz_grid(spec))
+    """spec's columns and system on spec's grid, with one right-hand side
+    per boundary pair in ``targets`` (spec's own pair if not given), and
+    the boundary row ``drop`` left out, if given."""
+    if targets is None:
+        targets = (BOUNDARY_TARGETS[spec.kind],)
+    columns, system = assemble_system(spec.gamma, ansatz_grid(spec), targets)
     rows = list(system.rows)
-    if targets is not None:
-        rows[A_ROW:] = [(row, b) for (row, _), b in zip(rows[A_ROW:], targets)]
     if drop is not None:
         del rows[drop]
     return columns, RationalLinearSystem(rows=rows, unknowns=system.unknowns)
 
 
-def solved_expansion(spec, columns, system):
-    terms = {}
-    for (beta, k), v in zip(columns, solve_linear(system)):
-        terms.setdefault(beta, {})[k] = v
-    return make_expansion(spec.gamma, terms)
+def solved_expansions(spec, columns, system):
+    """One expansion per right-hand side of the system."""
+    expansions = []
+    for values in solve_linear(system):
+        terms = {}
+        for (beta, k), v in zip(columns, values):
+            terms.setdefault(beta, {})[k] = v
+        expansions.append(make_expansion(spec.gamma, terms))
+    return expansions
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +102,7 @@ def diagonal(column):
 def test_assemble_system_columns_in_diagonal_order():
     spec = KernelSpec(gamma=3, kind="F")
     grid = ansatz_grid(spec)
-    columns, system = assemble_system(spec, grid)
+    columns, system = assemble_system(spec.gamma, grid, (BOUNDARY_TARGETS["F"],))
     assert columns == sorted(columns, key=lambda col: (diagonal(col), col[0]))
     assert sorted(columns) == [(beta, k) for beta, ks in grid.items() for k in ks]
     assert system.ncols() == len(columns)
@@ -111,7 +117,7 @@ def test_system_is_banded_along_grid_diagonals(kind, gamma):
     # diagonal order the system is block-banded.  The boundary rows hold
     # only the diagonals 0 and 1 (k = 2 beta and k = 2 beta - 1).
     spec = KernelSpec(gamma=gamma, kind=kind)
-    columns, system = assemble_system(spec, ansatz_grid(spec))
+    columns, system = builder_system(spec)
     for column in columns:
         for band, img in biharm.operators.monomial_image(gamma, *column).items():
             for e in img:
@@ -134,19 +140,20 @@ def test_assemble_system_boundary_rows(kind, a_row, b_row):
     # Image rows are homogeneous; the last two rows are a and b at gamma 2,
     # with c = C(2 beta - 2, beta - 1): (c, -(beta - 1) c) at k = 2 beta - 1
     # and (0, 2 c) at k = 2 beta.  H's grid has no t^(2 beta - 1) term, so
-    # its a-row is empty.
+    # its a-row is empty.  Each target (a, b) is one right-hand side: the
+    # a-row carries the targets' a, the b-row their b.
     spec = KernelSpec(gamma=2, kind=kind)
-    columns, system = assemble_system(spec, ansatz_grid(spec))
-    assert all(b == 0 for _, b in system.rows[:A_ROW])
-    labelled = [({columns[j]: c for j, c in row.items()}, b) for row, b in system.rows[A_ROW:]]
-    targets = (1, 0) if kind == "F" else (0, 1)
-    assert labelled == list(zip((a_row, b_row), targets))
+    for targets in (((1, 0),) if kind == "F" else ((0, 1),), ((1, 0), (0, 1), (3, -5))):
+        columns, system = builder_system(spec, targets)
+        assert all(b == (0,) * len(targets) for _, b in system.rows[:A_ROW])
+        labelled = [({columns[j]: c for j, c in row.items()}, b) for row, b in system.rows[A_ROW:]]
+        assert labelled == list(zip((a_row, b_row), zip(*targets)))
 
 
 @pytest.mark.parametrize("gamma", range(0, 7))
 def test_h_system_is_determined(gamma):
     spec = KernelSpec(gamma=gamma, kind="H")
-    _, system = assemble_system(spec, ansatz_grid(spec))
+    _, system = builder_system(spec)
     assert solve_linear(system) is not None
 
 
@@ -158,7 +165,7 @@ def test_f_system_free_direction_is_h_top(gamma):
     # free along H; without its a-row, along F; without H's b-row, H's
     # homogeneous system has H as a free direction.
     f_spec, h_spec = KernelSpec(gamma=gamma, kind="F"), KernelSpec(gamma=gamma, kind="H")
-    assert (gamma + 1, 2 * gamma + 2) in assemble_system(f_spec, ansatz_grid(f_spec))[0]
+    assert (gamma + 1, 2 * gamma + 2) in builder_system(f_spec)[0]
     for spec in (f_spec, h_spec):
         assert solve_linear(builder_system(spec)[1]) is not None
     assert solve_linear(builder_system(f_spec, drop=A_ROW)[1]) is None
@@ -170,15 +177,19 @@ def test_f_system_free_direction_is_h_top(gamma):
 def test_normalized_f_independent_of_free_direction(gamma):
     # Moving F's b target to c moves the solution along H by exactly c·H:
     # what the boundary rows select is F + c·H, so the F they select with
-    # c = 0 does not depend on the free direction.  c = 1 gives F + H.
+    # c = 0 does not depend on the free direction.  c = 1 gives F + H, and
+    # the target (0, 1) on F's grid gives H.  All right-hand sides go
+    # through one solve.
     spec = KernelSpec(gamma=gamma, kind="F")
-    f, h = build_pair(gamma)
+    f, h = build(spec), build(KernelSpec(gamma=gamma, kind="H"))
     rng = random.Random(3000 + gamma)
     shifts = [1] + [rng.randint(2, 99) * rng.choice((1, -1)) for _ in range(3)]
-    for c in shifts:
-        solved = solved_expansion(spec, *builder_system(spec, targets=(1, c)))
-        assert solved == expansion_add(f, expansion_scale(c, h))
-        assert expansion_add(solved, expansion_scale(-c, h)) == f
+    targets = [(1, 0), (0, 1)] + [(1, c) for c in shifts]
+    solved = solved_expansions(spec, *builder_system(spec, targets))
+    assert solved[:2] == [f, h]
+    for c, shifted in zip(shifts, solved[2:]):
+        assert shifted == expansion_add(f, expansion_scale(c, h))
+        assert expansion_add(shifted, expansion_scale(-c, h)) == f
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +201,14 @@ def test_infeasible_system_fails_loudly(kind, monkeypatch):
     # No retry on another grid: an infeasible tight system is reported with
     # the gamma and kind it came from.
     monkeypatch.setattr(biharm.builder, "solve_linear", lambda system: None)
-    with pytest.raises(RuntimeError, match=f"gamma=3, kind={kind}"):
+    with pytest.raises(RuntimeError, match=f"gamma=3, kind={kind}\\)"):
         build(KernelSpec(gamma=3, kind=kind))
+
+
+def test_infeasible_pair_system_fails_loudly(monkeypatch):
+    monkeypatch.setattr(biharm.builder, "solve_linear", lambda system: None)
+    with pytest.raises(RuntimeError, match="no unique.*gamma=3, kind=F and H"):
+        build_pair(3)
 
 
 @pytest.mark.parametrize("kind", ("F", "H"))
@@ -205,13 +222,49 @@ def test_build_solves_once(kind, monkeypatch):
     monkeypatch.setattr(biharm.builder, "solve_linear", counted)
     assert build(KernelSpec(gamma=4, kind=kind)).terms == KNOWN_KERNELS[kind, 4]
     assert len(calls) == 1
+    assert all(b in ((0,), (1,)) for _, b in calls[0].rows)
+
+
+def test_build_pair_solves_once(monkeypatch):
+    # One elimination on F's grid carries both boundary right-hand sides,
+    # (1, 0) for F and (0, 1) for H.
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return solve_linear(system)
+
+    monkeypatch.setattr(biharm.builder, "solve_linear", counted)
+    f, h = build_pair(4)
+    assert (f.terms, h.terms) == (KNOWN_KERNELS["F", 4], KNOWN_KERNELS["H", 4])
+    assert len(calls) == 1
+    (system,) = calls
+    assert system.ncols() == sum(map(len, ansatz_grid(KernelSpec(gamma=4, kind="F")).values()))
+    assert all(len(b) == 2 for _, b in system.rows)
+    assert [b for _, b in system.rows[A_ROW:]] == [(1, 0), (0, 1)]
+
+
+@pytest.mark.parametrize("index, kind", ((0, "F"), (1, "H")))
+def test_build_pair_checks_each_kernel(index, kind, monkeypatch):
+    # Each kernel of the pair gets build's checks: doubling one solution
+    # misses that kernel's boundary pair, and the error names its kind.
+    def doubled(system):
+        solutions = list(solve_linear(system))
+        solutions[index] = tuple(2 * v for v in solutions[index])
+        return tuple(solutions)
+
+    monkeypatch.setattr(biharm.builder, "solve_linear", doubled)
+    with pytest.raises(RuntimeError, match=f"internal error.*gamma=2, kind={kind}\\)"):
+        build_pair(2)
 
 
 def test_build_rejects_a_solution_off_the_b_row(monkeypatch):
     # A solution of the image rows alone, 2 H, misses the b-row: the build
     # checks every row of its system and raises instead of returning it.
     monkeypatch.setattr(
-        biharm.builder, "solve_linear", lambda system: tuple(2 * v for v in solve_linear(system))
+        biharm.builder,
+        "solve_linear",
+        lambda system: tuple(tuple(2 * v for v in x) for x in solve_linear(system)),
     )
     with pytest.raises(RuntimeError, match="internal error.*gamma=2, kind=H"):
         build(KernelSpec(gamma=2, kind="H"))
@@ -221,13 +274,14 @@ def test_build_rejects_a_solution_off_the_image_rows(monkeypatch):
     # A solution that meets both boundary rows but not the image rows: F
     # with 1 added at t^4 / |1-z|^2, a term with no boundary data.
     spec = KernelSpec(gamma=2, kind="F")
-    columns, _ = assemble_system(spec, ansatz_grid(spec))
+    columns, _ = builder_system(spec)
     j = columns.index((1, 4))
 
     def off_image(system):
-        values = list(solve_linear(system))
+        (values,) = solve_linear(system)
+        values = list(values)
         values[j] += 1
-        return tuple(values)
+        return (tuple(values),)
 
     monkeypatch.setattr(biharm.builder, "solve_linear", off_image)
     with pytest.raises(RuntimeError, match="internal error.*gamma=2, kind=F"):
@@ -343,7 +397,9 @@ def test_h_kernel_values_at_origin(gamma):
 
 @pytest.mark.parametrize("gamma", range(0, 9))
 def test_build_pair_matches_build(gamma):
-    assert build_pair(gamma) == (
-        build(KernelSpec(gamma=gamma, kind="F")),
-        build(KernelSpec(gamma=gamma, kind="H")),
-    )
+    # H solved on F's grid is H solved on its own, down to repr: the same
+    # bands, exponents and Fractions in the same order.
+    pair = build_pair(gamma)
+    single = (build(KernelSpec(gamma=gamma, kind="F")), build(KernelSpec(gamma=gamma, kind="H")))
+    assert pair == single
+    assert repr(pair) == repr(single)

@@ -116,20 +116,24 @@ def test_gen_json_round_trips(capsys):
     assert doc["provenance"]["checks_passed"] == ["biharmonic-zero", "boundary-exact"]
 
 
-# SHA-256 of `biharm gen --gamma 24 --kernel K --format json`, recorded with
-# the rational-arithmetic solver that the integer one replaced: the
-# documents must not change by a byte.
-GEN_24_SHA256 = {
-    "F": "36ada26d7a8293294796087f40655f4a87236346e60f419eb762817d6fde4ec0",
-    "H": "866163f4dacaf5da64148f741cf067ff382a496c3087f8f0da5331786eb3376d",
+# SHA-256 of `biharm gen --gamma G --kernel K --format json`.  The gamma 24
+# digests were recorded with the rational-arithmetic solver that the integer
+# one replaced, the gamma 80 ones before the pair shared one elimination:
+# the documents must not change by a byte.
+GEN_JSON_SHA256 = {
+    (24, "F"): "36ada26d7a8293294796087f40655f4a87236346e60f419eb762817d6fde4ec0",
+    (24, "H"): "866163f4dacaf5da64148f741cf067ff382a496c3087f8f0da5331786eb3376d",
+    (80, "F"): "a652c917eb3455bf6a221105939555a9988abc4930b039edb3f42b7080eca328",
+    (80, "H"): "cc7eade4cf056e05678b41b778d84489f6d6d430c325eca6375cf1131b8896cc",
 }
 
 
 @pytest.mark.parametrize("kind", ("F", "H"))
 def test_gen_json_bytes_pinned(kind, capsys):
-    assert main(["gen", "--gamma", "24", "--kernel", kind, "--format", "json"]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == GEN_24_SHA256[kind]
+    for gamma in (24, 80):
+        assert main(["gen", "--gamma", str(gamma), "--kernel", kind, "--format", "json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == GEN_JSON_SHA256[gamma, kind], gamma
 
 
 def test_gen_latex_golden(capsys):

@@ -1,11 +1,12 @@
 """Tests for the exact polynomial ring and the rational linear solver."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from biharm.builder import KernelSpec, ansatz_grid, assemble_system
+from biharm.builder import BOUNDARY_TARGETS, KernelSpec, ansatz_grid, assemble_system
 from biharm.exact import (
     RationalLinearSystem,
     bernstein_coefficients,
@@ -150,9 +151,9 @@ def test_derivations_satisfy_leibniz(d):
 
 
 def sparse(dense_rows):
-    """A system from dense (coefficients, rhs) rows, zeros left out."""
+    """A system from dense (coefficients, right-hand sides) rows, zeros left out."""
     ncols = len(dense_rows[0][0]) if dense_rows else 0
-    rows = [({j: c for j, c in enumerate(vec) if c}, b) for vec, b in dense_rows]
+    rows = [({j: c for j, c in enumerate(vec) if c}, tuple(rhs)) for vec, rhs in dense_rows]
     return RationalLinearSystem(rows=rows, unknowns=ncols)
 
 
@@ -160,43 +161,82 @@ def apply_rows(system, vec):
     return [sum((c * vec[j] for j, c in row.items()), Fraction(0)) for row, _ in system.rows]
 
 
-def residual(system, vec):
-    return [lhs - rhs for lhs, (_, rhs) in zip(apply_rows(system, vec), system.rows)]
+def residual(system, vec, r=0):
+    """Row residuals of vec against right-hand side r."""
+    return [lhs - rhs[r] for lhs, (_, rhs) in zip(apply_rows(system, vec), system.rows)]
 
 
 def test_solve_unique():
-    system = RationalLinearSystem(rows=[({0: 2, 1: 1}, 5), ({0: 1, 1: -1}, 1)], unknowns=2)
-    assert solve_linear(system) == (Fraction(2), Fraction(1))
+    system = RationalLinearSystem(rows=[({0: 2, 1: 1}, (5,)), ({0: 1, 1: -1}, (1,))], unknowns=2)
+    assert solve_linear(system) == ((Fraction(2), Fraction(1)),)
+
+
+def test_solve_unique_several_right_hand_sides():
+    # One solution per right-hand side, in their order; a zero right-hand
+    # side solves to zeros.
+    rows = [({0: 2, 1: 1}, (5, 0, 1)), ({0: 1, 1: -1}, (1, 0, 2))]
+    assert solve_linear(RationalLinearSystem(rows=rows, unknowns=2)) == (
+        (Fraction(2), Fraction(1)),
+        (Fraction(0), Fraction(0)),
+        (Fraction(1), Fraction(-1)),
+    )
 
 
 def test_solve_infeasible():
-    system = RationalLinearSystem(rows=[({0: 1, 1: 1}, 1), ({0: 1, 1: 1}, 2)], unknowns=2)
+    system = RationalLinearSystem(rows=[({0: 1, 1: 1}, (1,)), ({0: 1, 1: 1}, (2,))], unknowns=2)
     assert solve_linear(system) is None
+
+
+def test_solve_one_infeasible_right_hand_side():
+    # Consistent for the first and third right-hand side, not for the
+    # second: the system as a whole has no solution.
+    rows = [({0: 1, 1: 1}, (1, 1, 0)), ({0: 1, 1: 1}, (1, 2, 0)), ({0: 1, 1: -1}, (1, 0, 0))]
+    assert solve_linear(RationalLinearSystem(rows=rows, unknowns=2)) is None
+    consistent = [(row, (b[0], b[2])) for row, b in rows]
+    assert solve_linear(RationalLinearSystem(rows=consistent, unknowns=2)) == (
+        (Fraction(1), Fraction(0)),
+        (Fraction(0), Fraction(0)),
+    )
 
 
 def test_solve_zero_row_contradiction():
     # An empty row and a row of explicit zeros both read 0 = 1.
     for row in ({}, {0: 0, 1: 0}):
-        system = RationalLinearSystem(rows=[({0: 1}, 1), ({1: 1}, 1), (row, 1)], unknowns=2)
+        system = RationalLinearSystem(
+            rows=[({0: 1}, (1,)), ({1: 1}, (1,)), (row, (1,))], unknowns=2
+        )
         assert solve_linear(system) is None
 
 
 def test_solve_parametric_free_column_is_last():
     # One equation, two unknowns: no unique solution.
-    system = RationalLinearSystem(rows=[({0: 1, 1: 1}, 3)], unknowns=2)
+    system = RationalLinearSystem(rows=[({0: 1, 1: 1}, (3,))], unknowns=2)
     assert solve_linear(system) is None
 
 
 def test_solve_ragged_rejected():
     # A column index outside 0 .. unknowns - 1 has no unknown to stand for.
     for row in ({2: 1}, {-1: 1}):
-        system = RationalLinearSystem(rows=[({0: 1}, 0), (row, 0)], unknowns=2)
+        system = RationalLinearSystem(rows=[({0: 1}, (0,)), (row, (0,))], unknowns=2)
         with pytest.raises(ValueError):
             solve_linear(system)
 
 
+def test_solve_ragged_right_hand_sides_rejected():
+    # Every row carries one entry per right-hand side.
+    for first, second in (((1,), (1, 2)), ((1, 2), (1,)), ((), (0,))):
+        system = RationalLinearSystem(rows=[({0: 1}, first), ({1: 1}, second)], unknowns=2)
+        with pytest.raises(ValueError, match="right-hand sides"):
+            solve_linear(system)
+
+
 def test_solve_empty_system():
+    # No rows: no right-hand sides, so no solutions.  A row with nothing
+    # on the left determines the empty vector, unless its right-hand side
+    # reads 0 = b.
     assert solve_linear(RationalLinearSystem(rows=[], unknowns=0)) == ()
+    assert solve_linear(RationalLinearSystem(rows=[({}, (0, 0))], unknowns=0)) == ((), ())
+    assert solve_linear(RationalLinearSystem(rows=[({}, (0, 1))], unknowns=0)) is None
 
 
 def test_solve_unconstrained_unknowns():
@@ -220,6 +260,18 @@ def rank(dense_rows, ncols):
     return r
 
 
+def consistent_rows(rng, n, m, points, den):
+    """m random integer rows over n unknowns, times den, with one
+    right-hand side per rational point in points: den times the row at the
+    point, an integer when den clears the point's denominators."""
+    rows = []
+    for _ in range(m):
+        row = [rng.randint(-3, 3) for _ in range(n)]
+        rhs = tuple(int(sum((c * v for c, v in zip(row, x0)), Fraction(0)) * den) for x0 in points)
+        rows.append(([c * den for c in row], rhs))
+    return rows
+
+
 def test_solve_random_consistent_systems():
     # Integer rows whose right-hand sides come from a rational point x0: the
     # solution exists, so it is returned exactly when the rows have full
@@ -231,18 +283,47 @@ def test_solve_random_consistent_systems():
         m = rng.randint(1, n + 2)
         den = rng.randint(1, 4)
         x0 = [Fraction(rng.randint(-4, 4), den) for _ in range(n)]
-        rows = []
-        for _ in range(m):
-            row = [rng.randint(-3, 3) for _ in range(n)]
-            rhs = sum((c * v for c, v in zip(row, x0)), Fraction(0)) * den
-            rows.append(([c * den for c in row], int(rhs)))
+        rows = consistent_rows(rng, n, m, [x0], den)
         sol = solve_linear(sparse(rows))
         if rank(rows, n) == n:
-            assert sol == tuple(x0)
+            assert sol == (tuple(x0),)
             unique += 1
         else:
             assert sol is None
     assert 0 < unique < 200
+
+
+def test_solve_random_several_right_hand_sides():
+    # One to three right-hand sides from rational points, zero points among
+    # them: each solution == the solve of its right-hand side alone, and
+    # is its point when the rows have full column rank.
+    rng = random.Random(1011)
+    unique = zeros = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, n + 2)
+        points, dens = [], []
+        for _ in range(rng.randint(1, 3)):
+            dens.append(rng.randint(1, 4))
+            scale = rng.choice((0, 1, 1, 1))
+            points.append([Fraction(scale * rng.randint(-4, 4), dens[-1]) for _ in range(n)])
+        rows = consistent_rows(rng, n, m, points, math.lcm(*dens))
+        system = sparse(rows)
+        sol = solve_linear(system)
+        alone = [
+            solve_linear(sparse([(vec, (rhs[r],)) for vec, rhs in rows]))
+            for r in range(len(points))
+        ]
+        if rank(rows, n) == n:
+            assert sol == tuple(tuple(x0) for x0 in points)
+            assert [(x,) for x in sol] == alone
+            unique += 1
+            zeros += sum(not any(x0) for x0 in points)
+        else:
+            assert sol is None
+            assert alone == [None] * len(points)
+    assert 0 < unique < 200
+    assert zeros > 0
 
 
 def test_solve_random_infeasible_systems():
@@ -251,7 +332,7 @@ def test_solve_random_infeasible_systems():
     for _ in range(200):
         n = rng.randint(1, 5)
         rows = [
-            ([rng.randint(-3, 3) for _ in range(n)], rng.randint(-3, 3))
+            ([rng.randint(-3, 3) for _ in range(n)], (rng.randint(-3, 3),))
             for _ in range(n + 2)
         ]
         system = sparse(rows)
@@ -259,13 +340,13 @@ def test_solve_random_infeasible_systems():
         if sol is None:
             hit += 1
         else:
-            assert not any(residual(system, sol))
+            assert not any(residual(system, sol[0]))
     assert hit > 0  # overdetermined random systems are usually inconsistent
 
 
 def test_solve_deterministic():
     rng = random.Random(1010)
-    rows = [([rng.randint(-3, 3) for _ in range(5)], rng.randint(-3, 3)) for _ in range(5)]
+    rows = [([rng.randint(-3, 3) for _ in range(5)], (rng.randint(-3, 3),)) for _ in range(5)]
     system = sparse(rows)
     assert solve_linear(system) == solve_linear(system)
 
@@ -283,17 +364,19 @@ def test_solve_builder_systems(kind, dropped, gamma):
     # row, the b-row, the kernel is free to move along H, so there is no
     # unique solution.
     spec = KernelSpec(gamma=gamma, kind=kind)
-    _, system = assemble_system(spec, ansatz_grid(spec))
+    _, system = assemble_system(gamma, ansatz_grid(spec), (BOUNDARY_TARGETS[kind],))
     if dropped:
         system = RationalLinearSystem(rows=system.rows[:-1], unknowns=system.unknowns)
-    assert all(type(c) is int for row, b in system.rows for c in (*row.values(), b))
+    assert all(type(c) is int for row, b in system.rows for c in (*row.values(), *b))
+    assert all(len(b) == 1 for _, b in system.rows)
     assert all(all(row.values()) for row, _ in system.rows)
     sol = solve_linear(system)
     if dropped:
         assert sol is None
     else:
-        assert len(sol) == system.ncols()
-        assert not any(residual(system, sol))
+        (x,) = sol
+        assert len(x) == system.ncols()
+        assert not any(residual(system, x))
 
 
 # ---------------------------------------------------------------------------
