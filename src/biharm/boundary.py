@@ -14,8 +14,8 @@ is the integral mean of t^(2 beta - 1) / |1-z|^(2 beta).  Its coefficients
 are integers.  Horner's rule runs in integers over one common denominator:
 with s = m / d and t = (d - m) / d, each band and each Fourier polynomial is
 an integer Horner sum over a power of d (and the lcm of the kernel's
-denominators), the bands are added over one common denominator, and one
-Fraction is formed per multiplier, at the end.
+denominators, scaled into the kernel's ``integer_bands`` once per kernel),
+and the bands are added over one common denominator.
 
 For F and H the same multipliers follow without the kernels, from the
 Dirichlet problem they solve (``dirichlet_factor``).  For data e^(i n theta)
@@ -32,7 +32,19 @@ F (u = 1, -d_r u = 0) has multiplier 1 + |n| (phi(1) - phi(s)) / (2 phi'(1))
 and H (u = 0, -d_r u = 1) has (phi(1) - phi(s)) / (2 phi'(1)), times r^|n|:
 a polynomial of degree gamma + 1 in s, O(gamma) integer operations per
 harmonic over the denominator lcm_j (|n|+j+1)(j+1) d^(gamma+1).  The built
-kernels' ``radial_factor`` equals it exactly.
+kernels' ``radial_factor`` equals it exactly.  What depends on (gamma, |n|)
+alone, the lcm, the a_j = lcm times phi's coefficients, their sum and
+(|n|+gamma+1) C(|n|+gamma, |n|) = 1 / phi'(1), is one table, made once and
+kept in a cache bounded by _ODE_TABLES entries; F and H share it
+(``_ode_table``).
+
+Each multiplier has an integer core, ``radial_ratio`` and
+``dirichlet_ratio``, which takes s as the integers m and d and returns the
+integer numerator and denominator; ``radial_factor`` and
+``dirichlet_factor`` form one Fraction of them.  numeric rounds num / den
+instead: Python's int / int is correctly rounded, so the float is
+float() of the Fraction bit for bit, without normalizing a Fraction of
+integers several hundred bits wide.
 
 As r -> 1 the circular means of u = t^k / |1-z|^(2 beta) concentrate at
 z = 1: tested against a smooth function phi,
@@ -56,13 +68,18 @@ terms of an expansion, and the builder takes its boundary rows from it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .exact import LaurentPoly, Rational, binom
 from .operators import KernelExpansion, check_gamma, check_kind
+
+# The most (gamma, |n|) tables of phi_|n| that dirichlet_ratio keeps.  One
+# at gamma 80 holds 81 integers of up to 300 bits, about 6 KB.
+_ODE_TABLES = 256
 
 
 class NonDeltaBoundaryError(ValueError):
@@ -106,33 +123,74 @@ def _horner(coeffs: Sequence[int], x: int, y: int) -> int:
     return total
 
 
+def radial_ratio(kernel: KernelExpansion, n: int, m: int, d: int) -> Tuple[int, int]:
+    """radial_factor at s = m / d < 1 as an integer numerator and a positive
+    denominator, not in lowest terms."""
+    t = d - m
+    bands = []
+    for beta, low, coeffs in kernel.integer_bands.bands:
+        fourier = list(fourier_poly(beta, n).values())
+        # band * fourier * t^t_exp / (scale d^d_exp)
+        t_exp = low - 2 * beta + 1
+        d_exp = low + len(coeffs) - 2 * beta + len(fourier) - 1
+        bands.append((_horner(coeffs, t, d) * _horner(fourier, m, d), t_exp, d_exp))
+    t_low = min([0, *(e for _, e, _ in bands)])
+    d_top = max([0, *(e for _, _, e in bands)])
+    total = sum(num * t ** (t_exp - t_low) * d ** (d_top - d_exp) for num, t_exp, d_exp in bands)
+    return total, kernel.integer_bands.scale * d**d_top * t**-t_low
+
+
 def radial_factor(kernel: KernelExpansion, n: int, s: Fraction) -> Fraction:
     """The kernel's n-th Fourier coefficient on |z| = r, divided by r^|n|,
     exactly as a function of s = r^2 < 1.
 
     With s = m / d and t = (d - m) / d, band beta is
     f_beta(t) t^(1 - 2 beta) P_beta(s) (``fourier_poly``).  Over the lcm of
-    the kernel's denominators, f_beta(t) / t^low is an integer Horner sum in
-    d - m over d^(high - low), and P_beta(s) one in m over d^deg; t^(low + 1
-    - 2 beta) adds a power of d - m above or below.  The bands are summed
-    over one common denominator, and one Fraction is formed at the end.
+    the kernel's denominators (``integer_bands``, kept per kernel),
+    f_beta(t) / t^low is an integer Horner sum in d - m over d^(high - low),
+    and P_beta(s) one in m over d^deg; t^(low + 1 - 2 beta) adds a power of
+    d - m above or below.  The bands are summed over one common denominator
+    (``radial_ratio``), and one Fraction is formed at the end.
     """
-    m, d = s.numerator, s.denominator
-    t = d - m
-    scale = math.lcm(*(c.denominator for poly in kernel.terms.values() for c in poly.values()))
-    bands = []
-    for beta, poly in kernel.terms.items():
-        low, high = min(poly), max(poly)
-        coeffs = [poly.get(k, 0) for k in range(low, high + 1)]
-        band = _horner([c.numerator * (scale // c.denominator) for c in coeffs], t, d)
-        fourier = list(fourier_poly(beta, n).values())
-        # band * fourier * t^t_exp / (scale d^d_exp)
-        t_exp = low - 2 * beta + 1
-        bands.append((band * _horner(fourier, m, d), t_exp, high - 2 * beta + len(fourier)))
-    t_low = min([0, *(e for _, e, _ in bands)])
-    d_top = max([0, *(e for _, _, e in bands)])
-    total = sum(num * t ** (t_exp - t_low) * d ** (d_top - d_exp) for num, t_exp, d_exp in bands)
-    return Fraction(total, scale * d**d_top * t**-t_low)
+    return Fraction(*radial_ratio(kernel, n, s.numerator, s.denominator))
+
+
+class _ODETable(NamedTuple):
+    """The integers of phi_|n| at one (gamma, |n|): lcm = lcm_j (|n|+j+1)(j+1),
+    a_j = lcm (-1)^j C(gamma, j) / ((|n|+j+1)(j+1)), total = sum_j a_j, and
+    slope = (|n|+gamma+1) C(|n|+gamma, |n|) = 1 / phi'(1)."""
+
+    lcm: int
+    a: Tuple[int, ...]
+    total: int
+    slope: int
+
+
+@functools.lru_cache(maxsize=_ODE_TABLES)
+def _ode_table(gamma: int, n: int) -> _ODETable:
+    lcm = math.lcm(*((n + j + 1) * (j + 1) for j in range(gamma + 1)))
+    a = tuple((-1) ** j * binom(gamma, j) * (lcm // ((n + j + 1) * (j + 1))) for j in range(gamma + 1))
+    return _ODETable(lcm, a, sum(a), (n + gamma + 1) * binom(n + gamma, n))
+
+
+def dirichlet_ratio(gamma: int, kind: str, n: int, m: int, d: int) -> Tuple[int, int]:
+    """dirichlet_factor at |n| = n >= 0 and s = m / d < 1 as an integer
+    numerator and a positive denominator, not in lowest terms; gamma and
+    kind are taken as checked.
+
+    phi(1) - phi(s) is drop / (lcm d^(gamma + 1)), with
+    drop = sum_j a_j d^(gamma + 1) - m sum_j a_j m^j d^(gamma - j), one
+    Horner pass in m over the table of (gamma, n) (``_ode_table``, shared
+    by F and H), and 1 / (2 phi'(1)) = slope / 2.
+    """
+    mult, base = (n, 1) if kind == "F" else (1, 0)
+    if not mult:
+        return base, 1
+    table = _ode_table(gamma, n)
+    top = d ** (gamma + 1)
+    drop = table.total * top - m * _horner(table.a, m, d)
+    den = 2 * table.lcm * top
+    return base * den + mult * table.slope * drop, den
 
 
 def dirichlet_factor(gamma: int, kind: str, n: int, s: Fraction) -> Fraction:
@@ -140,25 +198,11 @@ def dirichlet_factor(gamma: int, kind: str, n: int, s: Fraction) -> Fraction:
     divided by r^|n|, from the radial ODE, exactly as a function of
     s = r^2 < 1.  Equal to ``radial_factor`` of the built kernel.
 
-    With s = m / d, phi(1) - phi(s) is an integer over lcm d^(gamma + 1),
-    lcm = lcm_j (|n| + j + 1)(j + 1): the coefficients of phi times lcm are
-    integers a_j, and sum_j a_j m^j d^(gamma - j) is one Horner pass in m.
+    The integers come from ``dirichlet_ratio``; this forms their Fraction.
     """
     check_gamma(gamma)
     check_kind(kind)
-    n = abs(n)
-    mult, base = (n, 1) if kind == "F" else (1, 0)
-    if not mult:
-        return Fraction(base)
-    m, d = s.numerator, s.denominator
-    lcm = math.lcm(*((n + j + 1) * (j + 1) for j in range(gamma + 1)))
-    a = [(-1) ** j * binom(gamma, j) * (lcm // ((n + j + 1) * (j + 1))) for j in range(gamma + 1)]
-    # phi(1) - phi(s) = drop / (lcm d^(gamma + 1))
-    top = d ** (gamma + 1)
-    drop = sum(a) * top - m * _horner(a, m, d)
-    # 1 / (2 phi'(1)) = (n + gamma + 1) C(n + gamma, n) / 2
-    den = 2 * lcm * top
-    return Fraction(base * den + mult * (n + gamma + 1) * binom(n + gamma, n) * drop, den)
+    return Fraction(*dirichlet_ratio(gamma, kind, abs(n), s.numerator, s.denominator))
 
 
 def term_boundary(beta: int, k: int) -> Tuple[int, int]:

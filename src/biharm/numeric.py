@@ -19,13 +19,16 @@ sums again with about 20 + log10(kappa) digits where its first pass would
 miss 1e-12.
 
 Integral means and Dirichlet solves use no quadrature: Fourier
-coefficients on |z| = r are exact rationals in r^2, rounded to float once
-per multiplier.  ``integral_mean`` takes them from the kernel it is given
-(``boundary.radial_factor``).  ``solve_dirichlet`` takes those of F and H
-from the radial ODE (``boundary.dirichlet_factor``), so it builds no
-kernel; its solution for trigonometric boundary data is a finite sum of
-data coefficients times multipliers, with one exact multiplier and one
-rounding per (kind, |n|), shared by the harmonics n and -n.
+coefficients on |z| = r are exact rationals in r^2, computed as an integer
+numerator and denominator and rounded to float once per multiplier by
+int / int, which rounds correctly, so no Fraction is formed.
+``integral_mean`` takes them from the kernel it is given
+(``boundary.radial_ratio``).  ``solve_dirichlet`` takes those of F and H
+from the radial ODE (``boundary.dirichlet_ratio``, whose table per
+(gamma, |n|) is cached), so it builds no kernel; its solution for
+trigonometric boundary data is a finite sum of data coefficients times
+multipliers, with one exact multiplier and one rounding per (kind, |n|),
+shared by the harmonics n and -n.
 
 Only the L1 norm, where |K| is not linear in K, is a quadrature.  On
 |z| = r the kernel is P_r(q) / q^B in q = |1 - z|^2, and a float r is a
@@ -56,7 +59,7 @@ from typing import List, Mapping, Optional
 import mpmath
 import numpy as np
 
-from .boundary import dirichlet_factor, radial_factor
+from .boundary import dirichlet_ratio, radial_ratio
 from .exact import bernstein_coefficients, isolate_roots
 from .operators import FloatABForm, KernelExpansion, check_gamma
 
@@ -267,7 +270,10 @@ def integral_mean(kernel: KernelExpansion, r: float) -> float:
     """(1/2 pi) integral of the kernel over the circle of radius r, exactly
     (its zeroth Fourier coefficient) and then rounded to float."""
     _require_radius("integral_mean", r)
-    return float(radial_factor(kernel, 0, Fraction(r) ** 2))
+    m, d = r.as_integer_ratio()
+    num, den = radial_ratio(kernel, 0, m * m, d * d)
+    # int / int is correctly rounded, so this is float(radial_factor(...)).
+    return num / den
 
 
 def _circle_bernstein(kernel: KernelExpansion, r: float) -> List[int]:
@@ -277,20 +283,20 @@ def _circle_bernstein(kernel: KernelExpansion, r: float) -> List[int]:
     q = |1 - z|^2 and P_r(q) = sum_beta f_beta(t) q^(B - beta).  A float r
     is m / 2^e, so t = 1 - r^2 and both ends of the interval are integers
     over d = 4^e.  The coefficients of P_r are multiplied by d^k_max, the
-    lcm of the kernel's denominators and 1 / t^k_min, all positive.
+    lcm of the kernel's denominators (``integer_bands``) and 1 / t^k_min,
+    all positive.
     """
     top = kernel.max_beta()
     m, den = Fraction(r).as_integer_ratio()
     d = den * den
     t = d - m * m
-    scale = math.lcm(*(c.denominator for poly in kernel.terms.values() for c in poly.values()))
-    ks = [k for poly in kernel.terms.values() for k in poly]
-    k_min, k_max = min(ks), max(ks)
+    bands = kernel.integer_bands.bands
+    k_min = min(low for _, low, _ in bands)
+    k_max = max(low + len(coeffs) - 1 for _, low, coeffs in bands)
     p = [0] * top
-    for beta, poly in kernel.terms.items():
+    for beta, low, coeffs in bands:
         p[top - beta] = sum(
-            c.numerator * (scale // c.denominator) * t ** (k - k_min) * d ** (k_max - k)
-            for k, c in poly.items()
+            c * t ** (k - k_min) * d ** (k_max - k) for k, c in enumerate(coeffs, low) if c
         )
     return bernstein_coefficients(p, (den - m) ** 2, (den + m) ** 2, d)
 
@@ -416,8 +422,10 @@ def solve_dirichlet(
     two circular convolutions with the F and H kernels at radius p.r, that
     is, sum_n [f0(n) F_r(n) + f1(n) H_r(n)] e^(i n theta).  The kernels'
     exact Fourier multipliers come from the radial ODE
-    (``boundary.dirichlet_factor``), so no kernel is built; n and -n
-    share one.  Real (conjugate-symmetric) data produces a real value.
+    (``boundary.dirichlet_ratio``) as an integer numerator and
+    denominator, whose quotient int / int rounds correctly to the float of
+    the exact multiplier; no kernel is built, and n and -n share one.  Real
+    (conjugate-symmetric) data produces a real value.
     """
     check_gamma(gamma)
     for n, c in (*f0.items(), *f1.items()):
@@ -425,13 +433,16 @@ def solve_dirichlet(
             raise ValueError(f"harmonics must be ints, got {n!r}")
         if not cmath.isfinite(c):
             raise ValueError(f"data coefficients must be finite, got {c!r}")
-    s = Fraction(p.r) ** 2
+    m, d = p.r.as_integer_ratio()
+    m, d = m * m, d * d
     u = 0.0 + 0.0j
     for kind, data in (("F", f0), ("H", f1)):
         # One multiplier per |n|, shared by n and -n.  r^|n| in float keeps
         # the exact part's cost independent of |n|.
-        harmonics = {abs(n) for n in data}
-        multiplier = {m: p.r**m * float(dirichlet_factor(gamma, kind, m, s)) for m in harmonics}
+        multiplier = {}
+        for k in {abs(n) for n in data}:
+            num, den = dirichlet_ratio(gamma, kind, k, m, d)
+            multiplier[k] = p.r**k * (num / den)
         for n, c in data.items():
             u += c * multiplier[abs(n)] * cmath.exp(1j * n * p.theta)
     return float(u.real)

@@ -69,6 +69,15 @@ class FloatABForm(NamedTuple):
     floor: float
 
 
+class IntegerBands(NamedTuple):
+    """A kernel's terms over one denominator, scale = the lcm of their
+    denominators: bands holds (beta, low, (scale c_low, ..., scale c_high))
+    per band in terms' order, c_k the coefficient of t^k, 0 in gaps."""
+
+    scale: int
+    bands: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
+
+
 @dataclass(frozen=True)
 class KernelExpansion:
     """A finite banded expansion sum_beta f_beta(t) / |1-z|^(2 beta).
@@ -77,9 +86,11 @@ class KernelExpansion:
     are treated as immutable; the constructor helper ``make_expansion``
     canonicalizes by dropping zero coefficients and zero polynomials.
     Because they are, each exact coefficient is rounded to float once per
-    kernel, on first use (``float_bands``, which values_at reads), and the
-    kernel's (a, b) form is certified once (``float_ab_form``, which
-    eval_kernel reads), however often the kernel is evaluated.
+    kernel, on first use (``float_bands``, which values_at reads), scaled
+    to an integer once (``integer_bands``, which the exact multipliers and
+    l1_norm's root isolation read), and the kernel's (a, b) form is
+    certified once (``float_ab_form``, which eval_kernel reads), however
+    often the kernel is evaluated.
     """
 
     gamma: int
@@ -96,6 +107,18 @@ class KernelExpansion:
         dataclass field, so == and repr still see gamma and terms alone."""
         polys = map(self.terms.get, range(self.max_beta(), 0, -1))
         return tuple(tuple((k, _float(c)) for k, c in poly.items()) if poly else None for poly in polys)
+
+    @functools.cached_property
+    def integer_bands(self) -> IntegerBands:
+        """terms times the lcm of their denominators, made on first use and
+        kept, like float_bands; an empty expansion has scale 1."""
+        scale = math.lcm(*(c.denominator for poly in self.terms.values() for c in poly.values()))
+        bands = []
+        for beta, poly in self.terms.items():
+            low, high = min(poly), max(poly)
+            coeffs = (poly.get(k, 0) for k in range(low, high + 1))
+            bands.append((beta, low, tuple(c.numerator * (scale // c.denominator) for c in coeffs)))
+        return IntegerBands(scale, tuple(bands))
 
     @functools.cached_property
     def float_ab_form(self) -> Optional[FloatABForm]:

@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import biharm.builder
+import biharm.conjecture
+from biharm.boundary import expansion_boundary
 from biharm.builder import KernelSpec, build, build_pair, grid_geometry
 from biharm.conjecture import ab_form, certified_ab_form, conjectured_kernel, solve_ck, verify_conjecture
-from biharm.operators import make_expansion
+from biharm.operators import biharmonic, make_expansion
 from biharm.exact import binom
 
 F = Fraction
@@ -162,4 +165,56 @@ def test_verify_conjecture_passes(gamma):
         (kind, check)
         for kind in ("F", "H")
         for check in ("biharmonic-zero", "boundary-exact", "matches-builder")
+    }
+
+
+def test_verify_runs_biharmonic_once_per_built_kernel(monkeypatch):
+    # Where the closed form == the built kernel, its biharmonic-zero verdict
+    # is the builder's own check: two biharmonic calls per gamma, not four.
+    calls = []
+
+    def counted(u):
+        calls.append((u.gamma, u.max_beta()))
+        return biharmonic(u)
+
+    monkeypatch.setattr(biharm.builder, "biharmonic", counted)
+    monkeypatch.setattr(biharm.conjecture, "biharmonic", counted)
+    for gamma in (0, 3, 6):
+        calls.clear()
+        assert verify_conjecture(gamma).all_passed
+        assert len(calls) == 2, (gamma, calls)
+
+
+@pytest.mark.parametrize("on_boundary", [True, False])
+def test_verify_checks_a_perturbed_closed_form_itself(on_boundary, monkeypatch):
+    # One coefficient of F_4's closed form changed: on a term that carries
+    # boundary data (k = 2 beta - 1) or on one above it.  matches-builder
+    # fails, and the other two verdicts are those of the perturbed kernel.
+    gamma = 4
+    kernel = conjectured_kernel(gamma, "F")
+    beta, k = next(
+        (beta, k)
+        for beta, poly in kernel.terms.items()
+        for k in poly
+        if (k == 2 * beta - 1 if on_boundary else k > 2 * beta)
+    )
+    terms = {b: dict(poly) for b, poly in kernel.terms.items()}
+    terms[beta][k] += Fraction(1, 7)
+    perturbed = make_expansion(gamma, terms)
+    closed = conjectured_kernel
+
+    monkeypatch.setattr(
+        biharm.conjecture, "conjectured_kernel", lambda g, kind: perturbed if kind == "F" else closed(g, kind)
+    )
+    bd = expansion_boundary(perturbed)
+    zero, exact = not biharmonic(perturbed), (bd.a, bd.b) == (1, 0)
+    assert not zero and exact != on_boundary
+    verdict = {(e.kind, e.check): e.passed for e in verify_conjecture(gamma).entries}
+    assert verdict == {
+        ("F", "biharmonic-zero"): zero,
+        ("F", "boundary-exact"): exact,
+        ("F", "matches-builder"): False,
+        ("H", "biharmonic-zero"): True,
+        ("H", "boundary-exact"): True,
+        ("H", "matches-builder"): True,
     }

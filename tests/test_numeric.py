@@ -3,6 +3,7 @@ FD validation."""
 
 import cmath
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import biharm.boundary
 import biharm.builder
 import biharm.numeric
 import biharm.operators
-from biharm.boundary import radial_factor
+from biharm.boundary import dirichlet_factor, radial_factor
 from biharm.builder import KernelSpec, build, build_pair
 from biharm.conjecture import conjectured_kernel
 from biharm.numeric import (
@@ -693,6 +694,18 @@ def test_dirichlet_is_bit_identical_to_kernel_route(gamma):
         assert solve_dirichlet(gamma, f0, f1, p) == _kernel_route_solve(gamma, f0, f1, p), (f0, f1, p)
 
 
+def _fraction_route_solve(gamma, f0, f1, p):
+    """solve_dirichlet through the Fraction oracle, operation for operation:
+    one rounded multiplier per harmonic."""
+    s = Fraction(p.r) ** 2
+    u = 0.0 + 0.0j
+    for kind, data in (("F", f0), ("H", f1)):
+        for n, c in data.items():
+            multiplier = p.r ** abs(n) * float(fraction_dirichlet_factor(gamma, kind, n, s))
+            u += c * multiplier * cmath.exp(1j * n * p.theta)
+    return float(u.real)
+
+
 @pytest.mark.parametrize("gamma", [0, 3, 16])
 def test_dirichlet_shares_multipliers_between_n_and_minus_n(gamma, monkeypatch):
     # n and -n carry different coefficients but one multiplier, computed
@@ -702,22 +715,42 @@ def test_dirichlet_shares_multipliers_between_n_and_minus_n(gamma, monkeypatch):
     f1 = {0: 0.3, 2: 0.2j, -2: -0.6 + 0.1j, -5: 0.4}
     calls = []
 
-    def counted(gamma, kind, n, s):
+    def counted(gamma, kind, n, m, d):
         calls.append((kind, n))
-        return biharm.boundary.dirichlet_factor(gamma, kind, n, s)
+        return biharm.boundary.dirichlet_ratio(gamma, kind, n, m, d)
 
-    monkeypatch.setattr(biharm.numeric, "dirichlet_factor", counted)
+    monkeypatch.setattr(biharm.numeric, "dirichlet_ratio", counted)
     for r in (0.0, 0.5, 0.999):
         p = DiscPoint(r=r, theta=0.7)
-        s = Fraction(r) ** 2
-        want = 0.0 + 0.0j
-        for kind, data in (("F", f0), ("H", f1)):
-            for n, c in data.items():
-                multiplier = r ** abs(n) * float(fraction_dirichlet_factor(gamma, kind, n, s))
-                want += c * multiplier * cmath.exp(1j * n * p.theta)
         calls.clear()
-        assert solve_dirichlet(gamma, f0, f1, p) == float(want.real), r
+        assert solve_dirichlet(gamma, f0, f1, p) == _fraction_route_solve(gamma, f0, f1, p), r
         assert sorted(calls) == [("F", 0), ("F", 1), ("F", 3), ("F", 4), ("H", 0), ("H", 2), ("H", 5)]
+
+
+# gamma 80 joins with BIHARM_ACCEPT_EXTENDED=1, as in the extended sweep.
+@pytest.mark.parametrize("gamma", [0, 8, 24] + ([80] if os.environ.get("BIHARM_ACCEPT_EXTENDED") else []))
+def test_dirichlet_equals_fraction_route(gamma):
+    # Each multiplier's numerator / denominator rounds as float() of its
+    # Fraction, also at r = 0 and next to the boundary, for |n| up to 12.
+    rng = random.Random(200 + gamma)
+    f0 = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in range(-12, 13)}
+    f1 = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in range(12, -13, -1)}
+    for r in (0.0, 0.5, 0.999999, 1 - 2.0**-52):
+        p = DiscPoint(r=r, theta=rng.uniform(-math.pi, math.pi))
+        assert solve_dirichlet(gamma, f0, f1, p) == _fraction_route_solve(gamma, f0, f1, p), r
+
+
+def test_dirichlet_table_cache_is_bounded_and_shared_by_f_and_h():
+    cache = biharm.boundary._ode_table
+    assert cache.cache_info().maxsize is not None
+    s = Fraction(0.9) ** 2
+    before = cache.cache_info()
+    dirichlet_factor(13, "F", 7, s)
+    middle = cache.cache_info()
+    assert middle.hits + middle.misses == before.hits + before.misses + 1
+    dirichlet_factor(13, "H", -7, s)
+    after = cache.cache_info()
+    assert (after.hits, after.misses) == (middle.hits + 1, middle.misses)
 
 
 def test_dirichlet_validates_gamma_and_harmonics():
