@@ -33,7 +33,10 @@ biharmonic operator D w^-1 D, with distributional boundary data
      (beta, k) order);
   4. check: each solved kernel is biharmonic-zero by the generic
      composition (``operators.biharmonic``), independent of the closed form
-     that assembled the rows, and has its target boundary pair.
+     that assembled the rows, and has its target boundary pair.  The two
+     checks are one function, ``kernel_checks``, which the closed forms
+     pass through too (``conjecture.verify_conjecture`` and
+     ``conjecture.checked_kernel``).
 
 The closed-form kernels lie on this tight grid, and the system is uniquely
 solvable for every gamma the closed-form sweep checks (gamma <= 80): the
@@ -133,6 +136,16 @@ def assemble_system(
     return columns, RationalLinearSystem(rows=rows, unknowns=len(columns))
 
 
+def kernel_checks(kernel: KernelExpansion, kind: str) -> Tuple[bool, bool]:
+    """The two checks every kernel of kind passes, whatever its source:
+    (biharmonic-zero, boundary-exact).  The first is the generic composition
+    (``operators.biharmonic``), independent of the closed monomial image
+    that assembles the builder's rows; the second compares the exact
+    boundary pair with BOUNDARY_TARGETS[kind]."""
+    bd = expansion_boundary(kernel)
+    return not biharmonic(kernel), (bd.a, bd.b) == BOUNDARY_TARGETS[kind]
+
+
 def _solve(spec: KernelSpec, kinds: Sequence[str]) -> Tuple[KernelExpansion, ...]:
     """The normalized kernels of kinds at spec.gamma, from one assembly and
     one solve on spec's grid, one boundary right-hand side per kind.  Each
@@ -154,8 +167,7 @@ def _solve(spec: KernelSpec, kinds: Sequence[str]) -> Tuple[KernelExpansion, ...
         for (beta, k), v in sorted(zip(columns, values)):
             terms.setdefault(beta, {})[k] = v
         kernel = make_expansion(gamma, terms)
-        bd = expansion_boundary(kernel)
-        if biharmonic(kernel) or (bd.a, bd.b) != BOUNDARY_TARGETS[kind]:
+        if not all(kernel_checks(kernel, kind)):
             raise RuntimeError(
                 f"internal error: solved expansion is not biharmonic-zero or misses "
                 f"its boundary pair (gamma={gamma}, kind={kind})"

@@ -8,6 +8,13 @@ Subcommands:
   l1check  tabulate L1 norms over an r-grid (TSV)
   means    tabulate integral means against their boundary prediction (TSV)
 
+``gen`` and ``verify`` build kernels by exact elimination (``builder``):
+gen's document is the builder's product, and verify's "matches-builder"
+check needs an independent solve.  ``eval``, ``l1check`` and ``means`` take
+``conjecture.checked_kernel``, the closed form once it passes the builder's
+own two checks (biharmonic-zero and boundary-exact), so they run no
+elimination; a closed form that failed them would exit 1.
+
 Exit codes: 0 success, 1 mathematical failure, 2 usage error.  `eval`
 prints float64 values: the (a, b) form's float value where its error
 estimate allows, otherwise the kernel's terms summed in mpmath (see
@@ -34,7 +41,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from . import __version__
 from .boundary import expansion_boundary
 from .builder import KernelSpec, build
-from .conjecture import ConjectureVerdict, verify_conjecture
+from .conjecture import ConjectureVerdict, checked_kernel, verify_conjecture
 from .exact import LaurentPoly
 from .numeric import DiscPoint, eval_kernel, integral_mean, l1_norm
 from .operators import KERNEL_KINDS, KernelExpansion, biharmonic, make_expansion, monomial_image
@@ -292,7 +299,7 @@ def cmd_verify(gamma_max: int, jobs: int, deep: bool, out=None) -> int:
 
 def cmd_eval(gamma: int, kind: str, r: float, theta: float, out=None) -> int:
     out = sys.stdout if out is None else out
-    kernel = build(KernelSpec(gamma=gamma, kind=kind))
+    kernel = checked_kernel(gamma, kind)
     value = eval_kernel(kernel, DiscPoint(r=r, theta=theta))
     out.write(f"{value:.17g}\n")
     return 0
@@ -300,7 +307,7 @@ def cmd_eval(gamma: int, kind: str, r: float, theta: float, out=None) -> int:
 
 def cmd_l1check(gamma: int, kind: str, r_grid: Iterable[float], out=None) -> int:
     out = sys.stdout if out is None else out
-    kernel = build(KernelSpec(gamma=gamma, kind=kind))
+    kernel = checked_kernel(gamma, kind)
     rows = ["r\tl1\tl1_over_1mr\n"]
     for r in r_grid:
         value = l1_norm(kernel, r)
@@ -312,7 +319,7 @@ def cmd_l1check(gamma: int, kind: str, r_grid: Iterable[float], out=None) -> int
 
 def cmd_means(gamma: int, kind: str, r_grid: Iterable[float], out=None) -> int:
     out = sys.stdout if out is None else out
-    kernel = build(KernelSpec(gamma=gamma, kind=kind))
+    kernel = checked_kernel(gamma, kind)
     bd = expansion_boundary(kernel)
     rows = ["r\tmean\tpredicted\tabs_err\n"]
     for r in r_grid:

@@ -27,7 +27,9 @@ No floating point enters this module.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -258,10 +260,21 @@ def _sign_variations(b: List[int]) -> int:
     return changes
 
 
+def _without_twos(b: List[int]) -> List[int]:
+    """b divided by the largest power of two dividing all its entries
+    (unchanged if all are 0): the lowest set bit of their bitwise or."""
+    bits = functools.reduce(operator.or_, b, 0)
+    shift = (bits & -bits).bit_length() - 1
+    return [c >> shift for c in b] if shift > 0 else b
+
+
 def _halves(b: List[int]) -> Tuple[List[int], List[int]]:
-    """Bernstein coefficients of the halves [0, 1/2] and [1/2, 1], by de
-    Casteljau's algorithm in integers: row k of sums b_i + b_(i+1) is 2^k
-    times row k of the averages, so every entry is scaled by 2^n."""
+    """Bernstein coefficients of the halves [0, 1/2] and [1/2, 1], each up to
+    a positive factor, by de Casteljau's algorithm in integers: row k of sums
+    b_i + b_(i+1) is 2^k times row k of the averages, so every entry is
+    scaled by 2^n.  That scale, the common power of two, is divided out
+    again; a full gcd is not taken, since on wide integers it costs more
+    than the halving, and every one measured was a power of two anyway."""
     n = len(b) - 1
     left, right = [0] * (n + 1), [0] * (n + 1)
     row = b
@@ -270,7 +283,7 @@ def _halves(b: List[int]) -> Tuple[List[int], List[int]]:
             row = [x + y for x, y in zip(row, row[1:])]
         left[k] = row[0] << (n - k)
         right[n - k] = row[-1] << (n - k)
-    return _primitive(left), _primitive(right)
+    return _without_twos(left), _without_twos(right)
 
 
 def isolate_roots(b: List[int]) -> List[Tuple[int, int, Optional[List[int]]]]:
@@ -281,7 +294,8 @@ def isolate_roots(b: List[int]) -> List[Tuple[int, int, Optional[List[int]]]]:
     * piece ``None``: a root exactly at k / 2^depth;
     * otherwise the interval [k / 2^depth, (k + 1) / 2^depth] holds exactly
       one root, a simple one, in its interior, and piece is the polynomial's
-      Bernstein form on it.
+      Bernstein form on it up to a positive factor (``_halves``), so with
+      its signs.
 
     A piece whose coefficients show no sign change has no root in its
     interior, and one with a single change has exactly one simple root

@@ -33,7 +33,8 @@ shared by the harmonics n and -n.
 Only the L1 norm, where |K| is not linear in K, is a quadrature.  On
 |z| = r the kernel is P_r(q) / q^B in q = |1 - z|^2, and a float r is a
 dyadic rational, so the sign changes of K are the roots of an exact
-polynomial: ``exact.isolate_roots`` isolates them in P_r's Bernstein form.
+polynomial: ``exact.isolate_roots`` isolates them in P_r's Bernstein form,
+and bracketed false position finds each one in float64 (``_root_in``).
 Between them, and on pieces graded towards the peak at theta = 0, |K| is
 analytic, and Gauss-Legendre rules of 40 and 80 nodes per piece check each
 other.
@@ -303,14 +304,25 @@ def _circle_bernstein(kernel: KernelExpansion, r: float) -> List[int]:
 
 def _root_in(piece: List[int]) -> float:
     """The one root in [0, 1] of a Bernstein form from isolate_roots, by
-    bisection in float64.
+    bracketed false position (the Illinois variant) in float64.
 
     With scaled coefficients C(n, i) b_i, the form is (1 - x)^n times
     sum C(n, i) b_i (x / (1 - x))^i, a sum with positive powers that
-    Horner's rule evaluates to O(n eps) of its terms' magnitude (reversed
-    for x > 1/2), and a root of the Bernstein form moves little with its
-    coefficients (Farouki & Rajan 1987).  The integers are scaled by a
-    power of 2 to fit a float.
+    Horner's rule evaluates to O(n eps) of its terms' magnitude (reversed,
+    as x^n times a sum in (1 - x) / x, for x > 1/2; the two agree at 1/2,
+    so the evaluated function is continuous), and a root of the Bernstein
+    form moves little with its coefficients (Farouki & Rajan 1987).  The
+    integers are scaled by a power of 2 to fit a float.
+
+    Each step interpolates linearly between the ends of the bracket, and
+    an end kept twice in a row has its value halved, so neither end
+    sticks.  An interpolated point that rounds onto an end moves to the
+    float next to it, inside: near the root the values are rounding noise,
+    and that one float closes the bracket.  The midpoint is taken instead
+    where an end's value is 0 and after three steps that failed to halve
+    the bracket, so no root costs much more than bisection.  It stops
+    where bisection stops: on an exact zero, or once no float lies strictly
+    between the ends, returning their float midpoint.
     """
     n = len(piece) - 1
     scaled = [c * math.comb(n, i) for i, c in enumerate(piece)]
@@ -326,18 +338,37 @@ def _root_in(piece: List[int]) -> float:
             total = total * ratio + c
         return total
 
-    lo, hi = 0.0, 1.0
-    mid = 0.5
-    while lo < mid < hi:
-        value = value_at(mid)
-        if value == 0:
-            return mid
-        if (value > 0) == positive_left:
-            lo = mid
-        else:
-            hi = mid
+    # The values at 0 and 1; either may be 0, at a root on the end.
+    lo, hi, f_lo, f_hi = 0.0, 1.0, floats[0], floats[-1]
+    # kept: the end the last step kept (-1 lo, +1 hi); slow: steps since the
+    # bracket last halved.
+    kept = slow = 0
+    while True:
         mid = 0.5 * (lo + hi)
-    return mid
+        if not lo < mid < hi:
+            return mid
+        x = mid
+        if slow < 3 and f_lo and f_hi:
+            x = lo - f_lo * ((hi - lo) / (f_hi - f_lo))
+            if x <= lo:
+                x = math.nextafter(lo, hi)
+            elif x >= hi:
+                x = math.nextafter(hi, lo)
+        value = value_at(x)
+        if value == 0:
+            return x
+        width = hi - lo
+        if (value > 0) == positive_left:
+            lo, f_lo = x, value
+            if kept > 0:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = x, value
+            if kept < 0:
+                f_lo *= 0.5
+            kept = -1
+        slow = slow + 1 if hi - lo > 0.5 * width else 0
 
 
 def _sign_changes(kernel: KernelExpansion, r: float) -> List[float]:

@@ -22,11 +22,15 @@ kernel expansions, such as the paper's unnormalized weight-two solutions.
 ``fraction_dirichlet_factor`` are the exact Fourier multipliers of
 ``boundary`` in ``Fraction`` arithmetic, one rational operation per Horner
 step: the oracles of its integer forms.
+``bisect_root_in`` finds the one root of an isolated Bernstein piece by
+plain bisection on the same float evaluator as ``numeric._root_in``, the
+oracle of its false-position steps.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from biharm.boundary import BoundaryData
 from biharm.exact import ZERO, LaurentPoly, binom
@@ -235,3 +239,39 @@ def fraction_dirichlet_factor(gamma: int, kind: str, n: int, s: Fraction) -> Fra
     a = {j: Fraction((-1) ** j * binom(gamma, j), (n + j + 1) * (j + 1)) for j in range(gamma + 1)}
     drop = sum(a.values()) - s * _fraction_horner(a, s, 0)
     return base + Fraction(m * (n + gamma + 1) * binom(n + gamma, n), 2) * drop
+
+
+def bisect_root_in(piece: List[int]) -> float:
+    """The one root in [0, 1] of a Bernstein form from ``isolate_roots``, by
+    bisection in float64 until no float lies strictly between the ends.
+
+    The form is evaluated as (1 - x)^n sum C(n, i) b_i (x / (1 - x))^i by
+    Horner's rule, reversed for x > 1/2, with the integers scaled by a power
+    of 2 to fit a float, exactly as ``numeric._root_in`` evaluates it.
+    """
+    n = len(piece) - 1
+    scaled = [c * math.comb(n, i) for i, c in enumerate(piece)]
+    unit = 1 << max(0, max(abs(c).bit_length() for c in scaled) - 1000)
+    floats = [c / unit for c in scaled]
+    positive_left = next(c for c in piece if c) > 0
+
+    def value_at(x: float) -> float:
+        total, ratio, coeffs = 0.0, x / (1.0 - x), reversed(floats)
+        if x > 0.5:
+            ratio, coeffs = (1.0 - x) / x, floats
+        for c in coeffs:
+            total = total * ratio + c
+        return total
+
+    lo, hi = 0.0, 1.0
+    mid = 0.5
+    while lo < mid < hi:
+        value = value_at(mid)
+        if value == 0:
+            return mid
+        if (value > 0) == positive_left:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid

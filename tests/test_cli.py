@@ -7,17 +7,21 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
 
 import biharm
+import biharm.builder
 import biharm.cli as cli
+import biharm.conjecture
 from biharm import __version__
 from biharm.builder import KernelSpec, build
 from biharm.cli import from_document, latex_lines, main, text_line, to_document
 from biharm.numeric import l1_norm
+from biharm.operators import make_expansion
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -264,6 +268,43 @@ def test_l1check_writes_no_partial_table(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "no L1 norm at r=0.999" in captured.err
+
+
+# The numeric commands read the checked closed form, not a built kernel.
+NUMERIC_COMMANDS = [
+    ["eval", "--gamma", "6", "--kernel", "H", "--r", "0.9", "--theta", "0.3"],
+    ["l1check", "--gamma", "6", "--kernel", "H", "--r-grid", "0.5,0.9"],
+    ["means", "--gamma", "6", "--kernel", "H", "--r-grid", "0.5,0.9"],
+]
+
+
+@pytest.mark.parametrize("argv", NUMERIC_COMMANDS, ids=lambda argv: argv[0])
+def test_numeric_commands_run_no_elimination(argv, monkeypatch, capsys):
+    def no_solve(system):
+        raise AssertionError("solve_linear called")
+
+    monkeypatch.setattr(biharm.builder, "solve_linear", no_solve)
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", NUMERIC_COMMANDS, ids=lambda argv: argv[0])
+def test_numeric_commands_refuse_a_closed_form_that_fails_its_checks(argv, monkeypatch, capsys):
+    # H_6's closed form with its top coefficient changed is not
+    # biharmonic-zero: exit 1, gamma and kind named, no partial table.
+    closed = biharm.conjecture.conjectured_kernel
+
+    def perturbed(gamma, kind):
+        terms = {beta: dict(poly) for beta, poly in closed(gamma, kind).terms.items()}
+        top = terms[max(terms)]
+        top[max(top)] += Fraction(1, 7)
+        return make_expansion(gamma, terms)
+
+    monkeypatch.setattr(biharm.conjecture, "conjectured_kernel", perturbed)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "(gamma=6, kind=H)" in captured.err
 
 
 # ---------------------------------------------------------------------------

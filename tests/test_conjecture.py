@@ -8,7 +8,14 @@ import biharm.builder
 import biharm.conjecture
 from biharm.boundary import expansion_boundary
 from biharm.builder import KernelSpec, build, build_pair, grid_geometry
-from biharm.conjecture import ab_form, certified_ab_form, conjectured_kernel, solve_ck, verify_conjecture
+from biharm.conjecture import (
+    ab_form,
+    certified_ab_form,
+    checked_kernel,
+    conjectured_kernel,
+    solve_ck,
+    verify_conjecture,
+)
 from biharm.operators import biharmonic, make_expansion
 from biharm.exact import binom
 
@@ -178,7 +185,6 @@ def test_verify_runs_biharmonic_once_per_built_kernel(monkeypatch):
         return biharmonic(u)
 
     monkeypatch.setattr(biharm.builder, "biharmonic", counted)
-    monkeypatch.setattr(biharm.conjecture, "biharmonic", counted)
     for gamma in (0, 3, 6):
         calls.clear()
         assert verify_conjecture(gamma).all_passed
@@ -218,3 +224,34 @@ def test_verify_checks_a_perturbed_closed_form_itself(on_boundary, monkeypatch):
         ("H", "boundary-exact"): True,
         ("H", "matches-builder"): True,
     }
+
+
+# ---------------------------------------------------------------------------
+# the checked closed form
+
+
+@pytest.mark.parametrize("gamma", [0, 1, 2, 5, 8, 13, 24])
+@pytest.mark.parametrize("kind", ("F", "H"))
+def test_checked_kernel_is_the_built_kernel(kind, gamma):
+    # == and alike down to repr, so a float sum over the terms runs in the
+    # same order whichever of the two a caller holds.
+    kernel = checked_kernel(gamma, kind)
+    assert repr(kernel) == repr(build(KernelSpec(gamma=gamma, kind=kind)))
+
+
+@pytest.mark.parametrize("on_boundary, failed", [(True, "biharmonic-zero and boundary-exact"), (False, "biharmonic-zero")])
+def test_checked_kernel_refuses_a_perturbed_closed_form(on_boundary, failed, monkeypatch):
+    # H_5's closed form with one coefficient changed, on a term that carries
+    # boundary data (k = 2 beta) or on one above it.
+    closed = conjectured_kernel(5, "H")
+    beta, k = next(
+        (beta, k)
+        for beta, poly in closed.terms.items()
+        for k in poly
+        if (k == 2 * beta if on_boundary else k > 2 * beta)
+    )
+    terms = {b: dict(poly) for b, poly in closed.terms.items()}
+    terms[beta][k] += Fraction(1, 7)
+    monkeypatch.setattr(biharm.conjecture, "conjectured_kernel", lambda g, kind: make_expansion(g, terms))
+    with pytest.raises(RuntimeError, match=rf"closed form fails {failed} \(gamma=5, kind=H\)"):
+        checked_kernel(5, "H")

@@ -18,9 +18,12 @@ import biharm.operators
 from biharm.boundary import dirichlet_factor, radial_factor
 from biharm.builder import KernelSpec, build, build_pair
 from biharm.conjecture import conjectured_kernel
+from biharm.exact import bernstein_coefficients, isolate_roots
 from biharm.numeric import (
     DiscPoint,
     QuadratureConvergenceError,
+    _circle_bernstein,
+    _root_in,
     _sign_changes,
     eval_kernel,
     integral_mean,
@@ -30,7 +33,13 @@ from biharm.numeric import (
     values_at,
 )
 from biharm.operators import make_expansion
-from exact_references import expansion_scale, fraction_dirichlet_factor, integral_means_poly, poly_eval
+from exact_references import (
+    bisect_root_in,
+    expansion_scale,
+    fraction_dirichlet_factor,
+    integral_means_poly,
+    poly_eval,
+)
 from fd_oracle import StencilOutOfDomainError, fd_biharmonic_residual
 from l1_oracle import l1_reference
 
@@ -596,7 +605,10 @@ def _f_zeros(gamma, r):
     return sorted(zeros)
 
 
-@pytest.mark.parametrize("gamma, r, count", [(8, 0.9, 6), (20, 0.99, 20), (40, 0.998, 40), (80, 0.99, 74)])
+@pytest.mark.parametrize(
+    "gamma, r, count",
+    [(8, 0.9, 6), (20, 0.99, 20), (24, 0.999, 24), (12, 0.99999, 12), (40, 0.998, 40), (80, 0.99, 74)],
+)
 def test_sign_changes_of_f_are_its_explicit_zeros(gamma, r, count):
     zeros = _f_zeros(gamma, r)
     assert len(zeros) == count
@@ -608,6 +620,38 @@ def test_sign_changes_of_f2_at_its_double_root():
     # sin psi_1 = sin(pi/6) = r: both zeros of the formula fall on pi/3, a
     # double root, which _sign_changes reports once.
     assert _sign_changes(conjectured_kernel(2, "F"), 0.5) == pytest.approx([math.pi / 3], rel=0.0, abs=1e-14)
+
+
+def _isolated_pieces(b):
+    return [piece for _, _, piece in isolate_roots(b) if piece is not None]
+
+
+def _assert_root_in_matches_bisection(pieces):
+    for piece in pieces:
+        got, want = _root_in(piece), bisect_root_in(piece)
+        assert abs(got - want) <= 2 * math.ulp(max(got, want)), (piece, got, want)
+
+
+def test_root_in_matches_bisection_on_random_polynomials():
+    rng = random.Random(25)
+    pieces = []
+    for _ in range(300):
+        p = [rng.randint(-99, 99) for _ in range(rng.randint(2, 13))]
+        pieces += _isolated_pieces(bernstein_coefficients(p, 0, 1, 1))
+    assert len(pieces) > 100
+    _assert_root_in_matches_bisection(pieces)
+
+
+@pytest.mark.parametrize("kind", ("F", "H"))
+def test_root_in_matches_bisection_on_kernel_circles(kind):
+    pieces = [
+        piece
+        for gamma in range(25)
+        for r in (0.3, 0.9, 0.99, 0.999)
+        for piece in _isolated_pieces(_circle_bernstein(conjectured_kernel(gamma, kind), r))
+    ]
+    assert len(pieces) > 100
+    _assert_root_in_matches_bisection(pieces)
 
 
 @pytest.mark.parametrize("kernel", [F2, H2, conjectured_kernel(4, "F"), expansion_scale(-1, F0)])
