@@ -8,7 +8,7 @@ n-th Fourier coefficient
     r^|n| t^(k + 1 - 2 beta) C(|n| + beta - 1, |n|) 2F1(|n| + 1 - beta, 1 - beta; |n| + 1; s).
 
 The 2F1 terminates at degree beta - 1 (``fourier_poly``), so after r^|n|
-the coefficient is exact over the rationals; ``radial_factor`` sums it over
+the coefficient is exact over the rationals; ``radial_ratio`` sums it over
 the bands of an expansion.  Its n = 0 case p(s) = sum_j C(beta - 1, j)^2 s^j
 is the integral mean of t^(2 beta - 1) / |1-z|^(2 beta).  Its coefficients
 are integers.  Horner's rule runs in integers over one common denominator:
@@ -32,19 +32,18 @@ F (u = 1, -d_r u = 0) has multiplier 1 + |n| (phi(1) - phi(s)) / (2 phi'(1))
 and H (u = 0, -d_r u = 1) has (phi(1) - phi(s)) / (2 phi'(1)), times r^|n|:
 a polynomial of degree gamma + 1 in s, O(gamma) integer operations per
 harmonic over the denominator lcm_j (|n|+j+1)(j+1) d^(gamma+1).  The built
-kernels' ``radial_factor`` equals it exactly.  What depends on (gamma, |n|)
+kernels' ``radial_ratio`` is the same rational.  What depends on (gamma, |n|)
 alone, the lcm, the a_j = lcm times phi's coefficients, their sum and
 (|n|+gamma+1) C(|n|+gamma, |n|) = 1 / phi'(1), is one table, made once and
 kept in a cache bounded by _ODE_TABLES entries; F and H share it
 (``_ode_table``).
 
-Each multiplier has an integer core, ``radial_ratio`` and
-``dirichlet_ratio``, which takes s as the integers m and d and returns the
-integer numerator and denominator; ``radial_factor`` and
-``dirichlet_factor`` form one Fraction of them.  numeric rounds num / den
-instead: Python's int / int is correctly rounded, so the float is
-float() of the Fraction bit for bit, without normalizing a Fraction of
-integers several hundred bits wide.
+Both multipliers are computed in integers, ``radial_ratio`` and
+``dirichlet_ratio``, which take s as the integers m and d and return the
+integer numerator and denominator; ``dirichlet_factor`` forms one Fraction
+of them.  numeric rounds num / den instead: Python's int / int is correctly
+rounded, so the float is float() of the Fraction bit for bit, without
+normalizing a Fraction of integers several hundred bits wide.
 
 As r -> 1 the circular means of u = t^k / |1-z|^(2 beta) concentrate at
 z = 1: tested against a smooth function phi,
@@ -124,8 +123,17 @@ def _horner(coeffs: Sequence[int], x: int, y: int) -> int:
 
 
 def radial_ratio(kernel: KernelExpansion, n: int, m: int, d: int) -> Tuple[int, int]:
-    """radial_factor at s = m / d < 1 as an integer numerator and a positive
-    denominator, not in lowest terms."""
+    """The kernel's n-th Fourier coefficient on |z| = r, divided by r^|n|,
+    exactly at s = r^2 = m / d < 1: an integer numerator and a positive
+    denominator, not in lowest terms.
+
+    With t = (d - m) / d, band beta is f_beta(t) t^(1 - 2 beta) P_beta(s)
+    (``fourier_poly``).  Over the lcm of the kernel's denominators
+    (``integer_bands``, kept per kernel), f_beta(t) / t^low is an integer
+    Horner sum in d - m over d^(high - low), and P_beta(s) one in m over
+    d^deg; t^(low + 1 - 2 beta) adds a power of d - m above or below.  The
+    bands are summed over one common denominator.
+    """
     t = d - m
     bands = []
     for beta, low, coeffs in kernel.integer_bands.bands:
@@ -138,21 +146,6 @@ def radial_ratio(kernel: KernelExpansion, n: int, m: int, d: int) -> Tuple[int, 
     d_top = max([0, *(e for _, _, e in bands)])
     total = sum(num * t ** (t_exp - t_low) * d ** (d_top - d_exp) for num, t_exp, d_exp in bands)
     return total, kernel.integer_bands.scale * d**d_top * t**-t_low
-
-
-def radial_factor(kernel: KernelExpansion, n: int, s: Fraction) -> Fraction:
-    """The kernel's n-th Fourier coefficient on |z| = r, divided by r^|n|,
-    exactly as a function of s = r^2 < 1.
-
-    With s = m / d and t = (d - m) / d, band beta is
-    f_beta(t) t^(1 - 2 beta) P_beta(s) (``fourier_poly``).  Over the lcm of
-    the kernel's denominators (``integer_bands``, kept per kernel),
-    f_beta(t) / t^low is an integer Horner sum in d - m over d^(high - low),
-    and P_beta(s) one in m over d^deg; t^(low + 1 - 2 beta) adds a power of
-    d - m above or below.  The bands are summed over one common denominator
-    (``radial_ratio``), and one Fraction is formed at the end.
-    """
-    return Fraction(*radial_ratio(kernel, n, s.numerator, s.denominator))
 
 
 class _ODETable(NamedTuple):
@@ -196,7 +189,7 @@ def dirichlet_ratio(gamma: int, kind: str, n: int, m: int, d: int) -> Tuple[int,
 def dirichlet_factor(gamma: int, kind: str, n: int, s: Fraction) -> Fraction:
     """A + C phi_|n|(s): the n-th Fourier multiplier of F or H on |z| = r,
     divided by r^|n|, from the radial ODE, exactly as a function of
-    s = r^2 < 1.  Equal to ``radial_factor`` of the built kernel.
+    s = r^2 < 1.  The same rational as ``radial_ratio`` of the built kernel.
 
     The integers come from ``dirichlet_ratio``; this forms their Fraction.
     """

@@ -16,8 +16,8 @@ own two checks (biharmonic-zero and boundary-exact), so they run no
 elimination; a closed form that failed them would exit 1.
 
 Exit codes: 0 success, 1 mathematical failure, 2 usage error.  `eval`
-prints float64 values: the (a, b) form's float value where its error
-estimate allows, otherwise the kernel's terms summed in mpmath (see
+prints float64 values of the checked kernel's certified (a, b) form:
+summed in floats where its error estimate allows, otherwise in mpmath (see
 ``numeric.eval_kernel``).
 
 The JSON document serializes every coefficient as exact decimal
@@ -42,7 +42,6 @@ from . import __version__
 from .boundary import expansion_boundary
 from .builder import KernelSpec, build
 from .conjecture import ConjectureVerdict, checked_kernel, verify_conjecture
-from .exact import LaurentPoly
 from .numeric import DiscPoint, eval_kernel, integral_mean, l1_norm
 from .operators import KERNEL_KINDS, KernelExpansion, biharmonic, make_expansion, monomial_image
 
@@ -52,7 +51,9 @@ from .operators import KERNEL_KINDS, KernelExpansion, biharmonic, make_expansion
 
 
 def to_document(kernel: KernelExpansion, kind: str, checks_passed: Sequence[str]) -> Dict:
-    """Exact JSON-ready dict for a kernel; lossless round trip guaranteed."""
+    """Exact JSON-ready dict for a kernel: each coefficient as decimal
+    numerator and denominator strings, in lowest terms, so the document
+    holds the kernel's terms exactly.  The package reads no document back."""
     terms = []
     for beta in sorted(kernel.terms):
         coeffs = [
@@ -69,18 +70,6 @@ def to_document(kernel: KernelExpansion, kind: str, checks_passed: Sequence[str]
             "checks_passed": list(checks_passed),
         },
     }
-
-
-def from_document(doc: Dict) -> Tuple[KernelExpansion, str]:
-    """Inverse of to_document."""
-    terms: Dict[int, LaurentPoly] = {}
-    for entry in doc["terms"]:
-        beta = int(entry["beta"])
-        terms[beta] = {
-            int(c["k"]): Fraction(int(c["num"]), int(c["den"]))
-            for c in entry["coeffs"]
-        }
-    return make_expansion(doc["gamma"], terms), str(doc["kind"])
 
 
 # ---------------------------------------------------------------------------

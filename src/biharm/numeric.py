@@ -1,22 +1,17 @@
 """Floating-point evaluation, Fourier multipliers and L1 quadrature.
 
 Exact expansions become numbers here.  Scalar ``eval_kernel`` evaluates F
-and H by their (a, b) form, K = t^(gamma+2) u sum_d Re(a^d) P_d(u) with
-a = 1/(1 - z) (``conjecture``), in Python floats: F's sum has one term,
-and H's terms cancel little where the band sum's cancel by up to 1e30.  A
-kernel takes that form only where its exact band expansion is == to the
-kernel's terms, decided once per kernel (``float_ab_form``), and a point
-keeps its value only where an error estimate and an underflow floor allow.
+and H only, by their (a, b) form, K = t^(gamma+2) u sum_d Re(a^d) P_d(u)
+with a = 1/(1 - z) (``conjecture``), certified once per kernel against its
+terms (``float_ab_form``); any other expansion raises ValueError.  F's sum
+has one term, and H's terms cancel little where the band sum's cancel by
+up to 1e30.  One Horner body sums the form (``_ab_sum``): in Python floats,
+kept where an error estimate and an underflow floor allow, and otherwise
+in mpmath on the exact coefficients, with digits sized from that estimate.
 
-Every other value comes from one band sum, Horner's rule in
-u = 1/|1 - z|^2: sum_beta f_beta(t) u^beta with one add and one multiply
-per band, on float64 arrays (``values_at``, ``l1_norm``) and on mpmath
-numbers (the rest of ``eval_kernel``).  The float path takes each
-kernel's coefficients rounded once per kernel (``float_bands``), not once
-per call; the mpmath path converts them at its working precision, measures
-kappa = sum |term| / |sum term|, the factor by which the terms cancel, and
-sums again with about 20 + log10(kappa) digits where its first pass would
-miss 1e-12.
+Batch values come from the band sum sum_beta f_beta(t) u^beta, Horner's
+rule in u = 1/|1 - z|^2 on float64 arrays (``values_at``, ``l1_norm``),
+from each kernel's coefficients rounded once (``float_bands``).
 
 Integral means and Dirichlet solves use no quadrature: Fourier
 coefficients on |z| = r are exact rationals in r^2, computed as an integer
@@ -45,7 +40,7 @@ The float band sum takes u = 1/|1 - z|^2 as
 rewritten by sin^2 = T^2 / (1 + T^2): a sum of positive terms, free of the
 catastrophic cancellation of 1 - 2 r cos(theta) + r^2 near theta = 0,
 r -> 1, and on float64 arrays much faster than numpy's sine.  The (a, b)
-form and the mpmath sum take the sine form.
+form takes the sine form.
 """
 
 from __future__ import annotations
@@ -53,6 +48,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Mapping, Optional
@@ -125,121 +121,74 @@ def inv_abs1mz_sq(r, theta):
     return u
 
 
-def _mpf(c: Fraction):
-    return mpmath.mpf(c.numerator) / c.denominator
+def _horner(bands: list, u):
+    """sum_beta (sum of band terms) u^beta, u = 1/|1 - z|^2 a float64 array
+    or scalar, by Horner's rule from the top band down; bands holds the
+    terms of each band, top band first, None for an absent band.
 
-
-def _band_terms(kernel: KernelExpansion, t) -> list:
-    """The terms c t^k of each band f_beta(t) in mpmath, top band first, None
-    for an absent band; each exact coefficient is converted at the working
-    precision."""
-    return [
-        [_mpf(c) * t**k for k, c in poly.items()] if poly else None
-        for poly in map(kernel.terms.get, range(kernel.max_beta(), 0, -1))
-    ]
-
-
-def _float_terms(kernel: KernelExpansion, t) -> list:
-    """The terms c t^k of each band in float64, in _band_terms' layout, from
-    the coefficients the kernel rounded once (``float_bands``)."""
-    return [[c * t**k for k, c in band] if band else None for band in kernel.float_bands]
-
-
-def _horner(bands: list, u, reduce=sum):
-    """sum_beta reduce(band terms) u^beta, u = 1/|1 - z|^2 a float64 array or
-    scalar or an mpmath number, by Horner's rule from the top band down.
-
-    No power of u is formed, and the updates are in place: a numpy u costs
-    the array total, which starts as u times the top band, and no temporary
+    No power of u is formed, and the updates are in place: u costs the
+    array total, which starts as u times the top band, and no temporary
     per band.
     """
     bands = iter(bands)
-    total = u * reduce(next(bands, None) or ())
+    total = u * sum(next(bands, None) or ())
     for b in bands:
         if b is not None:
-            total += reduce(b)
+            total += sum(b)
         total *= u
     return total
 
 
-def _abs_sum(terms: list):
-    return sum(map(abs, terms))
-
-
 def values_at(kernel: KernelExpansion, r: float, thetas: np.ndarray) -> np.ndarray:
-    """Vectorized float64 kernel values at fixed radius, arbitrary angles."""
+    """Vectorized float64 kernel values at fixed radius, arbitrary angles;
+    ValueError where the kernel's highest power of t = 1 - r^2 underflows,
+    so that the sum would be finite and wrong."""
     _require_radius("values_at", r)
     thetas = np.asarray(thetas, dtype=float)
     # A nan or an infinity reaches min or max, which allocate nothing, unlike
     # an isfinite mask.  Both raise on an empty array, which has nothing to check.
     if thetas.size and not (math.isfinite(thetas.min()) and math.isfinite(thetas.max())):
         raise ValueError("values_at requires finite angles")
-    u = inv_abs1mz_sq(r, thetas)
     # (1 - r)(1 + r) keeps the digits that 1 - r*r loses as r -> 1.
-    return _horner(_float_terms(kernel, (1.0 - r) * (1.0 + r)), u)
+    t = (1.0 - r) * (1.0 + r)
+    if t**kernel.t_degree < sys.float_info.min:
+        raise ValueError(f"values_at: t^{kernel.t_degree} underflows float64 at r={r} (gamma={kernel.gamma})")
+    u = inv_abs1mz_sq(r, thetas)
+    return _horner([[c * t**k for k, c in band] if band else None for band in kernel.float_bands], u)
 
 
-def _eval_extended(kernel: KernelExpansion, r: float, theta: float) -> float:
-    """The band sum in mpmath, to 1e-12 relative.
-
-    t >= 0 and u > 0, so a term c t^k u^beta has the sign of c, and the
-    Horner sum of |c t^k| is size = sum |term|.  The first pass carries
-    _GUARD_DIGITS + 17 digits.  Each pass measures kappa = size / |sum|,
-    which bounds its sum's error by size 10^(_GUARD_DIGITS - dps), and keeps
-    the sum once that bound is below |sum| or below the smallest float (then
-    the rounding is exact: 0.0 for an empty expansion or a zero of the
-    kernel).  Otherwise it retries with _GUARD_DIGITS + log10(kappa) digits,
-    at least doubled, so it stops by 2 (_GUARD_DIGITS + log10(size) + 324).
-    """
-    dps = _GUARD_DIGITS + 17
-    while True:
-        with mpmath.workdps(dps):
-            rm = mpmath.mpf(r)
-            u = 1 / ((1 - rm) ** 2 + 4 * rm * mpmath.sin(mpmath.mpf(theta) / 2) ** 2)
-            bands = _band_terms(kernel, 1 - rm * rm)
-            total, size = _horner(bands, u), _horner(bands, u, _abs_sum)
-            floor = max(abs(total), math.ulp(0.0))
-            if size <= floor * mpmath.mpf(10) ** (dps - _GUARD_DIGITS):
-                return float(total)
-            needed = _GUARD_DIGITS + math.ceil(mpmath.log10(size / floor))
-        dps = max(needed, 2 * dps)
-
-
-def _eval_ab_form(form: FloatABForm, r: float, theta: float) -> Optional[float]:
-    """K = u sum_d Re(c^d) Q_d in Python floats, or None where it may miss
-    1e-12.
+def _ab_sum(terms, l_max: int, r, theta, sin, sqrt, cplx):
+    """(Re S, estimate, q) with K = Re S / q, S = sum_d c^d Q_d, in the number
+    type of r and theta, whose sine, square root and complex constructor
+    the caller passes; terms is laid out as ``FloatABForm.terms``.
 
     1 - z = x - i y with x = (1 - r) + 2 r sin^2(theta/2), which does not
     cancel near z = 1, so a = (x + i y) / q with q = x^2 + y^2.  The powers
     are taken of c = t a and v = |c|^2 = t^2 u, which stay below 1 + r and
     (1 + r)^2, so none overflows however large gamma is.  P_d's terms are
-    positive, so Q_d = t^base sum_l p_(d,l) v^l (t^2)^(L-l) does not cancel;
-    only the sum over d does.  Horner's rule in c sums it, and in |c| the
-    estimate sum_d (d + 1) |c|^d Q_d.  The value is kept where that estimate
-    is at most _ESTIMATE_MAX times |sum| and |sum| >= form.floor.
-
-    The floor: |c| < 2, v < 4 and p_(d,l) <= 1, so the error of at most
-    2^-1075 that a power or a product makes below the normal range (gradual
-    underflow) grows less than 2^(2 gamma + 2) times, and gamma + 2 times
-    more in the estimate.  Over fewer than (gamma + 3)^2 operations that
-    stays below 2^-60 of any |sum| >= form.floor = 2^(3 gamma - 1000).
+    positive, so Q_d = t^base sum_l p_(d,l) v^l (t^2)^(L-l) does not
+    cancel; only the sum over d does.  Horner's rule in c sums it, and in
+    |c| the estimate sum_d (d + 1) |c|^d Q_d of its rounding error in units
+    of the working precision.
     """
-    h = math.sin(0.5 * theta)
+    h = sin(0.5 * theta)
     x = (1.0 - r) + 2.0 * r * h * h
-    y = r * math.sin(theta)
+    y = r * sin(theta)
     q = x * x + y * y
     t = (1.0 - r) * (1.0 + r)
     g = t / q
-    c = complex(x * g, y * g)
+    c = cplx(x * g, y * g)
     v = g * t
-    rho = math.sqrt(v)
-    powers = [1.0]
+    rho = sqrt(v)
     s = t * t
-    for _ in range(form.l_max):
+    powers = [s]
+    for _ in range(l_max - 1):
         powers.append(powers[-1] * s)
     total = size = 0.0
-    for d, base, coefficients in form.terms:
-        band = 0.0
+    for d, base, coefficients in terms:
+        # p_(d,L) takes no power of s, so an int one stays exact in mpmath.
+        coefficients = iter(coefficients)
+        band = next(coefficients)
         for p, power in zip(coefficients, powers):
             band = band * v + p * power
         band *= t**base
@@ -248,22 +197,62 @@ def _eval_ab_form(form: FloatABForm, r: float, theta: float) -> Optional[float]:
     if d:
         total *= c**d
         size *= rho**d
-    value = total.real / q
-    if form.floor <= abs(total.real) and size <= _ESTIMATE_MAX * abs(total.real) and abs(value) < math.inf:
+    return total.real, size, q
+
+
+def _eval_extended(kernel: KernelExpansion, r: float, theta: float) -> float:
+    """``_ab_sum`` in mpmath on the exact p_(d,l), to 1e-12 relative: on the
+    ints scale p_(d,l) (``FloatABForm.exact``), which mpmath multiplies
+    without converting, divided by scale once.  A pass with dps digits,
+    _GUARD_DIGITS + 17 at first, keeps its value once the estimate times
+    10^(_GUARD_DIGITS - dps) is below |Re S| or below the smallest float
+    times q scale (0.0 at an exact zero); otherwise it retries with
+    _GUARD_DIGITS + log10(estimate / |Re S|) digits, at least doubled.
+    """
+    form = kernel.float_ab_form
+    dps = _GUARD_DIGITS + 17
+    while True:
+        with mpmath.workdps(dps):
+            rm, th = mpmath.mpf(r), mpmath.mpf(theta)
+            real, size, q = _ab_sum(form.exact, form.l_max, rm, th, mpmath.sin, mpmath.sqrt, mpmath.mpc)
+            floor = max(abs(real), math.ulp(0.0) * q * form.scale)
+            if size <= floor * mpmath.mpf(10) ** (dps - _GUARD_DIGITS):
+                return float(real / (q * form.scale))
+            needed = _GUARD_DIGITS + math.ceil(mpmath.log10(size / floor))
+        dps = max(needed, 2 * dps)
+
+
+def _eval_ab_form(form: FloatABForm, r: float, theta: float) -> Optional[float]:
+    """``_ab_sum`` in Python floats, or None where it may miss 1e-12: kept
+    where the estimate is at most _ESTIMATE_MAX |Re S|, |Re S| >= form.floor
+    and the value is finite.
+
+    The floor: |c| < 2, v < 4 and p_(d,l) <= 1, so the error of at most
+    2^-1075 that a power or a product makes below the normal range (gradual
+    underflow) grows less than 2^(2 gamma + 2) times, and gamma + 2 times
+    more in the estimate.  Over fewer than (gamma + 3)^2 operations that
+    stays below 2^-60 of any |Re S| >= form.floor = 2^(3 gamma - 1000).
+    """
+    real, size, q = _ab_sum(form.terms, form.l_max, r, theta, math.sin, math.sqrt, complex)
+    value = real / q
+    if form.floor <= abs(real) and size <= _ESTIMATE_MAX * abs(real) and abs(value) < math.inf:
         return value
     return None
 
 
 def eval_kernel(kernel: KernelExpansion, p: DiscPoint) -> float:
-    """Kernel value at one point of the disc, to 1e-12 relative.
-
-    A kernel whose (a, b) form is certified (``float_ab_form``: F and H,
-    also when built) is evaluated by it in Python floats
-    (``_eval_ab_form``).  Every point that form does not keep, and every
-    other expansion, takes the band sum in mpmath (``_eval_extended``).
-    """
+    """F or H, closed-form or built, at one point of the disc, to 1e-12
+    relative, by its certified (a, b) form (``float_ab_form``): in Python
+    floats (``_eval_ab_form``) and, where that pass may miss 1e-12, in
+    mpmath on the exact coefficients (``_eval_extended``); ValueError for
+    an expansion with no certified form."""
     form = kernel.float_ab_form
-    value = None if form is None else _eval_ab_form(form, p.r, p.theta)
+    if form is None:
+        raise ValueError(
+            "eval_kernel takes F and H only; no (a, b) form is certified for this "
+            f"expansion (gamma={kernel.gamma}, top band {kernel.max_beta()})"
+        )
+    value = _eval_ab_form(form, p.r, p.theta)
     return _eval_extended(kernel, p.r, p.theta) if value is None else value
 
 
@@ -273,7 +262,7 @@ def integral_mean(kernel: KernelExpansion, r: float) -> float:
     _require_radius("integral_mean", r)
     m, d = r.as_integer_ratio()
     num, den = radial_ratio(kernel, 0, m * m, d * d)
-    # int / int is correctly rounded, so this is float(radial_factor(...)).
+    # int / int is correctly rounded: the float of the exact mean.
     return num / den
 
 
@@ -293,7 +282,7 @@ def _circle_bernstein(kernel: KernelExpansion, r: float) -> List[int]:
     t = d - m * m
     bands = kernel.integer_bands.bands
     k_min = min(low for _, low, _ in bands)
-    k_max = max(low + len(coeffs) - 1 for _, low, coeffs in bands)
+    k_max = kernel.t_degree
     p = [0] * top
     for beta, low, coeffs in bands:
         p[top - beta] = sum(

@@ -54,17 +54,19 @@ def _float(c: Fraction) -> float:
 
 
 class FloatABForm(NamedTuple):
-    """A kernel's certified (a, b) form, K = t^(gamma+2) u sum_d Re(a^d) P_d(u),
-    with P_d's coefficients p_(d,l) rounded to float.
+    """A kernel's certified (a, b) form, K = t^(gamma+2) u sum_d Re(a^d) P_d(u).
 
     numeric evaluates it in c = t a and v = |c|^2 = t^2 u, where the terms
     are p_(d,l) Re(c^d) v^l t^(gamma+2-d-2l).  terms holds one entry per d,
-    d falling by one from the top: (d, base, (p_(d,L), ..., p_(d,0))),
-    base = gamma + 2 - d - 2L the least power of t in P_d's terms.  l_max
-    is the largest L, and floor the least |sum| that numeric keeps.
+    d falling by one from the top: (d, base, (p_(d,L), ..., p_(d,0))) in
+    floats, base = gamma + 2 - d - 2L the least power of t in P_d's terms;
+    exact holds scale p_(d,l) in ints, scale the lcm of their denominators.
+    l_max is the largest L, and floor the least |sum| kept in floats.
     """
 
     terms: Tuple[Tuple[int, int, Tuple[float, ...]], ...]
+    exact: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
+    scale: int
     l_max: int
     floor: float
 
@@ -88,9 +90,10 @@ class KernelExpansion:
     Because they are, each exact coefficient is rounded to float once per
     kernel, on first use (``float_bands``, which values_at reads), scaled
     to an integer once (``integer_bands``, which the exact multipliers and
-    l1_norm's root isolation read), and the kernel's (a, b) form is
-    certified once (``float_ab_form``, which eval_kernel reads), however
-    often the kernel is evaluated.
+    l1_norm's root isolation read), the largest power of t is found once
+    (``t_degree``), and the kernel's (a, b) form is certified once
+    (``float_ab_form``, which eval_kernel reads), however often the kernel
+    is evaluated.
     """
 
     gamma: int
@@ -109,6 +112,11 @@ class KernelExpansion:
         return tuple(tuple((k, _float(c)) for k, c in poly.items()) if poly else None for poly in polys)
 
     @functools.cached_property
+    def t_degree(self) -> int:
+        """The largest power of t in terms (0 for none), found once."""
+        return max((k for poly in self.terms.values() for k in poly), default=0)
+
+    @functools.cached_property
     def integer_bands(self) -> IntegerBands:
         """terms times the lcm of their denominators, made on first use and
         kept, like float_bands; an empty expansion has scale 1."""
@@ -122,9 +130,10 @@ class KernelExpansion:
 
     @functools.cached_property
     def float_ab_form(self) -> Optional[FloatABForm]:
-        """The float image of the kernel's (a, b) form, or None unless that
-        form expands to terms exactly (``conjecture.certified_ab_form``).
-        Decided on first use and kept, like float_bands."""
+        """The kernel's (a, b) form, in floats and exactly, or None unless
+        that form expands to terms exactly (``conjecture.certified_ab_form``).
+        Decided on first use and kept, like float_bands, so a point that
+        needs the exact coefficients never certifies the form again."""
         # Imported here: conjecture builds on this module.
         from .conjecture import certified_ab_form
 
@@ -132,11 +141,12 @@ class KernelExpansion:
         if form is None:
             return None
         gamma = self.gamma
+        rows = [(d, gamma + 2 - d - 2 * (len(p) - 1), p[::-1]) for d, p in sorted(form.items(), reverse=True)]
+        scale = math.lcm(*(c.denominator for _, _, p in rows for c in p))
         return FloatABForm(
-            terms=tuple(
-                (d, gamma + 2 - d - 2 * (len(p) - 1), tuple(map(float, reversed(p))))
-                for d, p in sorted(form.items(), reverse=True)
-            ),
+            terms=tuple((d, base, tuple(map(float, p))) for d, base, p in rows),
+            exact=tuple((d, base, tuple(c.numerator * (scale // c.denominator) for c in p)) for d, base, p in rows),
+            scale=scale,
             l_max=max(map(len, form.values())) - 1,
             # Past 2^(3 gamma - 1000) the underflow of a power or a term cannot
             # reach 1e-18 of the sum (numeric._eval_ab_form).

@@ -10,7 +10,7 @@ from biharm.boundary import (
     dirichlet_factor,
     expansion_boundary,
     fourier_poly,
-    radial_factor,
+    radial_ratio,
     term_boundary,
 )
 from biharm.builder import build_pair
@@ -116,6 +116,12 @@ def test_closed_means_match_quadrature(beta, k, r, expected):
 
 # ---------------------------------------------------------------------------
 # Fourier multipliers
+
+
+def radial_factor(kernel, n, s):
+    """The kernel's exact n-th multiplier at s = r^2, one Fraction of
+    radial_ratio's integers."""
+    return Fraction(*radial_ratio(kernel, n, s.numerator, s.denominator))
 
 
 def direct_radial_factor(kernel, n, s):

@@ -19,7 +19,7 @@ import biharm.cli as cli
 import biharm.conjecture
 from biharm import __version__
 from biharm.builder import KernelSpec, build
-from biharm.cli import from_document, latex_lines, main, text_line, to_document
+from biharm.cli import latex_lines, main, text_line, to_document
 from biharm.numeric import l1_norm
 from biharm.operators import make_expansion
 
@@ -34,32 +34,49 @@ def normalize(text):
 # JSON document
 
 
+def document_terms(doc):
+    """{beta: {k: Fraction(num, den)}} of a document's entries, each entry
+    checked to be decimal integer strings in lowest terms, den > 0."""
+    terms = {}
+    for entry in doc["terms"]:
+        poly = terms.setdefault(entry["beta"], {})
+        for c in entry["coeffs"]:
+            num, den = int(c["num"]), int(c["den"])
+            assert (str(num), str(den)) == (c["num"], c["den"]) and den > 0 and math.gcd(num, den) == 1
+            poly[c["k"]] = Fraction(num, den)
+    return terms
+
+
 @pytest.mark.parametrize("gamma", [0, 1, 4, 8, 20, 40])
 @pytest.mark.parametrize("kind", ("F", "H"))
 def test_document_round_trip(kind, gamma):
+    # Every exact coefficient survives JSON: its num / den entries are the
+    # kernel's terms.
     kernel = build(KernelSpec(gamma=gamma, kind=kind))
     doc = json.loads(json.dumps(to_document(kernel, kind, ["biharmonic-zero"])))
-    back, back_kind = from_document(doc)
-    assert back_kind == kind
-    assert back.gamma == gamma
-    assert back.terms == kernel.terms
+    assert (doc["gamma"], doc["kind"]) == (gamma, kind)
+    assert document_terms(doc) == kernel.terms
 
 
 def test_document_zero_coefficient_is_dropped():
+    # make_expansion drops a zero coefficient, so no document lists one.
     kernel = build(KernelSpec(gamma=2, kind="F"))
-    doc = to_document(kernel, "F", [])
-    doc["terms"][0]["coeffs"].insert(0, {"k": 40, "num": "0", "den": "1"})
-    assert from_document(doc) == (kernel, "F")
+    terms = {beta: dict(poly) for beta, poly in kernel.terms.items()}
+    terms[1][40] = Fraction(0)
+    doc = to_document(make_expansion(2, terms), "F", [])
+    assert doc == to_document(kernel, "F", [])
+    assert all(c["num"] != "0" for t in doc["terms"] for c in t["coeffs"])
 
 
 @pytest.mark.parametrize("gamma", [True, 2.7, 2.0, "2", -1])
 def test_document_gamma_is_a_nonnegative_int(gamma):
-    # A document's gamma is not coerced: true or 2.7 would load H_2's
-    # terms under another gamma.
+    # A document's gamma is its kernel's, and no expansion is made with a
+    # gamma other than an int >= 0: true or 2.7 would file H_2's terms
+    # under another gamma.
     doc = json.loads(json.dumps(to_document(build(KernelSpec(gamma=2, kind="H")), "H", [])))
-    doc["gamma"] = gamma
+    assert type(doc["gamma"]) is int and doc["gamma"] == 2
     with pytest.raises(ValueError, match="gamma must be an int >= 0"):
-        from_document(doc)
+        make_expansion(gamma, document_terms(doc))
 
 
 def test_document_layout():
@@ -114,9 +131,8 @@ def test_gen_text(capsys):
 def test_gen_json_round_trips(capsys):
     assert main(["gen", "--gamma", "2", "--kernel", "H", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    kernel, kind = from_document(doc)
-    assert kind == "H"
-    assert kernel.terms == build(KernelSpec(gamma=2, kind="H")).terms
+    assert doc["kind"] == "H"
+    assert document_terms(doc) == build(KernelSpec(gamma=2, kind="H")).terms
     assert doc["provenance"]["checks_passed"] == ["biharmonic-zero", "boundary-exact"]
 
 

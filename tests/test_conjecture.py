@@ -105,6 +105,71 @@ def test_solve_ck_nonzero():
 
 
 # ---------------------------------------------------------------------------
+# F in the coordinates a = 1/(1 - z), b = conj(a)
+
+
+def _s_power(m):
+    """s^m = (a + b - 1)^m as {(i, j): int coefficient of a^i b^j}, by the
+    trinomial theorem."""
+    return {
+        (i, j): binom(m, i) * binom(m - i, j) * (-1) ** (m - i - j)
+        for i in range(m + 1)
+        for j in range(m - i + 1)
+    }
+
+
+def _add(poly, key, c):
+    poly[key] = poly.get(key, 0) + c
+
+
+def _f_identity_holds(gamma, s_exp, n_exp):
+    """Whether (a b)^gamma D(2F) == n (n + 1) s^gamma (a^(n+1) (1 - a) +
+    b^(n+1) (1 - b)), n = gamma + 1, as Laurent polynomials in a and b with
+    int coefficients, for 2F = s^s_exp (a^-n_exp + b^-n_exp).  F itself has
+    s_exp = gamma + 2 and n_exp = gamma + 1.
+
+    D = a^2 b^2 d_a d_b sends a^i b^j to i j a^(i+1) b^(j+1), and
+    w = t^gamma = s^gamma / (a b)^gamma, so the identity is
+    w^-1 D F = n (n + 1) / 2 (a^(n+1) (1 - a) + b^(n+1) (1 - b)) times
+    2 s^gamma.
+    """
+    n = gamma + 1
+    two_f = {}
+    for (i, j), c in _s_power(s_exp).items():
+        _add(two_f, (i - n_exp, j), c)
+        _add(two_f, (i, j - n_exp), c)
+    lhs = {}
+    for (i, j), c in two_f.items():
+        _add(lhs, (i + 1 + gamma, j + 1 + gamma), i * j * c)
+    rhs = {}
+    for (i, j), c in _s_power(gamma).items():
+        c *= n * (n + 1)
+        for shift, sign in ((n + 1, 1), (n + 2, -1)):
+            _add(rhs, (i + shift, j), sign * c)
+            _add(rhs, (i, j + shift), sign * c)
+
+    def nonzero(poly):
+        return {key: c for key, c in poly.items() if c}
+
+    return nonzero(lhs) == nonzero(rhs)
+
+
+@pytest.mark.parametrize("gamma", list(range(41)) + [60, 80, 100, 120, 160, 200])
+def test_w_inverse_laplacian_of_f_is_harmonic(gamma):
+    # The right-hand side has no mixed monomial a^i b^j, i != 0 != j, so
+    # D w^-1 D F = 0: F is biharmonic-zero at every gamma, not only where
+    # the builder checks it.
+    assert _f_identity_holds(gamma, gamma + 2, gamma + 1)
+
+
+@pytest.mark.parametrize("s_exp, n_exp", [(8, 6), (7, 7), (6, 6)])
+def test_f_identity_fails_for_a_wrong_exponent(s_exp, n_exp):
+    # gamma 5: F is s^7 (a^-6 + b^-6) / 2; one exponent off breaks it.
+    assert _f_identity_holds(5, 7, 6)
+    assert not _f_identity_holds(5, s_exp, n_exp)
+
+
+# ---------------------------------------------------------------------------
 # closed-form kernels vs. the builder
 
 

@@ -15,7 +15,7 @@ import biharm.boundary
 import biharm.builder
 import biharm.numeric
 import biharm.operators
-from biharm.boundary import dirichlet_factor, radial_factor
+from biharm.boundary import dirichlet_factor, radial_ratio
 from biharm.builder import KernelSpec, build, build_pair
 from biharm.conjecture import conjectured_kernel
 from biharm.exact import bernstein_coefficients, isolate_roots
@@ -32,7 +32,7 @@ from biharm.numeric import (
     solve_dirichlet,
     values_at,
 )
-from biharm.operators import make_expansion
+from biharm.operators import FloatABForm, make_expansion
 from exact_references import (
     bisect_root_in,
     expansion_scale,
@@ -144,8 +144,8 @@ def test_eval_kernel_angle_symmetry():
 
 def _perturbed(kernel):
     """The kernel with its top band's one coefficient moved by 1e-30.  No
-    (a, b) form expands to it, so eval_kernel takes the mpmath band sum, and
-    its float image is the kernel's own."""
+    (a, b) form expands to it, so eval_kernel refuses it, though its float
+    image is the kernel's own."""
     terms = {beta: dict(poly) for beta, poly in kernel.terms.items()}
     ((k, c),) = terms[kernel.max_beta()].items()
     terms[kernel.max_beta()][k] = c + Fraction(1, 10**30)
@@ -153,16 +153,14 @@ def _perturbed(kernel):
 
 
 def test_eval_kernel_matches_vectorized_path():
-    # eval_kernel sums the perturbed kernel in mpmath and values_at in
-    # float64, so the two agree to values_at's rounding, not bit for bit.
-    h2 = _perturbed(H2)
-    assert h2.float_ab_form is None
+    # eval_kernel sums H_2's (a, b) form and values_at its bands, both in
+    # float64, so the two agree to rounding, not bit for bit.
     thetas = np.linspace(0.0, 2.0 * np.pi, 7)
-    vals = values_at(h2, 0.85, thetas)
+    vals = values_at(H2, 0.85, thetas)
     for theta, val in zip(thetas, vals):
-        assert eval_kernel(h2, DiscPoint(r=0.85, theta=theta)) == pytest.approx(val, rel=1e-13, abs=0.0)
+        assert eval_kernel(H2, DiscPoint(r=0.85, theta=theta)) == pytest.approx(val, rel=1e-13, abs=0.0)
     # A scalar angle (a 0-d array) gives a scalar.
-    one = values_at(h2, 0.85, thetas[3])
+    one = values_at(H2, 0.85, thetas[3])
     assert np.ndim(one) == 0 and one == vals[3]
 
 
@@ -223,18 +221,13 @@ def _direct_sum(kernel, r, theta, dps=150):
 
 @pytest.mark.parametrize("kernel", SPARSE_EXPANSIONS)
 def test_band_sum_on_sparse_bands(kernel):
+    # values_at sums any expansion's bands (eval_kernel takes F and H only).
     thetas = np.array([0.0, 0.4, 1.7, 3.0, -2.2])
     for r in (0.0, 0.3, 0.9, 0.998):
         batch = values_at(kernel, r, thetas)
-        for i, theta in enumerate(thetas):
+        for value, theta in zip(batch, thetas):
             want = float(_direct_sum(kernel, r, theta))
-            got = [
-                batch[i],
-                eval_kernel(kernel, DiscPoint(r=r, theta=float(theta))),
-                biharm.numeric._eval_extended(kernel, r, float(theta)),
-            ]
-            for value in got:
-                assert value == pytest.approx(want, rel=1e-13, abs=0.0), (r, theta)
+            assert value == pytest.approx(want, rel=1e-13, abs=0.0), (r, theta)
 
 
 # Each kernel's float image: bands top first, None where a band is absent.
@@ -289,25 +282,39 @@ def test_band_sum_of_empty_expansion_is_zero(sized_calls):
     empty = SPARSE_EXPANSIONS[-1]
     vals = values_at(empty, 0.5, np.ones((2, 3)))
     assert vals.shape == (2, 3) and not vals.any()
-    assert eval_kernel(empty, DiscPoint(r=0.5, theta=1.0)) == 0.0
-    assert sized_calls == [(0.5, 1.0)]
+    # No (a, b) form is certified for it, so eval_kernel refuses it.
+    with pytest.raises(ValueError, match="F and H"):
+        eval_kernel(empty, DiscPoint(r=0.5, theta=1.0))
+    assert sized_calls == []
 
 
-def test_eval_kernel_exact_zero_ends_digit_loop():
-    # t = 3/4 at r = 1/2, so every pass sums to exactly 0.  The digits
-    # double until the error bound falls below the smallest float.
-    zero = make_expansion(0, {1: {1: Fraction(1), 0: Fraction(-3, 4)}})
-    assert eval_kernel(zero, DiscPoint(r=0.5, theta=1.0)) == 0.0
+def test_eval_kernel_exact_zero_ends_digit_loop(sized_calls):
+    # No certified kernel sums to exactly 0 at a float point, so this form
+    # is made by hand: at r = 1/2 and theta = 0, c = t a = 3/2 exactly, and
+    # S = c - 3/2 is 0 in every precision.  The float pass rejects it, and
+    # the mpmath pass doubles its digits until the error bound falls below
+    # the smallest float.
+    kernel = make_expansion(0, {1: {1: Fraction(1)}})
+    kernel.__dict__["float_ab_form"] = FloatABForm(
+        terms=((1, 0, (1.0,)), (0, 0, (-1.5,))),
+        exact=((1, 0, (2,)), (0, 0, (-3,))),
+        scale=2,
+        l_max=0,
+        floor=0.0,
+    )
+    assert eval_kernel(kernel, DiscPoint(r=0.5, theta=0.0)) == 0.0
+    assert sized_calls == [(0.5, 0.0)]
 
 
 def test_eval_kernel_precision_paths_agree(sized_calls):
-    # A well-conditioned point keeps a float value (here F_2's closed
-    # form), which the mpmath path reproduces.
+    # A well-conditioned point keeps its float value (here F_2's form),
+    # which the mpmath pass on the same form reproduces.
     p = DiscPoint(r=0.7, theta=1.1)
     d = eval_kernel(F2, p)
     assert sized_calls == []
     e = biharm.numeric._eval_extended(F2, p.r, p.theta)
     assert d == pytest.approx(e, rel=1e-12, abs=0.0)
+    assert e == pytest.approx(float(_direct_sum(F2, p.r, p.theta)), rel=1e-15, abs=0.0)
 
 
 def test_values_at_near_the_boundary_matches_extended():
@@ -321,12 +328,12 @@ def test_values_at_near_the_boundary_matches_extended():
 
 
 def test_eval_kernel_singular_corner_upgrades(sized_calls):
-    # Near z = 1 at gamma 80, u^beta overflows float64, and the mpmath path
-    # sums it, also for an angle outside [-pi, pi].  F_80 itself takes its
-    # (a, b) form there, so the kernel is a perturbed one.
-    f80 = _perturbed(conjectured_kernel(80, "F"))
-    assert f80.float_ab_form is None
-    for theta in (1e-4, 2.0 * math.pi + 1e-4):
+    # Near z = 1 at gamma 80, where u^beta overflows float64, F_80's float
+    # pass drops the points next to a zero of cos(81 psi), and the mpmath
+    # pass sums the form there, also for an angle outside [-pi, pi].
+    f80 = conjectured_kernel(80, "F")
+    first = _f_zeros(80, 0.99)[0]
+    for theta in (first, 2.0 * math.pi + first):
         sized_calls.clear()
         got = eval_kernel(f80, DiscPoint(r=0.99, theta=theta))
         assert sized_calls == [(0.99, theta)]
@@ -385,27 +392,36 @@ def test_perturbed_kernel_is_not_certified(sized_calls):
     moved = _perturbed(f8)
     assert f8.float_ab_form is not None and moved.float_ab_form is None
     assert "float_ab_form" in vars(moved)  # the verdict is kept
-    p = DiscPoint(r=0.5, theta=0.2)
-    assert eval_kernel(moved, p) == pytest.approx(eval_kernel(f8, p), rel=1e-12)
-    assert sized_calls == [(0.5, 0.2)]
+    with pytest.raises(ValueError, match="F and H"):
+        eval_kernel(moved, DiscPoint(r=0.5, theta=0.2))
+    assert sized_calls == []
 
 
 # (kernel, r, theta) where the terms cancel by at most 256 and none
-# underflows, so float64 would sum them to 1e-12: points off F and H's
-# certified forms still take the mpmath path.  The H_8 corner point is one
-# where the (a, b) form's estimate is too large to keep its value.
-FLOAT_SAFE_POINTS = [
+# underflows, so float64 would sum them to 1e-12; still no (a, b) form is
+# certified for these expansions, so eval_kernel refuses them.
+UNCERTIFIED_POINTS = [
     pytest.param(SPARSE_EXPANSIONS[0], 0.3, 0.4, id="sparse"),
     pytest.param(SPARSE_EXPANSIONS[1], 0.9, -2.2, id="top-band-only"),
     pytest.param(_perturbed(conjectured_kernel(8, "F")), 0.9, 1.0, id="perturbed-F8"),
-    pytest.param(conjectured_kernel(8, "H"), 0.9998568809811054, -0.0007426898694535005, id="H8-corner"),
 ]
 
 
-@pytest.mark.parametrize("kernel, r, theta", FLOAT_SAFE_POINTS)
+@pytest.mark.parametrize("kernel, r, theta", UNCERTIFIED_POINTS)
+def test_eval_kernel_rejects_uncertified_expansions(kernel, r, theta, sized_calls):
+    with pytest.raises(ValueError, match=f"gamma={kernel.gamma}, top band {kernel.max_beta()}"):
+        eval_kernel(kernel, DiscPoint(r=r, theta=theta))
+    assert sized_calls == []
+
+
+# The H_8 corner point is one where the (a, b) form's estimate is too large
+# for the float pass to keep its value.
+@pytest.mark.parametrize(
+    "kernel, r, theta",
+    [pytest.param(conjectured_kernel(8, "H"), 0.9998568809811054, -0.0007426898694535005, id="H8-corner")],
+)
 def test_points_off_the_certified_form_take_the_mpmath_path(kernel, r, theta, sized_calls):
-    if kernel.float_ab_form is not None:
-        assert biharm.numeric._eval_ab_form(kernel.float_ab_form, r, theta) is None
+    assert biharm.numeric._eval_ab_form(kernel.float_ab_form, r, theta) is None
     got = eval_kernel(kernel, DiscPoint(r=r, theta=theta))
     assert sized_calls == [(r, theta)]
     assert got == pytest.approx(float(_direct_sum(kernel, r, theta)), rel=1e-12, abs=0.0)
@@ -437,21 +453,56 @@ def test_eval_kernel_matches_reference(kind, gamma, r, theta):
 
 
 @pytest.mark.parametrize(
-    "kernel, r",
+    "r, theta",
     [
-        # t^105 is subnormal though the term c t^105 is not.
-        (make_expansion(0, {1: {105: Fraction(10**20)}}), math.sqrt(1 - 1e-3)),
-        # c t^150 is subnormal though t^150 is not, and u^10 lifts it back.
-        (make_expansion(0, {10: {150: Fraction(1, 10**20)}}), 0.995),
+        # c^81 is subnormal, and so is the value.
+        (0.9999, 2.0),
+        # The one term t Re(c^81) is normal but below the float floor
+        # 2^(3 gamma - 1000), where underflow could have reached it.
+        (0.9995, 3.0),
     ],
     ids=["power", "term"],
 )
-def test_eval_kernel_underflowed_terms_take_mpmath_path(kernel, r, sized_calls):
-    # One term, so kappa = 1, yet float64 would lose the underflowed digits;
-    # with no (a, b) form these take the mpmath path.
-    got = eval_kernel(kernel, DiscPoint(r=r, theta=1e-3))
-    assert sized_calls == [(r, 1e-3)]
-    assert got == pytest.approx(float(_direct_sum(kernel, r, 1e-3)), rel=1e-12, abs=0.0)
+def test_eval_kernel_underflowed_terms_take_mpmath_path(r, theta, sized_calls):
+    # F_80 has one term, so nothing cancels, yet float64 may have lost its
+    # digits to underflow: the float pass drops these points.
+    f80 = conjectured_kernel(80, "F")
+    assert biharm.numeric._eval_ab_form(f80.float_ab_form, r, theta) is None
+    got = eval_kernel(f80, DiscPoint(r=r, theta=theta))
+    assert sized_calls == [(r, theta)]
+    assert got != 0.0
+    assert got == pytest.approx(float(_direct_sum(f80, r, theta, 300)), rel=1e-12, abs=0.0)
+
+
+def test_values_at_rejects_underflowed_powers_of_t():
+    # At r = 0.99708 F_80's t^163 is below the smallest normal float, and
+    # the band sum read 2.54e56 where the value is 2.95e26.
+    r, theta = 0.9970793655431056, 0.00017920499073073842
+    f80 = conjectured_kernel(80, "F")
+    with pytest.raises(ValueError, match=f"t\\^163 underflows float64 at r={r} \\(gamma=80\\)"):
+        values_at(f80, r, [theta])
+    # t^19 is 5e-52 for the gamma 8 kernels at r = 0.999.
+    assert np.isfinite(values_at(conjectured_kernel(8, "H"), 0.999, [theta])).all()
+
+
+# 200 uniform points (seed 3) with r <= 0.99, and 20 in the corner r > 0.999,
+# |theta| < 1e-3.  gamma 24 and 80 join with BIHARM_ACCEPT_EXTENDED=1.
+_rng = random.Random(3)
+UNIFORM_POINTS = [(_rng.uniform(0.0, 0.99), _rng.uniform(-math.pi, math.pi)) for _ in range(200)]
+UNIFORM_POINTS += [(_rng.uniform(0.999, 0.99999), _rng.uniform(-1e-3, 1e-3)) for _ in range(20)]
+
+
+@pytest.mark.parametrize("kind", ["F", "H"])
+@pytest.mark.parametrize("gamma", list(range(9)) + ([24, 80] if os.environ.get("BIHARM_ACCEPT_EXTENDED") else []))
+def test_eval_kernel_matches_direct_sum_at_uniform_points(gamma, kind, sized_calls):
+    kernel = conjectured_kernel(gamma, kind)
+    for r, theta in UNIFORM_POINTS:
+        got = eval_kernel(kernel, DiscPoint(r=r, theta=theta))
+        want = float(_direct_sum(kernel, r, theta, 150 if gamma < 24 else 300))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), (r, theta)
+    # Measured: 5 to 15 of the 220 points fall back at gamma 24 and 80.
+    if gamma >= 24:
+        assert len(sized_calls) >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +578,12 @@ def test_values_at_finds_a_non_finite_angle_anywhere(bad):
     assert np.isfinite(values_at(F2, 0.5, np.float64(0.3)))
 
 
+def _radial_factor(kernel, n, s):
+    return Fraction(*radial_ratio(kernel, n, s.numerator, s.denominator))
+
+
 def _multiplier(kernel, n, r):
-    return r**n * float(radial_factor(kernel, n, Fraction(r) ** 2))
+    return r**n * float(_radial_factor(kernel, n, Fraction(r) ** 2))
 
 
 @pytest.mark.parametrize("gamma", [0, 1, 2, 4])
@@ -723,7 +778,7 @@ def _kernel_route_solve(gamma, f0, f1, p):
     u = 0.0 + 0.0j
     for kernel, data in zip(build_pair(gamma), (f0, f1)):
         for n, c in data.items():
-            multiplier = p.r ** abs(n) * float(radial_factor(kernel, n, s))
+            multiplier = p.r ** abs(n) * float(_radial_factor(kernel, n, s))
             u += c * multiplier * cmath.exp(1j * n * p.theta)
     return float(u.real)
 
