@@ -13,9 +13,9 @@ the bands of an expansion.  Its n = 0 case p(s) = sum_j C(beta - 1, j)^2 s^j
 is the integral mean of t^(2 beta - 1) / |1-z|^(2 beta).  Its coefficients
 are integers.  Horner's rule runs in integers over one common denominator:
 with s = m / d and t = (d - m) / d, each band and each Fourier polynomial is
-an integer Horner sum over a power of d (and the lcm of the kernel's
-denominators, scaled into the kernel's ``integer_bands`` once per kernel),
-and the bands are added over one common denominator.
+an integer Horner sum over a power of d (and the kernel's own scale, over
+which it holds its coefficients as integers), and the bands are added
+over one common denominator.
 
 For F and H the same multipliers follow without the kernels, from the
 Dirichlet problem they solve (``dirichlet_factor``).  For data e^(i n theta)
@@ -128,15 +128,14 @@ def radial_ratio(kernel: KernelExpansion, n: int, m: int, d: int) -> Tuple[int, 
     denominator, not in lowest terms.
 
     With t = (d - m) / d, band beta is f_beta(t) t^(1 - 2 beta) P_beta(s)
-    (``fourier_poly``).  Over the lcm of the kernel's denominators
-    (``integer_bands``, kept per kernel), f_beta(t) / t^low is an integer
-    Horner sum in d - m over d^(high - low), and P_beta(s) one in m over
-    d^deg; t^(low + 1 - 2 beta) adds a power of d - m above or below.  The
-    bands are summed over one common denominator.
+    (``fourier_poly``).  Over the kernel's scale, f_beta(t) / t^low is an
+    integer Horner sum of its band in d - m over d^(high - low), and
+    P_beta(s) one in m over d^deg; t^(low + 1 - 2 beta) adds a power of
+    d - m above or below.  The bands are summed over one common denominator.
     """
     t = d - m
     bands = []
-    for beta, low, coeffs in kernel.integer_bands.bands:
+    for beta, low, coeffs in kernel.bands:
         fourier = list(fourier_poly(beta, n).values())
         # band * fourier * t^t_exp / (scale d^d_exp)
         t_exp = low - 2 * beta + 1
@@ -145,7 +144,7 @@ def radial_ratio(kernel: KernelExpansion, n: int, m: int, d: int) -> Tuple[int, 
     t_low = min([0, *(e for _, e, _ in bands)])
     d_top = max([0, *(e for _, _, e in bands)])
     total = sum(num * t ** (t_exp - t_low) * d ** (d_top - d_exp) for num, t_exp, d_exp in bands)
-    return total, kernel.integer_bands.scale * d**d_top * t**-t_low
+    return total, kernel.scale * d**d_top * t**-t_low
 
 
 class _ODETable(NamedTuple):
@@ -218,18 +217,16 @@ def expansion_boundary(u: KernelExpansion) -> BoundaryData:
     """Boundary data of a banded expansion, by linearity over its terms.
 
     Only the terms k = 2 beta - 1 and k = 2 beta of a band carry data, so
-    only those are read, once the band's least exponent has passed
-    ``term_boundary``'s check.  Their sum runs in integers over the lcm of
-    their denominators, and one Fraction is formed per field."""
-    terms = []
-    for beta, poly in u.terms.items():
-        if poly:
-            term_boundary(beta, min(poly))  # raises below k = 2 beta - 1
-        for k in (2 * beta - 1, 2 * beta):
-            coeff = poly.get(k)
-            if coeff:
-                terms.append((term_boundary(beta, k), coeff.numerator, coeff.denominator))
-    den = math.lcm(*(d for _, _, d in terms))
-    a = sum(ta * num * (den // d) for (ta, _), num, d in terms)
-    b = sum(tb * num * (den // d) for (_, tb), num, d in terms)
-    return BoundaryData(a=Fraction(a, den), b=Fraction(b, den))
+    only those are read, by their offset from the band's least exponent
+    once that exponent has passed ``term_boundary``'s check.  Their sum
+    runs on u's integers, and one Fraction over u's scale is formed per
+    field."""
+    a = b = 0
+    for beta, low, coeffs in u.bands:
+        term_boundary(beta, low)  # raises below k = 2 beta - 1
+        # k starts at low: a band from 2 beta (H's) has no t^(2 beta - 1).
+        for k in range(low, min(low + len(coeffs), 2 * beta + 1)):
+            ta, tb = term_boundary(beta, k)
+            a += ta * coeffs[k - low]
+            b += tb * coeffs[k - low]
+    return BoundaryData(a=Fraction(a, u.scale), b=Fraction(b, u.scale))

@@ -163,8 +163,8 @@ def _solve(spec: KernelSpec, kinds: Sequence[str]) -> Tuple[KernelExpansion, ...
     kernels = []
     for kind, values in zip(kinds, solutions):
         terms: Dict[int, LaurentPoly] = {}
-        # Bands and exponents ascend, whatever the solve's column order.
-        for (beta, k), v in sorted(zip(columns, values)):
+        # make_expansion orders the bands, whatever the solve's column order.
+        for (beta, k), v in zip(columns, values):
             terms.setdefault(beta, {})[k] = v
         kernel = make_expansion(gamma, terms)
         if not all(kernel_checks(kernel, kind)):

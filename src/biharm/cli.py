@@ -52,14 +52,16 @@ from .operators import KERNEL_KINDS, KernelExpansion, biharmonic, make_expansion
 
 def to_document(kernel: KernelExpansion, kind: str, checks_passed: Sequence[str]) -> Dict:
     """Exact JSON-ready dict for a kernel: each coefficient as decimal
-    numerator and denominator strings, in lowest terms, so the document
-    holds the kernel's terms exactly.  The package reads no document back."""
-    terms = []
-    for beta in sorted(kernel.terms):
-        coeffs = [
-            {"k": k, "num": str(c.numerator), "den": str(c.denominator)}
-            for k, c in sorted(kernel.terms[beta].items(), reverse=True)
-        ]
+    numerator and denominator strings, in lowest terms (its integer and the
+    kernel's scale over their gcd), so the document holds the kernel's
+    terms exactly.  The package reads no document back."""
+    scale, terms = kernel.scale, []
+    for beta, low, ints in kernel.bands:
+        coeffs = []
+        for k, c in reversed(list(enumerate(ints, low))):
+            if c:
+                g = math.gcd(c, scale)
+                coeffs.append({"k": k, "num": str(c // g), "den": str(scale // g)})
         terms.append({"beta": beta, "coeffs": coeffs})
     return {
         "gamma": kernel.gamma,
@@ -97,12 +99,12 @@ def latex_lines(kernel: KernelExpansion, kind: str) -> List[str]:
     descend in the exponent.  Unit coefficients are suppressed.
     """
     lines = []
-    for beta in sorted(kernel.terms):
+    for beta, poly in kernel.terms.items():
         scale = 2 if kind == "F" else 2 * beta
         label = f"2f_{_sub(beta)}(x)" if kind == "F" else f"{2 * beta}h_{_sub(beta)}(x)"
         parts: List[str] = []
-        for k in sorted(kernel.terms[beta], reverse=True):
-            c = scale * kernel.terms[beta][k]
+        for k, c in reversed(poly.items()):
+            c = scale * c
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             body = ("" if mag == 1 else _int_or_frac_latex(mag)) + _pow_latex(k)
@@ -117,9 +119,8 @@ def latex_lines(kernel: KernelExpansion, kind: str) -> List[str]:
 def text_line(kernel: KernelExpansion, kind: str) -> str:
     """Single-line plain-text formula, e.g. F_0 = 1/2·t^2/|1-z|^2 + ..."""
     parts: List[str] = []
-    for beta in sorted(kernel.terms):
-        for k in sorted(kernel.terms[beta], reverse=True):
-            c = kernel.terms[beta][k]
+    for beta, poly in kernel.terms.items():
+        for k, c in reversed(poly.items()):
             mag = abs(c)
             term = f"{mag}·t^{k}/|1-z|^{2 * beta}"
             if not parts:

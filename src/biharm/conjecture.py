@@ -60,8 +60,8 @@ P_d(u) = eps_d / (2 (gamma+1)) sum_l w_(l+d,l) u^l, eps_0 = 1 and eps_d = 2
 for d >= 1.  ``ab_expansion`` expands a form into bands exactly: a^d + b^d
 is a polynomial in a + b = 1 + t u and a b = u by Lucas-Waring, with the
 coefficients c_k of F at gamma = d - 1.  ``certified_ab_form`` gives a
-kernel its form only where that expansion is == to the kernel's terms, so
-H's form is certified kernel by kernel, wherever numeric evaluates by it.
+kernel its form only where that expansion is == to the kernel, so H's
+form is certified kernel by kernel, wherever numeric evaluates by it.
 """
 
 from __future__ import annotations
@@ -100,26 +100,26 @@ def solve_ck(gamma: int, kind: str) -> Tuple[Rational, ...]:
 def conjectured_kernel(gamma: int, kind: str) -> KernelExpansion:
     """The expansion displayed above; make_expansion drops its zero entries.
 
-    Each coefficient is one Fraction of integers, c_k's numerator times the
-    Pascal entry over c_k's denominator times the band's scale, so it is
-    normalized once: (-1)^k n C(n-k, k) C(n-2k, beta-1-k) over 2 (n-k) for
-    F (n = gamma + 1), (-1)^k C(gamma-k, k) C(gamma-2k, beta-1-k) over
-    2 beta for H.  Bands and exponents ascend, as in the builder's kernels,
-    so where the two are == they are alike down to repr, and a float sum
-    over their terms runs in the same order.
+    The coefficients are integers over one scale, lcm_k den(c_k) times
+    the lcm of the bands' 2 (F) or 2 beta (H), which make_expansion
+    reduces once: (-1)^k n C(n-k, k) C(n-2k, beta-1-k) over 2 (n-k) for F
+    (n = gamma + 1), (-1)^k C(gamma-k, k) C(gamma-2k, beta-1-k) over
+    2 beta for H.  Where the kernel is == to the builder's, the two are
+    alike down to repr.
     """
     c = solve_ck(gamma, kind)
-    nums, dens = [ck.numerator for ck in c], [ck.denominator for ck in c]
     row = gamma + 1 if kind == "F" else gamma
     _, floor = grid_geometry(gamma, kind)
+    band_den = {beta: 2 if kind == "F" else 2 * beta for beta in floor}
+    scale = math.lcm(*(ck.denominator for ck in c)) * math.lcm(*band_den.values())
+    lifted = [ck.numerator * (scale // ck.denominator) for ck in c]  # scale c_k, a multiple of each band_den
     terms: Dict[int, LaurentPoly] = {}
     for beta, lo in floor.items():
-        scale = 2 if kind == "F" else 2 * beta
         terms[beta] = {
-            beta + gamma + 1 - k: Fraction(nums[k] * binom(row - 2 * k, beta - 1 - k), dens[k] * scale)
-            for k in reversed(range(beta + gamma + 2 - lo))
+            beta + gamma + 1 - k: lifted[k] // band_den[beta] * binom(row - 2 * k, beta - 1 - k)
+            for k in range(beta + gamma + 2 - lo)
         }
-    return make_expansion(gamma, terms)
+    return make_expansion(gamma, terms, scale)
 
 
 def checked_kernel(gamma: int, kind: str) -> KernelExpansion:
@@ -173,19 +173,17 @@ def ab_expansion(gamma: int, kind: str) -> KernelExpansion:
                     acc[j][1 + l + k + j] += scaled * b
     return make_expansion(
         gamma,
-        {
-            beta: {gamma + 2 + j: Fraction(acc[j][beta], 2 * lcm) for j in range(gamma + 2)}
-            for beta in range(1, gamma + 3)
-        },
+        {beta: {gamma + 2 + j: acc[j][beta] for j in range(gamma + 2)} for beta in range(1, gamma + 3)},
+        2 * lcm,
     )
 
 
 def certified_ab_form(kernel: KernelExpansion) -> Optional[Dict[int, Tuple[Rational, ...]]]:
     """The ab_form of the kind whose top band the kernel has (grid_geometry),
-    if its ab_expansion is == to the kernel's terms; otherwise None."""
+    if its ab_expansion is == to the kernel; otherwise None."""
     for kind in KERNEL_KINDS:
         if grid_geometry(kernel.gamma, kind)[0] == kernel.max_beta():
-            if ab_expansion(kernel.gamma, kind).terms == kernel.terms:
+            if ab_expansion(kernel.gamma, kind) == kernel:
                 return ab_form(kernel.gamma, kind)
     return None
 

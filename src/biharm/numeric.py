@@ -273,18 +273,17 @@ def _circle_bernstein(kernel: KernelExpansion, r: float) -> List[int]:
     q = |1 - z|^2 and P_r(q) = sum_beta f_beta(t) q^(B - beta).  A float r
     is m / 2^e, so t = 1 - r^2 and both ends of the interval are integers
     over d = 4^e.  The coefficients of P_r are multiplied by d^k_max, the
-    lcm of the kernel's denominators (``integer_bands``) and 1 / t^k_min,
-    all positive.
+    kernel's scale (its bands are the integers) and 1 / t^k_min, all
+    positive.
     """
     top = kernel.max_beta()
     m, den = Fraction(r).as_integer_ratio()
     d = den * den
     t = d - m * m
-    bands = kernel.integer_bands.bands
-    k_min = min(low for _, low, _ in bands)
+    k_min = min(low for _, low, _ in kernel.bands)
     k_max = kernel.t_degree
     p = [0] * top
-    for beta, low, coeffs in bands:
+    for beta, low, coeffs in kernel.bands:
         p[top - beta] = sum(
             c * t ** (k - k_min) * d ** (k_max - k) for k, c in enumerate(coeffs, low) if c
         )
@@ -368,7 +367,7 @@ def _sign_changes(kernel: KernelExpansion, r: float) -> List[float]:
     then theta = 2 asin(sqrt(lam)); lam is clamped to [0, 1] against its
     rounding.
     """
-    if not kernel.terms:
+    if not kernel.bands:
         return []
     thetas = []
     for k, depth, piece in isolate_roots(_circle_bernstein(kernel, r)):

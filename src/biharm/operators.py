@@ -4,9 +4,9 @@ A kernel candidate on the unit disc is stored as a finite sum
 
     u(z) = sum_beta f_beta(x) / |1 - z|^(2 beta),        x = |z|^2,
 
-with each ``f_beta`` a polynomial in ``t = 1 - x`` (a ``LaurentPoly`` with
-nonnegative exponents).  The Laplacian ``D = d^2/(dz dzbar)`` maps the band
-``beta`` term to a pair of neighbouring bands:
+with each ``f_beta`` a polynomial in ``t = 1 - x``, held exactly as integers
+over one scale (``KernelExpansion``).  The Laplacian ``D = d^2/(dz dzbar)``
+maps the band ``beta`` term to a pair of neighbouring bands:
 
     D(f / |1-z|^(2 beta)) = (P_beta f) / |1-z|^(2 beta)
                             + (Q_beta f) / |1-z|^(2 (beta+1)),
@@ -27,9 +27,9 @@ expansion.  The module computes that image two ways: one closed form,
 ``monomial_image``, for a single monomial ``t^k``, whose three two-step
 compositions collapse to integer products (the builder's columns), and
 one generic composition, ``biharmonic``, for any expansion (every check),
-which applies the coefficient forms one Laplacian step at a time.
-The two agree on every monomial (see the operator tests and
-``verify --deep``).
+which applies the coefficient forms one Laplacian step at a time on the
+kernel's integers.  The two agree on every monomial (see the operator
+tests and ``verify --deep``).
 """
 
 from __future__ import annotations
@@ -46,11 +46,6 @@ from .exact import LaurentPoly, poly_shift
 # as KernelExpansion.terms, but entries may be genuinely Laurent (negative
 # exponents) after division by the weight.
 CoeffSequence = Dict[int, LaurentPoly]
-
-
-def _float(c: Fraction) -> float:
-    # float(c) rounds the same quotient, through a slower Python-level call.
-    return c.numerator / c.denominator
 
 
 class FloatABForm(NamedTuple):
@@ -71,62 +66,48 @@ class FloatABForm(NamedTuple):
     floor: float
 
 
-class IntegerBands(NamedTuple):
-    """A kernel's terms over one denominator, scale = the lcm of their
-    denominators: bands holds (beta, low, (scale c_low, ..., scale c_high))
-    per band in terms' order, c_k the coefficient of t^k, 0 in gaps."""
-
-    scale: int
-    bands: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
+# One band of a kernel: (beta, low, (scale c_low, ..., scale c_high)), c_k
+# the coefficient of t^k, 0 in gaps, nonzero at both ends.
+Band = Tuple[int, int, Tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class KernelExpansion:
-    """A finite banded expansion sum_beta f_beta(t) / |1-z|^(2 beta).
-
-    terms maps beta >= 1 to a nonzero polynomial in t = 1 - x.  Instances
-    are treated as immutable; the constructor helper ``make_expansion``
-    canonicalizes by dropping zero coefficients and zero polynomials.
-    Because they are, each exact coefficient is rounded to float once per
-    kernel, on first use (``float_bands``, which values_at reads), scaled
-    to an integer once (``integer_bands``, which the exact multipliers and
-    l1_norm's root isolation read), the largest power of t is found once
-    (``t_degree``), and the kernel's (a, b) form is certified once
-    (``float_ab_form``, which eval_kernel reads), however often the kernel
-    is evaluated.
+    """A finite banded expansion sum_beta f_beta(t) / |1-z|^(2 beta), in one
+    form: integers over one scale.  bands holds one Band per nonzero
+    f_beta, beta ascending, and scale > 0 shares no factor with all their
+    integers, so == compares integers and the repr is canonical
+    (``make_expansion`` builds it).  Instances are treated as immutable,
+    so each view below is made on first use and kept; none is a field.
     """
 
     gamma: int
-    terms: Dict[int, LaurentPoly]
+    scale: int
+    bands: Tuple[Band, ...]
 
     def max_beta(self) -> int:
-        return max(self.terms) if self.terms else 0
+        return self.bands[-1][0] if self.bands else 0
+
+    @functools.cached_property
+    def terms(self) -> Dict[int, LaurentPoly]:
+        """bands / scale as {beta: {k: Fraction}}, ascending, zeros dropped."""
+        scale = self.scale
+        return {beta: {k: Fraction(c, scale) for k, c in enumerate(cs, low) if c} for beta, low, cs in self.bands}
 
     @functools.cached_property
     def float_bands(self) -> Tuple[Optional[Tuple[Tuple[int, float], ...]], ...]:
-        """The float image of terms, made on first use and kept: one entry per
-        band, top band first, a tuple of (k, c) pairs with c the coefficient
-        of t^k rounded to float, or None for an absent band.  It is not a
-        dataclass field, so == and repr still see gamma and terms alone."""
-        polys = map(self.terms.get, range(self.max_beta(), 0, -1))
-        return tuple(tuple((k, _float(c)) for k, c in poly.items()) if poly else None for poly in polys)
+        """The float image of the kernel: one entry per band, top band first,
+        a tuple of (k, c) pairs in ascending k with c the coefficient of t^k
+        rounded to float, or None for an absent band.  int / int rounds
+        correctly, so c is float() of the exact coefficient."""
+        scale = self.scale
+        floats = {beta: tuple((k, c / scale) for k, c in enumerate(cs, low) if c) for beta, low, cs in self.bands}
+        return tuple(map(floats.get, range(self.max_beta(), 0, -1)))
 
     @functools.cached_property
     def t_degree(self) -> int:
-        """The largest power of t in terms (0 for none), found once."""
-        return max((k for poly in self.terms.values() for k in poly), default=0)
-
-    @functools.cached_property
-    def integer_bands(self) -> IntegerBands:
-        """terms times the lcm of their denominators, made on first use and
-        kept, like float_bands; an empty expansion has scale 1."""
-        scale = math.lcm(*(c.denominator for poly in self.terms.values() for c in poly.values()))
-        bands = []
-        for beta, poly in self.terms.items():
-            low, high = min(poly), max(poly)
-            coeffs = (poly.get(k, 0) for k in range(low, high + 1))
-            bands.append((beta, low, tuple(c.numerator * (scale // c.denominator) for c in coeffs)))
-        return IntegerBands(scale, tuple(bands))
+        """The largest power of t (0 for none), found once."""
+        return max((low + len(coeffs) - 1 for _, low, coeffs in self.bands), default=0)
 
     @functools.cached_property
     def float_ab_form(self) -> Optional[FloatABForm]:
@@ -171,16 +152,44 @@ def check_kind(kind: str) -> None:
         raise ValueError(f"kind must be 'F' or 'H', got {kind!r}")
 
 
-def make_expansion(gamma: int, terms: Dict[int, LaurentPoly]) -> KernelExpansion:
+def make_expansion(gamma: int, terms: Dict[int, LaurentPoly], scale: int = 1) -> KernelExpansion:
+    """The expansion with coefficients terms[beta][k] / scale, ints or
+    Fractions in any order, in its one form (``KernelExpansion``); zero
+    coefficients and empty bands drop.  Anything else raises ValueError."""
     check_gamma(gamma)
-    clean: Dict[int, LaurentPoly] = {}
-    for beta, poly in terms.items():
-        if beta < 1:
-            raise ValueError(f"band index must be >= 1, got beta={beta}")
-        poly = {k: c for k, c in poly.items() if c}
+    if type(scale) is bool or not isinstance(scale, int) or scale < 1:
+        raise ValueError(f"scale must be an int >= 1, got {scale!r}")
+    kept = []
+    for beta in sorted(terms):
+        # A bool index or coefficient would be == to an int but not its repr.
+        if type(beta) is bool or not isinstance(beta, int) or beta < 1:
+            raise ValueError(f"band index must be an int >= 1, got beta={beta!r}")
+        poly = []
+        for k, c in terms[beta].items():
+            if type(k) is bool or not isinstance(k, int):
+                raise ValueError(f"exponent must be an int, got k={k!r} in band beta={beta}")
+            # A float would make a kernel that the exact consumers fail on.
+            if type(c) is bool or not isinstance(c, (int, Fraction)):
+                raise ValueError(f"coefficient of t^{k}, beta={beta}, must be an int or a Fraction, got {c!r}")
+            num, den = c.as_integer_ratio()
+            if num:
+                poly.append((k, num, den))
         if poly:
-            clean[beta] = poly
-    return KernelExpansion(gamma=gamma, terms=clean)
+            kept.append((beta, poly))
+    lcm = math.lcm(*(den for _, poly in kept for _, _, den in poly))
+    rows = []
+    for beta, poly in kept:
+        low = min(k for k, _, _ in poly)
+        row = [0] * (max(k for k, _, _ in poly) - low + 1)
+        for k, num, den in poly:
+            row[k - low] = num * (lcm // den)
+        rows.append((beta, low, row))
+    scale *= lcm
+    common = math.gcd(scale, *(c for _, _, row in rows for c in row))
+    if common > 1:
+        rows = [(beta, low, [c // common for c in row]) for beta, low, row in rows]
+    bands = tuple((beta, low, tuple(row)) for beta, low, row in rows)
+    return KernelExpansion(gamma=gamma, scale=scale // common, bands=bands)
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +257,17 @@ def _seq_winv(gamma: int, seq: CoeffSequence) -> CoeffSequence:
     return {m: poly_shift(p, -gamma) for m, p in seq.items()}
 
 
-def _cleared(seq: CoeffSequence) -> Tuple[int, Dict[int, Dict[int, int]]]:
-    """L, the lcm of the coefficient denominators, and L * seq in integers."""
-    lcm = math.lcm(*(c.denominator for p in seq.values() for c in p.values()))
-    return lcm, {
-        m: {e: c.numerator * (lcm // c.denominator) for e, c in p.items()}
-        for m, p in seq.items()
-    }
-
-
-def _divided(seq: Dict[int, Dict[int, int]], lcm: int) -> CoeffSequence:
-    """seq / lcm with ``Fraction`` values, zero terms and bands dropped."""
-    images = {m: {e: Fraction(c, lcm) for e, c in p.items() if c} for m, p in seq.items()}
+def _divided(seq: Dict[int, Dict[int, int]], scale: int) -> CoeffSequence:
+    """seq / scale with ``Fraction`` values, zero terms and bands dropped."""
+    images = {m: {e: Fraction(c, scale) for e, c in p.items() if c} for m, p in seq.items()}
     return {m: p for m, p in images.items() if p}
 
 
 def biharmonic(u: KernelExpansion) -> CoeffSequence:
     """Banded image of u under D w^-1 D, via the generic composition.
 
-    The composition runs once on L * u in integers, L the lcm of u's
-    coefficient denominators; the image is divided by L once.
+    The composition runs once on u's integers (scale u), and the image is
+    divided by u's scale once.
     """
-    lcm, terms = _cleared(u.terms)
-    return _divided(_seq_pq(_seq_winv(u.gamma, _seq_pq(terms))), lcm)
+    terms = {beta: {k: c for k, c in enumerate(coeffs, low) if c} for beta, low, coeffs in u.bands}
+    return _divided(_seq_pq(_seq_winv(u.gamma, _seq_pq(terms))), u.scale)

@@ -17,7 +17,7 @@ import pytest
 
 from biharm.boundary import BoundaryData, expansion_boundary
 from biharm.builder import KernelSpec, build, build_pair
-from biharm.conjecture import ab_expansion, conjectured_kernel, verify_conjecture
+from biharm.conjecture import ab_expansion, checked_kernel, conjectured_kernel, verify_conjecture
 from biharm.exact import binom
 from biharm.numeric import DiscPoint, integral_mean, l1_norm, solve_dirichlet
 from biharm.operators import biharmonic, make_expansion, monomial_image
@@ -72,7 +72,9 @@ def test_ab_forms_expand_to_closed_forms():
 def test_build_pair_matches_build_at_high_gamma():
     """build_pair == (build F, build H), down to repr, at gamma 40 by
     default and also at 60 and 80 with BIHARM_ACCEPT_EXTENDED=1: the pair
-    solves H on F's grid, build on H's own."""
+    solves H on F's grid, build on H's own.  The checked closed form is ==
+    to each, with an equal hash, and its scale shares no factor with all
+    of its integers."""
     extended = bool(os.environ.get("BIHARM_ACCEPT_EXTENDED"))
     gammas = (40, 60, 80) if extended else (40,)
     for gamma in gammas:
@@ -80,6 +82,10 @@ def test_build_pair_matches_build_at_high_gamma():
         single = (build(KernelSpec(gamma=gamma, kind="F")), build(KernelSpec(gamma=gamma, kind="H")))
         assert pair == single, gamma
         assert repr(pair) == repr(single), gamma
+        for kind, built in zip(("F", "H"), pair):
+            closed = checked_kernel(gamma, kind)
+            assert closed == built and hash(closed) == hash(built), (gamma, kind)
+            assert math.gcd(closed.scale, *(c for _, _, coeffs in closed.bands for c in coeffs)) == 1, (gamma, kind)
     print(f"pair-matches-build: PASS (gamma in {gammas})")
 
 

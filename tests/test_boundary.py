@@ -267,6 +267,10 @@ def test_monomial_boundary_rejects_bad_beta():
 def test_expansion_boundary_is_linear():
     u = make_expansion(0, {1: {1: Fraction(2)}, 2: {3: Fraction(5)}})
     assert expansion_boundary(u) == BoundaryData(a=Fraction(12), b=Fraction(-10))
+    # Band 3 starts at 2 beta = 6, so it has no t^5 term: its last
+    # coefficient, 7 t^9, is not read in its place.
+    v = make_expansion(0, {1: {1: Fraction(2)}, 2: {3: Fraction(5)}, 3: {6: Fraction(1), 9: Fraction(7)}})
+    assert expansion_boundary(v) == BoundaryData(a=Fraction(12), b=Fraction(2))
 
 
 def test_expansion_boundary_rejects_non_delta_terms():

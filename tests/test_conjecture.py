@@ -1,5 +1,6 @@
 """Tests for the closed-form coefficient scheme and its verification."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -302,6 +303,10 @@ def test_checked_kernel_is_the_built_kernel(kind, gamma):
     # same order whichever of the two a caller holds.
     kernel = checked_kernel(gamma, kind)
     assert repr(kernel) == repr(build(KernelSpec(gamma=gamma, kind=kind)))
+    # Its one form: the scale shares no factor with all the integers, and
+    # each band's ends are nonzero.
+    assert math.gcd(kernel.scale, *(c for _, _, coeffs in kernel.bands for c in coeffs)) == 1
+    assert all(coeffs[0] and coeffs[-1] for _, _, coeffs in kernel.bands)
 
 
 @pytest.mark.parametrize("on_boundary, failed", [(True, "biharmonic-zero and boundary-exact"), (False, "biharmonic-zero")])

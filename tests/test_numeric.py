@@ -14,7 +14,6 @@ import pytest
 import biharm.boundary
 import biharm.builder
 import biharm.numeric
-import biharm.operators
 from biharm.boundary import dirichlet_factor, radial_ratio
 from biharm.builder import KernelSpec, build, build_pair
 from biharm.conjecture import conjectured_kernel
@@ -230,9 +229,10 @@ def test_band_sum_on_sparse_bands(kernel):
             assert value == pytest.approx(want, rel=1e-13, abs=0.0), (r, theta)
 
 
-# Each kernel's float image: bands top first, None where a band is absent.
+# Each kernel's float image: bands top first, None where a band is absent,
+# each band's terms in ascending k whatever the order of the dict given.
 FLOAT_IMAGES = [
-    (((5, 5 / 4), (1, 1 / 9)), None, ((2, 1 / 3), (0, 2 / 7))),
+    (((1, 1 / 9), (5, 5 / 4)), None, ((0, 2 / 7), (2, 1 / 3))),
     (((3, 7 / 5), (6, 1 / 11)), None, None, None),
     (),
 ]
@@ -261,21 +261,19 @@ def test_float_image_of_f8_rounds_every_coefficient():
     assert f8 == twin and repr(f8) == repr(twin)
 
 
-def test_coefficients_are_rounded_once_per_kernel(monkeypatch):
+def test_coefficients_are_rounded_once_per_kernel():
     f4 = conjectured_kernel(4, "F")  # a new expansion, never evaluated
-    rounded = []
-    to_float = biharm.operators._float
-
-    def record(c):
-        rounded.append(c)
-        return to_float(c)
-
-    monkeypatch.setattr(biharm.operators, "_float", record)
+    assert "float_bands" not in vars(f4)
     thetas = np.linspace(0.1, 3.0, 100)
+    values_at(f4, 0.6, thetas)
+    image = vars(f4)["float_bands"]
     for theta in thetas:
         eval_kernel(f4, DiscPoint(r=0.6, theta=float(theta)))
     values_at(f4, 0.6, thetas)
-    assert sorted(rounded) == sorted(c for poly in f4.terms.values() for c in poly.values())
+    assert f4.float_bands is image
+    assert sorted(c for band in image for _, c in band) == sorted(
+        c.numerator / c.denominator for poly in f4.terms.values() for c in poly.values()
+    )
 
 
 def test_band_sum_of_empty_expansion_is_zero(sized_calls):

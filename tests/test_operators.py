@@ -169,8 +169,12 @@ def test_make_expansion_validates():
     for gamma in (-1, True, 2.0):
         with pytest.raises(ValueError, match="gamma must be an int >= 0"):
             make_expansion(gamma, {})
-    with pytest.raises(ValueError):
-        make_expansion(2, {0: {1: Fraction(1)}})
+    for beta in (0, -1, 1.5, True):
+        with pytest.raises(ValueError, match="^band index must be an int >= 1"):
+            make_expansion(2, {beta: {1: Fraction(1)}})
+    for k in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="^exponent must be an int"):
+            make_expansion(2, {1: {k: Fraction(1)}})
 
 
 def test_dirichlet_factor_validates_gamma():
@@ -212,6 +216,44 @@ def test_make_expansion_drops_zero_coefficients():
     terms[1][40] = Fraction(0)
     terms[5] = {3: Fraction(0)}
     assert make_expansion(2, terms) == f2
+
+
+def test_make_expansion_refuses_inexact_coefficients():
+    # A float used to make a kernel that biharmonic and values_at failed on
+    # later, and whose boundary data read (0, 0).
+    for c in (0.5, 0.0, True, "1", None, 1j):
+        with pytest.raises(ValueError, match=r"^coefficient of t\^3, beta=1, must be an int or a Fraction"):
+            make_expansion(2, {1: {3: c}})
+    for scale in (0, -2, True, 2.0, Fraction(2), None):
+        with pytest.raises(ValueError, match="^scale must be an int >= 1"):
+            make_expansion(2, {1: {3: 1}}, scale)
+
+
+# One kernel given three ways: in Fractions, in ints over a scale (not the
+# least one), and in descending order with a zero coefficient at a band's
+# end, a zero band and an empty band.
+ONE_KERNEL = [
+    ({1: {2: Fraction(1, 6), 5: Fraction(-3, 4)}, 3: {7: Fraction(2, 9)}}, 1),
+    ({1: {2: 12, 5: -54}, 3: {7: 16}}, 72),
+    ({4: {}, 3: {7: Fraction(2, 9)}, 2: {4: 0}, 1: {9: Fraction(0), 5: Fraction(-3, 4), 2: Fraction(1, 6)}}, 1),
+]
+
+
+def test_make_expansion_gives_one_form():
+    kernels = [make_expansion(2, terms, scale) for terms, scale in ONE_KERNEL]
+    # Over the least common denominator 36, with 0 in the band's gaps.
+    assert repr(kernels[0]) == "KernelExpansion(gamma=2, scale=36, bands=((1, 2, (6, 0, 0, -27)), (3, 7, (8,))))"
+    for kernel in kernels[1:]:
+        assert kernel == kernels[0]
+        assert hash(kernel) == hash(kernels[0])
+        assert repr(kernel) == repr(kernels[0])
+    # The Fraction view ascends, zeros dropped, whatever the order given.
+    view = kernels[2].terms
+    assert view == ONE_KERNEL[0][0]
+    assert list(view) == [1, 3] and list(view[1]) == [2, 5]
+    # A Fraction over a scale is divided by it too.
+    assert make_expansion(0, {1: {2: Fraction(1, 3)}}, 2).bands == ((1, 2, (1,)),)
+    assert make_expansion(0, {}, 5) == make_expansion(0, {})
 
 
 def test_expansion_add_requires_same_gamma():
