@@ -18,8 +18,10 @@ biharmonic operator D w^-1 D, with distributional boundary data
      pair, (1, 0) for F and (0, 1) for H, is one right-hand side of them.
      H's grid has no t^(2 beta - 1) term, so its a-row is empty;
   3. one solve: fraction-free forward elimination and back substitution
-     (``exact.solve_linear``) gives each normalized kernel directly from
-     its own right-hand side.  ``build`` solves one kernel on its own grid.
+     in integers (``exact.solve_linear``) gives each normalized kernel
+     directly from its own right-hand side, as integer coefficients over
+     one scale, which ``make_expansion`` takes as they are: no
+     ``Fraction`` is formed.  ``build`` solves one kernel on its own grid.
      ``build_pair`` solves both on F's grid, which holds H's: one
      assembly and one elimination carry both right-hand sides, then one
      back substitution per kernel, and H comes out zero on F's extra
@@ -161,12 +163,12 @@ def _solve(spec: KernelSpec, kinds: Sequence[str]) -> Tuple[KernelExpansion, ...
             f"(gamma={gamma}, kind={' and '.join(kinds)})"
         )
     kernels = []
-    for kind, values in zip(kinds, solutions):
+    for kind, (values, scale) in zip(kinds, solutions):
         terms: Dict[int, LaurentPoly] = {}
         # make_expansion orders the bands, whatever the solve's column order.
         for (beta, k), v in zip(columns, values):
             terms.setdefault(beta, {})[k] = v
-        kernel = make_expansion(gamma, terms)
+        kernel = make_expansion(gamma, terms, scale)
         if not all(kernel_checks(kernel, kind)):
             raise RuntimeError(
                 f"internal error: solved expansion is not biharmonic-zero or misses "

@@ -152,14 +152,13 @@ def ab_form(gamma: int, kind: str) -> Dict[int, Tuple[Rational, ...]]:
     }
 
 
-def ab_expansion(gamma: int, kind: str) -> KernelExpansion:
-    """The (a, b) form expanded into bands, exactly.
+def ab_expansion(gamma: int, form: Dict[int, Tuple[Rational, ...]]) -> KernelExpansion:
+    """An (a, b) form at gamma (``ab_form``) expanded into bands, exactly.
 
     Re(a^d) = (a^d + b^d) / 2 = sum_k c_k (1 + t u)^(d-2k) u^k / 2, the c_k
     of F at gamma = d - 1, and (1 + t u)^m by the binomial theorem; the
     sums run in integers over the lcm of the p_(d,l)'s denominators.
     """
-    form = ab_form(gamma, kind)
     lcm = math.lcm(*(p.denominator for ps in form.values() for p in ps))
     # acc[j][beta]: 2 lcm times the coefficient of t^(gamma+2+j) u^beta
     acc = [[0] * (gamma + 3) for _ in range(gamma + 2)]
@@ -183,8 +182,9 @@ def certified_ab_form(kernel: KernelExpansion) -> Optional[Dict[int, Tuple[Ratio
     if its ab_expansion is == to the kernel; otherwise None."""
     for kind in KERNEL_KINDS:
         if grid_geometry(kernel.gamma, kind)[0] == kernel.max_beta():
-            if ab_expansion(kernel.gamma, kind) == kernel:
-                return ab_form(kernel.gamma, kind)
+            form = ab_form(kernel.gamma, kind)
+            if ab_expansion(kernel.gamma, form) == kernel:
+                return form
     return None
 
 

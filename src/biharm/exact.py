@@ -7,17 +7,17 @@ Everything downstream of this module is built from four ingredients:
     terms, positive denominator, zero stored as 0/1);
   * ``LaurentPoly`` — a sparse polynomial in one variable, stored as a dict
     mapping integer exponent -> coefficient, a nonzero ``int`` or
-    ``Fraction``.  Exponents may be negative; ``poly_shift`` multiplies by
-    a power of the variable, and the kernel modules form sums and products
-    where they need them, on denominator-cleared ``int`` coefficients where
-    they can.  The variable is written ``t`` throughout and in the kernel
-    modules stands for ``t = 1 - x`` with ``x = |z|^2``;
+    ``Fraction``.  Exponents may be negative; the kernel modules form
+    sums and products where they need them, on denominator-cleared ``int``
+    coefficients where they can.  The variable is written ``t`` throughout
+    and in the kernel modules stands for ``t = 1 - x`` with ``x = |z|^2``;
   * ``solve_linear`` — exact solving of a sparse integer linear system
     with one or more right-hand sides, carried as extra columns of the
     augmented rows: one fraction-free forward elimination (each pivot row
-    divided by its content), then one back substitution per right-hand
-    side, the only step that forms rationals.  It returns the unique
-    solution of each, or ``None`` when one has none;
+    divided by its content, pivot rows found by their leading column),
+    then one back substitution per right-hand side over one common scale.
+    It forms no rationals: it returns the unique solution of each as
+    integer numerators over a scale, or ``None`` when one has none;
   * ``bernstein_coefficients`` and ``isolate_roots`` — the real roots of an
     integer polynomial on an interval, isolated by de Casteljau bisection
     of its Bernstein form in integers.
@@ -35,8 +35,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 Rational = Fraction
-
-ZERO = Fraction(0)
 
 # Sparse polynomial: exponent -> coefficient, a nonzero int or Fraction.
 # Invariant: no zero values, so zero-testing is map emptiness and equality
@@ -61,15 +59,6 @@ def binom(n: int, r: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomials
-
-
-def poly_shift(p: LaurentPoly, m: int) -> LaurentPoly:
-    """Multiply by t^m, i.e. shift every exponent by m."""
-    return {k + m: c for k, c in p.items()}
-
-
-# ---------------------------------------------------------------------------
 # linear systems
 
 
@@ -91,21 +80,26 @@ class RationalLinearSystem:
         return self.unknowns
 
 
-def solve_linear(system: RationalLinearSystem) -> Optional[Tuple[Tuple[Fraction, ...], ...]]:
-    """The unique solution for each right-hand side, in their order, by
-    forward elimination in integers and back substitution over the
-    rationals; ``None`` if some right-hand side has no unique solution: a
-    column admits no pivot, or a leftover row reads 0 = b.
+def solve_linear(system: RationalLinearSystem) -> Optional[Tuple[Tuple[Tuple[int, ...], int], ...]]:
+    """The unique solution for each right-hand side, in their order, as
+    (numerators, scale): the solution is numerators / scale, with scale >= 1
+    and gcd(scale, *numerators) = 1.  ``None`` if some right-hand side has
+    no unique solution: a column admits no pivot, or a leftover row reads
+    0 = b.  No rationals are formed: forward elimination and back
+    substitution both run in integers.
 
     The right-hand sides ride along as extra columns ``ncols, ncols + 1,
     ...`` of each sparse row, so a zero right-hand side stores nothing, and
-    one elimination serves them all.  Columns are eliminated in index order,
-    and within a column the pivot row is the sparsest available row (ties
-    broken by row index), which keeps fill-in low on banded systems.
-    Fill-in and integer growth therefore follow the caller's column
-    numbering: a caller whose system is banded in some order of its columns
-    numbers them in that order (the builder numbers its columns along the
-    grid diagonals).
+    one elimination serves them all.  Columns are eliminated in index order.
+    Once the columns before j are eliminated, the rows that still hold
+    column j are exactly the rows that lead with it, so the rows without a
+    pivot are kept in buckets by their leading column, and a row moves to
+    its new bucket once per update.  Within a column the pivot row is the
+    sparsest row of its bucket (ties broken by row index), which keeps
+    fill-in low on banded systems.  Fill-in and integer growth therefore
+    follow the caller's column numbering: a caller whose system is banded
+    in some order of its columns numbers them in that order (the builder
+    numbers its columns along the grid diagonals).
 
     Elimination is fraction-free.  A row chosen as pivot is divided by its
     content, the gcd of its entries, right-hand sides included; then, with
@@ -115,47 +109,48 @@ def solve_linear(system: RationalLinearSystem) -> Optional[Tuple[Tuple[Fraction,
     Removing the content once per pivot row, not after every update, spends
     fewer gcds than the entry growth it lets through costs.)  A pivot row is
     never reduced against later pivots; the unknowns are recovered by back
-    substitution from the last column, the only step that forms
-    ``Fraction``s.
+    substitution from the last column, over one common scale per
+    right-hand side that grows only when an unknown needs it.
     """
     ncols = system.ncols()
     nrhs = len(system.rows[0][1]) if system.rows else 0
-    width = ncols + nrhs
-    # Working copies of the augmented rows, plus a column index over the
-    # rows that have no pivot yet.
+    # Working copies of the augmented rows, and the rows without a pivot
+    # bucketed by their leading column.
     rows: List[Dict[int, int]] = []
     for coeffs, rhs in system.rows:
         if len(rhs) != nrhs:
             raise ValueError(f"a row has {len(rhs)} right-hand sides, the first has {nrhs}")
-        for j in coeffs:
-            if not 0 <= j < ncols:
-                raise ValueError(f"column index {j} out of range for {ncols} unknowns")
+        if coeffs and not (min(coeffs) >= 0 and max(coeffs) < ncols):
+            bad = min(coeffs) if min(coeffs) < 0 else max(coeffs)
+            raise ValueError(f"column index {bad} out of range for {ncols} unknowns")
         row = {j: c for j, c in coeffs.items() if c}
-        row.update((ncols + r, b) for r, b in enumerate(rhs) if b)
+        if any(rhs):
+            row.update((ncols + r, b) for r, b in enumerate(rhs) if b)
         rows.append(row)
-    occupancy: Dict[int, set] = {j: set() for j in range(width)}
+    leading: Dict[int, List[int]] = {}
     for i, row in enumerate(rows):
-        for j in row:
-            occupancy[j].add(i)
+        if row:
+            leading.setdefault(min(row), []).append(i)
 
-    pivots: List[int] = []  # pivot row of each column
+    pivot_rows: List[Dict[int, int]] = []  # of each column, in order
 
     for j in range(ncols):
-        if not occupancy[j]:
+        bucket = leading.pop(j, None)
+        if bucket is None:
             return None  # no pivot: the solution is not unique
-        p = min(occupancy[j], key=lambda i: (len(rows[i]), i))
-        pivots.append(p)
+        p = bucket[0] if len(bucket) == 1 else min(bucket, key=lambda i: (len(rows[i]), i))
         prow = rows[p]
-        for k in prow:
-            occupancy[k].discard(p)
+        pivot_rows.append(prow)
         content = math.gcd(*prow.values())
         if content > 1:
             for k in prow:
                 prow[k] //= content
         pivot = prow[j]
 
-        # Eliminate column j from the rows that have no pivot yet.
-        for i in list(occupancy[j]):
+        # Eliminate column j from the other rows that lead with it.
+        for i in bucket:
+            if i == p:
+                continue
             target = rows[i]
             g = math.gcd(pivot, target[j])
             mult, factor = pivot // g, target[j] // g
@@ -165,46 +160,43 @@ def solve_linear(system: RationalLinearSystem) -> Optional[Tuple[Tuple[Fraction,
             for k, c in prow.items():
                 new = target.get(k, 0) - factor * c
                 if new:
-                    if k not in target:
-                        occupancy[k].add(i)
                     target[k] = new
                 else:
-                    target.pop(k, None)
-                    occupancy[k].discard(i)
+                    del target[k]  # factor * c != 0, so k was there
+            if target:
+                leading.setdefault(min(target), []).append(i)
 
     # A row never chosen as pivot is eliminated down to its right-hand
     # sides; one still holding an entry is a contradiction 0 = b.
-    if any(occupancy[k] for k in range(ncols, width)):
+    if leading:
         return None
 
-    # Pivot row p of column j reads a_j x_j + sum_{k > j} a_k x_k = b_r.
-    # With x_(ncols + r) = -1 and the other right-hand-side columns 0, that
-    # is a_j x_j = -sum_{k != j} a_k x_k over the whole augmented row, so the
+    # Pivot row of column j reads a_j x_j + sum_{k > j} a_k x_k = b_r.  With
+    # x_(ncols + r) = -1 and the other right-hand-side columns 0, that is
+    # a_j x_j = -sum_{k != j} a_k x_k over the whole augmented row, so the
     # unknowns of each right-hand side follow one by one from the last
-    # column down.  Each unknown is kept as an integer numerator and
-    # denominator; the sum is kept as num / den over a common denominator
-    # and reduced once, by the Fraction that becomes x_j.
-    nums = [[0] * ncols + [-1 if s == r else 0 for s in range(nrhs)] for r in range(nrhs)]
-    dens = [[1] * width for _ in range(nrhs)]
-    xs = [[ZERO] * ncols for _ in range(nrhs)]
-    for j in reversed(range(ncols)):
-        prow = rows[pivots[j]]
-        a = prow.pop(j)
-        for xnum, xden, x in zip(nums, dens, xs):
-            num, den = 0, 1
-            for k, c in prow.items():
-                vnum = xnum[k]
-                if vnum:
-                    vden = xden[k]
-                    if vden == den:
-                        num -= c * vnum
-                    else:
-                        g = math.gcd(den, vden)
-                        num = num * (vden // g) - c * vnum * (den // g)
-                        den *= vden // g
-            v = x[j] = Fraction(num, den * a)
-            xnum[j], xden[j] = v.numerator, v.denominator
-    return tuple(tuple(x) for x in xs)
+    # column down.  They are kept as integers X over one scale D, x = X / D.
+    # When a_j does not divide S = D a_j x_j, D and X are lifted by the
+    # least m for which it does: D m is then the lcm of the denominators
+    # so far, so gcd(D, X) = 1 at the end.
+    diagonal = [prow.pop(j) for j, prow in enumerate(pivot_rows)]
+    solutions = []
+    for r in range(nrhs):
+        xs = [0] * ncols + [-1 if s == r else 0 for s in range(nrhs)]
+        scale = 1
+        for j in reversed(range(ncols)):
+            a = diagonal[j]
+            total = 0
+            for k, c in pivot_rows[j].items():
+                total -= c * xs[k]
+            if total % a:
+                m = abs(a) // math.gcd(total, a)
+                scale *= m
+                xs = [x * m for x in xs]
+                total *= m
+            xs[j] = total // a
+        solutions.append((tuple(xs[:ncols]), scale))
+    return tuple(solutions)
 
 
 # ---------------------------------------------------------------------------

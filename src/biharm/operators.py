@@ -28,8 +28,8 @@ expansion.  The module computes that image two ways: one closed form,
 compositions collapse to integer products (the builder's columns), and
 one generic composition, ``biharmonic``, for any expansion (every check),
 which applies the coefficient forms one Laplacian step at a time on the
-kernel's integers.  The two agree on every monomial (see the operator
-tests and ``verify --deep``).
+kernel's integers, laid out as dense rows.  The two agree on every
+monomial (see the operator tests and ``verify --deep``).
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .exact import LaurentPoly, poly_shift
+from .exact import LaurentPoly
 
 # Band-indexed coefficient sequence: beta -> polynomial in t.  The same shape
 # as KernelExpansion.terms, but entries may be genuinely Laurent (negative
@@ -236,38 +236,51 @@ def monomial_image(gamma: int, beta: int, k: int) -> Dict[int, Dict[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# band pipelines
+# band pipeline
 
 
-def _seq_pq(seq: CoeffSequence) -> CoeffSequence:
-    """One Laplacian pass on a band sequence: g_m = P_m s_m + Q_(m-1) s_(m-1),
-    accumulated term by term from the coefficient forms of P and Q."""
-    out: CoeffSequence = {}
-    for m, poly in seq.items():
-        here, above = out.setdefault(m, {}), out.setdefault(m + 1, {})
-        for k, c in poly.items():
-            here[k - 2] = here.get(k - 2, 0) + k * (k - 1) * c
-            here[k - 1] = here.get(k - 1, 0) + k * (m - k) * c
-            above[k] = above.get(k, 0) + m * (m - k) * c
-    images = {m: {e: c for e, c in p.items() if c} for m, p in out.items()}
-    return {m: p for m, p in images.items() if p}
+def _laplacian_rows(rows: List[List[int]], mlow: int, klow: int) -> List[List[int]]:
+    """One Laplacian pass on dense rows, g_m = P_m s_m + Q_(m-1) s_(m-1),
+    accumulated term by term from the coefficient forms of P and Q.
 
-
-def _seq_winv(gamma: int, seq: CoeffSequence) -> CoeffSequence:
-    return {m: poly_shift(p, -gamma) for m, p in seq.items()}
-
-
-def _divided(seq: Dict[int, Dict[int, int]], scale: int) -> CoeffSequence:
-    """seq / scale with ``Fraction`` values, zero terms and bands dropped."""
-    images = {m: {e: Fraction(c, scale) for e, c in p.items() if c} for m, p in seq.items()}
-    return {m: p for m, p in images.items() if p}
+    Row i holds band mlow + i, its entry e the coefficient of t^(klow + e),
+    and every row has the same length.  The image has one row more (band
+    mlow + len(rows)) and two entries more per row, from t^(klow - 2).
+    """
+    out = [[0] * (len(rows[0]) + 2) for _ in range(len(rows) + 1)]
+    for i, row in enumerate(rows):
+        m = mlow + i
+        here, above = out[i], out[i + 1]
+        k = klow
+        for e, c in enumerate(row):
+            if c:
+                here[e] += k * (k - 1) * c
+                here[e + 1] += k * (m - k) * c
+                above[e + 2] += m * (m - k) * c
+            k += 1
+    return out
 
 
 def biharmonic(u: KernelExpansion) -> CoeffSequence:
     """Banded image of u under D w^-1 D, via the generic composition.
 
-    The composition runs once on u's integers (scale u), and the image is
-    divided by u's scale once.
+    The composition runs on u's integers (scale u), laid out as dense rows
+    from u's lowest band and least exponent klow: two Laplacian passes, with
+    the division by w = t^gamma between them a move of the base exponent
+    from klow - 2 to klow - 2 - gamma.  Only the image's nonzero entries are
+    divided by u's scale, so a biharmonic-zero kernel forms no ``Fraction``.
     """
-    terms = {beta: {k: c for k, c in enumerate(coeffs, low) if c} for beta, low, coeffs in u.bands}
-    return _divided(_seq_pq(_seq_winv(u.gamma, _seq_pq(terms))), u.scale)
+    if not u.bands:
+        return {}
+    mlow = u.bands[0][0]
+    klow = min(low for _, low, _ in u.bands)
+    rows = [[0] * (u.t_degree + 1 - klow) for _ in range(u.max_beta() + 1 - mlow)]
+    for beta, low, coeffs in u.bands:
+        rows[beta - mlow][low - klow : low - klow + len(coeffs)] = coeffs
+    image = _laplacian_rows(_laplacian_rows(rows, mlow, klow), mlow, klow - 2 - u.gamma)
+    base, scale = klow - 4 - u.gamma, u.scale
+    return {
+        mlow + i: {e: Fraction(c, scale) for e, c in enumerate(row, base) if c}
+        for i, row in enumerate(image)
+        if any(row)
+    }

@@ -1,14 +1,17 @@
 """Independent references that only the tests use.
 
 ``poly_from_terms``, ``poly_add``, ``poly_scale``, ``poly_mul``,
-``poly_diff`` and ``poly_eval`` build, add, scale, multiply, differentiate
-in t and evaluate Laurent polynomials.
+``poly_shift``, ``poly_diff`` and ``poly_eval`` build, add, scale,
+multiply, shift, differentiate in t and evaluate Laurent polynomials.
 ``apply_P`` and ``apply_Q`` are the single-band operators P_beta and
 Q_beta from their derivative forms, and ``laplacian_pass`` composes them
-into one Laplacian step on a band sequence, the oracle of the package's
-fused pass ``operators._seq_pq``.  ``biharmonic_fraction`` composes the
-banded image under D w^-1 D in ``Fraction`` arithmetic, the oracle of the
-package's integer passes.
+into one Laplacian step on a band sequence of dicts, the oracle of the
+package's dense pass ``operators._laplacian_rows``.
+``biharmonic_fraction`` composes the banded image under D w^-1 D on dicts
+in ``Fraction`` arithmetic, dividing by the weight between the two passes
+as its own step: the oracle of ``operators.biharmonic``, which runs both
+passes on dense integer rows and divides by the weight by moving their
+base exponent.
 ``ab_sums`` (with ``_inner_sum``) computes the boundary data (a, b) of
 t^(2 beta - 1) / |1-z|^(2 beta) from the paper's double sums, and
 ``integral_means_poly`` gives the integral-means polynomial p(s) whose
@@ -33,7 +36,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from biharm.boundary import BoundaryData
-from biharm.exact import ZERO, LaurentPoly, binom
+from biharm.exact import LaurentPoly, binom
 from biharm.operators import KernelExpansion, check_gamma, check_kind, make_expansion
 
 
@@ -41,7 +44,7 @@ def poly_from_terms(terms: Sequence[Tuple[int, Fraction | int]]) -> LaurentPoly:
     """Sum of c * t^k over (k, c) pairs; repeated exponents accumulate."""
     out: LaurentPoly = {}
     for k, c in terms:
-        new = out.get(k, ZERO) + Fraction(c)
+        new = out.get(k, Fraction(0)) + Fraction(c)
         if new:
             out[k] = new
         else:
@@ -52,12 +55,17 @@ def poly_from_terms(terms: Sequence[Tuple[int, Fraction | int]]) -> LaurentPoly:
 def poly_add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     out = dict(p)
     for k, c in q.items():
-        new = out.get(k, ZERO) + c
+        new = out.get(k, Fraction(0)) + c
         if new:
             out[k] = new
         else:
             out.pop(k, None)
     return out
+
+
+def poly_shift(p: LaurentPoly, m: int) -> LaurentPoly:
+    """Multiply by t^m, i.e. shift every exponent by m."""
+    return {k + m: c for k, c in p.items()}
 
 
 def poly_scale(c: Fraction | int, p: LaurentPoly) -> LaurentPoly:
@@ -71,7 +79,7 @@ def poly_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     for kp, cp in p.items():
         for kq, cq in q.items():
             k = kp + kq
-            new = out.get(k, ZERO) + cp * cq
+            new = out.get(k, Fraction(0)) + cp * cq
             if new:
                 out[k] = new
             else:
@@ -99,7 +107,7 @@ def poly_diff(p: LaurentPoly) -> LaurentPoly:
 
 def poly_eval(p: LaurentPoly, t: Fraction) -> Fraction:
     """Exact evaluation at a rational point (t != 0 if exponents are negative)."""
-    return sum((c * t ** k for k, c in p.items()), ZERO)
+    return sum((c * t ** k for k, c in p.items()), Fraction(0))
 
 
 def _d_dx(p: LaurentPoly) -> LaurentPoly:

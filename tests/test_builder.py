@@ -44,11 +44,11 @@ def builder_system(spec, targets=None, drop=None):
 def solved_expansions(spec, columns, system):
     """One expansion per right-hand side of the system."""
     expansions = []
-    for values in solve_linear(system):
+    for values, scale in solve_linear(system):
         terms = {}
         for (beta, k), v in zip(columns, values):
             terms.setdefault(beta, {})[k] = v
-        expansions.append(make_expansion(spec.gamma, terms))
+        expansions.append(make_expansion(spec.gamma, terms, scale))
     return expansions
 
 
@@ -250,7 +250,8 @@ def test_build_pair_checks_each_kernel(index, kind, monkeypatch):
     # misses that kernel's boundary pair, and the error names its kind.
     def doubled(system):
         solutions = list(solve_linear(system))
-        solutions[index] = tuple(2 * v for v in solutions[index])
+        values, scale = solutions[index]
+        solutions[index] = (tuple(2 * v for v in values), scale)
         return tuple(solutions)
 
     monkeypatch.setattr(biharm.builder, "solve_linear", doubled)
@@ -264,7 +265,7 @@ def test_build_rejects_a_solution_off_the_b_row(monkeypatch):
     monkeypatch.setattr(
         biharm.builder,
         "solve_linear",
-        lambda system: tuple(tuple(2 * v for v in x) for x in solve_linear(system)),
+        lambda system: tuple((tuple(2 * v for v in x), scale) for x, scale in solve_linear(system)),
     )
     with pytest.raises(RuntimeError, match="internal error.*gamma=2, kind=H"):
         build(KernelSpec(gamma=2, kind="H"))
@@ -278,10 +279,10 @@ def test_build_rejects_a_solution_off_the_image_rows(monkeypatch):
     j = columns.index((1, 4))
 
     def off_image(system):
-        (values,) = solve_linear(system)
+        ((values, scale),) = solve_linear(system)
         values = list(values)
-        values[j] += 1
-        return (tuple(values),)
+        values[j] += scale
+        return ((tuple(values), scale),)
 
     monkeypatch.setattr(biharm.builder, "solve_linear", off_image)
     with pytest.raises(RuntimeError, match="internal error.*gamma=2, kind=F"):

@@ -62,6 +62,27 @@ def test_certified_ab_form_follows_the_top_band():
     assert certified_ab_form(make_expansion(5, {**h5.terms, 7: f5.terms[7]})) is None
 
 
+def test_certification_builds_the_form_once(monkeypatch):
+    # The form that is expanded and compared is the one returned: ab_form
+    # runs once per certification, and once for a kernel it does not
+    # certify.
+    calls = []
+
+    def counted(gamma, kind):
+        calls.append((gamma, kind))
+        return ab_form(gamma, kind)
+
+    monkeypatch.setattr(biharm.conjecture, "ab_form", counted)
+    f5, h5 = build_pair(5)
+    for kind, kernel in (("F", f5), ("H", h5)):
+        calls.clear()
+        assert certified_ab_form(kernel) == ab_form(5, kind)
+        assert calls == [(5, kind)]
+    calls.clear()
+    assert certified_ab_form(make_expansion(5, {**h5.terms, 7: f5.terms[7]})) is None
+    assert calls == [(5, "F")]
+
+
 def test_solve_ck_rejects_bad_kind():
     with pytest.raises(ValueError):
         solve_ck(3, "G")

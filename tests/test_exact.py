@@ -12,11 +12,18 @@ from biharm.exact import (
     bernstein_coefficients,
     binom,
     isolate_roots,
-    poly_shift,
     solve_linear,
 )
 from biharm.operators import KERNEL_KINDS
-from exact_references import poly_add, poly_diff, poly_eval, poly_from_terms, poly_mul, poly_scale
+from exact_references import (
+    poly_add,
+    poly_diff,
+    poly_eval,
+    poly_from_terms,
+    poly_mul,
+    poly_scale,
+    poly_shift,
+)
 
 
 def rand_poly(rng, max_terms=5, lo=-3, hi=8):
@@ -166,20 +173,68 @@ def residual(system, vec, r=0):
     return [lhs - rhs[r] for lhs, (_, rhs) in zip(apply_rows(system, vec), system.rows)]
 
 
+def scaled(point):
+    """A rational point in the solver's form: (numerators, scale), scale
+    the least common denominator."""
+    scale = math.lcm(*(x.denominator for x in point))
+    return tuple(int(x * scale) for x in point), scale
+
+
+def values(solution):
+    """The rationals numerators / scale of one (numerators, scale)."""
+    numerators, scale = solution
+    return tuple(Fraction(n, scale) for n in numerators)
+
+
+def assert_lowest_terms(solutions):
+    for numerators, scale in solutions:
+        assert type(scale) is int and scale >= 1
+        assert all(type(n) is int for n in numerators)
+        assert math.gcd(scale, *numerators) == 1
+
+
 def test_solve_unique():
     system = RationalLinearSystem(rows=[({0: 2, 1: 1}, (5,)), ({0: 1, 1: -1}, (1,))], unknowns=2)
-    assert solve_linear(system) == ((Fraction(2), Fraction(1)),)
+    assert solve_linear(system) == (((2, 1), 1),)
 
 
 def test_solve_unique_several_right_hand_sides():
     # One solution per right-hand side, in their order; a zero right-hand
-    # side solves to zeros.
+    # side solves to zeros over scale 1.
     rows = [({0: 2, 1: 1}, (5, 0, 1)), ({0: 1, 1: -1}, (1, 0, 2))]
     assert solve_linear(RationalLinearSystem(rows=rows, unknowns=2)) == (
-        (Fraction(2), Fraction(1)),
-        (Fraction(0), Fraction(0)),
-        (Fraction(1), Fraction(-1)),
+        ((2, 1), 1),
+        ((0, 0), 1),
+        ((1, -1), 1),
     )
+
+
+def test_solve_rescales_after_solved_unknowns():
+    # Upper triangular, so back substitution meets the unknowns from the
+    # last: x2 = 1/3 lifts the scale to 3 while x0 and x1 are unknown, x1 =
+    # 1/2 - x2 = 1/6 then lifts it to 6 with x2 already solved (rescaled
+    # from 1 to 2), and x0 = (1 - x1) / 5 = 1/6 needs no further lift.
+    rows = [({0: 5, 1: 1}, (1,)), ({1: 2, 2: 2}, (1,)), ({2: 3}, (1,))]
+    system = RationalLinearSystem(rows=rows, unknowns=3)
+    assert solve_linear(system) == (((1, 1, 2), 6),)
+    # A lift by 7 after two unknowns: x0 = (1 - x1 - x2) / 7 = 1/14.
+    rows[0] = ({0: 7, 1: 1, 2: 1}, (1,))
+    sol = solve_linear(RationalLinearSystem(rows=rows, unknowns=3))
+    assert sol == (((3, 7, 14), 42),)
+    assert values(sol[0]) == (Fraction(1, 14), Fraction(1, 6), Fraction(1, 3))
+    # Negative pivot entries lift the scale by positive factors: x1 = -1/3,
+    # x0 = (1 - 2 x1) / -4 = -5/12.
+    system = RationalLinearSystem(rows=[({0: -4, 1: 2}, (1,)), ({1: -3}, (1,))], unknowns=2)
+    assert solve_linear(system) == (((-5, -4), 12),)
+
+
+def test_solve_leaves_the_system_unchanged():
+    rows = [({0: 4, 1: 2, 2: 6}, (2, 0)), ({0: 2, 1: -1}, (1, 3)), ({1: 3, 2: 9}, (0, 1))]
+    system = RationalLinearSystem(rows=rows, unknowns=3)
+    before = [(dict(row), rhs) for row, rhs in system.rows]
+    first = solve_linear(system)
+    assert system.rows == before
+    assert solve_linear(system) == first
 
 
 def test_solve_infeasible():
@@ -194,8 +249,8 @@ def test_solve_one_infeasible_right_hand_side():
     assert solve_linear(RationalLinearSystem(rows=rows, unknowns=2)) is None
     consistent = [(row, (b[0], b[2])) for row, b in rows]
     assert solve_linear(RationalLinearSystem(rows=consistent, unknowns=2)) == (
-        (Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(0)),
+        ((1, 0), 1),
+        ((0, 0), 1),
     )
 
 
@@ -235,7 +290,7 @@ def test_solve_empty_system():
     # on the left determines the empty vector, unless its right-hand side
     # reads 0 = b.
     assert solve_linear(RationalLinearSystem(rows=[], unknowns=0)) == ()
-    assert solve_linear(RationalLinearSystem(rows=[({}, (0, 0))], unknowns=0)) == ((), ())
+    assert solve_linear(RationalLinearSystem(rows=[({}, (0, 0))], unknowns=0)) == (((), 1), ((), 1))
     assert solve_linear(RationalLinearSystem(rows=[({}, (0, 1))], unknowns=0)) is None
 
 
@@ -286,7 +341,8 @@ def test_solve_random_consistent_systems():
         rows = consistent_rows(rng, n, m, [x0], den)
         sol = solve_linear(sparse(rows))
         if rank(rows, n) == n:
-            assert sol == (tuple(x0),)
+            assert sol == (scaled(x0),)
+            assert_lowest_terms(sol)
             unique += 1
         else:
             assert sol is None
@@ -315,7 +371,8 @@ def test_solve_random_several_right_hand_sides():
             for r in range(len(points))
         ]
         if rank(rows, n) == n:
-            assert sol == tuple(tuple(x0) for x0 in points)
+            assert sol == tuple(map(scaled, points))
+            assert_lowest_terms(sol)
             assert [(x,) for x in sol] == alone
             unique += 1
             zeros += sum(not any(x0) for x0 in points)
@@ -340,7 +397,8 @@ def test_solve_random_infeasible_systems():
         if sol is None:
             hit += 1
         else:
-            assert not any(residual(system, sol[0]))
+            assert_lowest_terms(sol)
+            assert not any(residual(system, values(sol[0])))
     assert hit > 0  # overdetermined random systems are usually inconsistent
 
 
@@ -374,9 +432,10 @@ def test_solve_builder_systems(kind, dropped, gamma):
     if dropped:
         assert sol is None
     else:
+        assert_lowest_terms(sol)
         (x,) = sol
-        assert len(x) == system.ncols()
-        assert not any(residual(system, x))
+        assert len(x[0]) == system.ncols()
+        assert not any(residual(system, values(x)))
 
 
 # ---------------------------------------------------------------------------

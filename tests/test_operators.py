@@ -1,17 +1,17 @@
 """Tests for band operators, the closed monomial image, and the biharmonic pipeline."""
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from biharm.boundary import dirichlet_factor
-from biharm.builder import KernelSpec, grid_geometry
+from biharm.builder import KernelSpec, build_pair, grid_geometry
 from biharm.conjecture import ab_form, conjectured_kernel, solve_ck
 from biharm.operators import (
     KERNEL_KINDS,
-    _seq_pq,
-    _seq_winv,
+    _laplacian_rows,
     biharmonic,
     check_kind,
     make_expansion,
@@ -26,14 +26,35 @@ from exact_references import (
     laplacian_pass,
     poly_add,
     poly_scale,
+    poly_shift,
 )
 from kernel_fixtures import RAW_H2
+
+
+def dense_pass(seq, shift=0):
+    """The package's dense Laplacian pass (``_laplacian_rows``) on a band
+    sequence of dicts, its image back as dicts with zeros dropped.  With
+    shift, the rows are laid out from t^(klow - shift) instead of t^klow,
+    which divides the sequence by t^shift, as ``biharmonic`` divides by the
+    weight."""
+    ks = [k for p in seq.values() for k in p]
+    if not ks:
+        return {}
+    mlow, klow = min(seq), min(ks)
+    width = max(ks) + 1 - klow
+    rows = [[0] * width for _ in range(max(seq) + 1 - mlow)]
+    for m, poly in seq.items():
+        for k, c in poly.items():
+            rows[m - mlow][k - klow] = c
+    image = _laplacian_rows(rows, mlow, klow - shift)
+    out = {mlow + i: {e: c for e, c in enumerate(row, klow - shift - 2) if c} for i, row in enumerate(image)}
+    return {m: p for m, p in out.items() if p}
 
 
 def laplacian(u):
     """Banded Laplacian of an expansion: band m of D(u), by the package's
     own Laplacian pass (the first and last step of ``biharmonic``)."""
-    return _seq_pq(u.terms)
+    return dense_pass(u.terms)
 
 
 def rand_expansion(rng, gamma):
@@ -79,10 +100,12 @@ def test_apply_q_hand_values():
 
 
 def test_weight_division_shifts_exponents():
-    assert _seq_winv(2, {1: {5: Fraction(1), 2: Fraction(-3)}}) == {
-        1: {3: Fraction(1), 0: Fraction(-3)}
-    }
-    assert _seq_winv(0, {2: {4: Fraction(7)}}) == {2: {4: Fraction(7)}}
+    # Dividing by t^2 moves the rows' base exponent: the pass then acts on
+    # t^3 - 3 t^0, so P_1 gives 6 t - 6 t^2 and Q_1 gives -2 t^3 - 3 in band 2.
+    seq = {1: {5: Fraction(1), 2: Fraction(-3)}}
+    assert dense_pass(seq, shift=2) == {1: {1: 6, 2: -6}, 2: {3: -2, 0: -3}}
+    assert dense_pass(seq, shift=2) == laplacian_pass({1: poly_shift(seq[1], -2)})
+    assert dense_pass({2: {4: Fraction(7)}}, shift=0) == laplacian_pass({2: {4: Fraction(7)}})
 
 
 def test_operators_are_linear():
@@ -116,18 +139,21 @@ def rand_band_sequence(rng, coeff):
     ids=["int", "Fraction"],
 )
 def test_fused_laplacian_pass_matches_composition_of_p_and_q(coeff):
-    # _seq_pq applies P and Q by their coefficient forms; the reference
-    # composes them from their derivative forms, band by band.  An int
-    # sequence stays in ints, as the biharmonic passes rely on.
+    # _laplacian_rows applies P and Q by their coefficient forms on dense
+    # rows, gap bands and gaps in a band holding 0; the reference composes
+    # them from their derivative forms, band by band, on dicts.  An int
+    # sequence stays in ints, as the biharmonic passes rely on, and the
+    # image has one row more and two entries more per row.
     rng = random.Random(2006)
     kind = type(coeff(rng))
     for _ in range(300):
         seq = rand_band_sequence(rng, coeff)
-        image = _seq_pq(seq)
+        image = dense_pass(seq)
         assert image == laplacian_pass(seq), seq
         assert all(p for p in image.values())
         assert all(type(c) is kind and c for p in image.values() for c in p.values())
-    assert _seq_pq({}) == {}
+    assert _laplacian_rows([[0, 0, 0]], 1, -2) == [[0] * 5, [0] * 5]
+    assert not biharmonic(make_expansion(3, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +355,51 @@ def test_biharmonic_passes_match_fraction_composition(u):
     image = biharmonic(u)
     assert image == expected
     assert all(type(c) is Fraction for p in image.values() for c in p.values())
+
+
+def test_biharmonic_matches_fraction_composition_random():
+    # Random expansions with exponents down to -5, gap bands and mixed
+    # denominators, at every gamma 0..12: the dense integer passes give the
+    # Fraction composition's image, which is nonzero.
+    rng = random.Random(2007)
+    negative = 0
+    for gamma in range(13):
+        for _ in range(15):
+            terms = {}
+            for beta in rng.sample(range(1, gamma + 4), rng.randint(1, min(4, gamma + 3))):
+                ks = rng.sample(range(-5, 2 * gamma + 6), rng.randint(1, 4))
+                terms[beta] = {k: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12)) for k in ks}
+            u = make_expansion(gamma, terms)
+            negative += any(k < 0 for p in u.terms.values() for k in p)
+            expected = biharmonic_fraction(gamma, u.terms)
+            assert expected, terms
+            assert biharmonic(u) == expected, terms
+    assert negative > 50
+
+
+PERTURBED_GAMMAS = [0, 3, 12] + ([80] if os.environ.get("BIHARM_ACCEPT_EXTENDED") else [])
+
+
+@pytest.mark.parametrize("gamma", PERTURBED_GAMMAS)
+def test_biharmonic_of_perturbed_built_kernels(gamma):
+    # The built pair is biharmonic-zero; each kernel plus a small term in
+    # one band, at a negative, an interior or a high exponent, where the
+    # monomial's image is not zero, has the Fraction composition's nonzero
+    # image.  gamma 80 joins with BIHARM_ACCEPT_EXTENDED=1.
+    rng = random.Random(2008 + gamma)
+    for kernel in build_pair(gamma):
+        assert not biharmonic(kernel)
+        for k in (-3, gamma + 3, 2 * gamma + 5):
+            m = rng.randint(1, kernel.max_beta())
+            while not monomial_image(gamma, m, k):
+                m = rng.randint(1, kernel.max_beta())
+            terms = {beta: dict(poly) for beta, poly in kernel.terms.items()}
+            band = terms.setdefault(m, {})
+            band[k] = band.get(k, 0) + Fraction(1, rng.randint(2, 99))
+            u = make_expansion(gamma, terms)
+            expected = biharmonic_fraction(gamma, u.terms)
+            assert expected
+            assert biharmonic(u) == expected
 
 
 def test_biharmonic_is_linear():
