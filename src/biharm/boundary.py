@@ -15,7 +15,8 @@ are integers.  Horner's rule runs in integers over one common denominator:
 with s = m / d and t = (d - m) / d, each band and each Fourier polynomial is
 an integer Horner sum over a power of d (and the kernel's own scale, over
 which it holds its coefficients as integers), and the bands are added
-over one common denominator.
+over one common denominator.  That one integer Horner sum (``horner``) also
+gives numeric's Bernstein form its bands.
 
 For F and H the same multipliers follow without the kernels, from the
 Dirichlet problem they solve (``dirichlet_factor``).  For data e^(i n theta)
@@ -112,7 +113,7 @@ def fourier_poly(beta: int, n: int) -> LaurentPoly:
     return coeffs
 
 
-def _horner(coeffs: Sequence[int], x: int, y: int) -> int:
+def horner(coeffs: Sequence[int], x: int, y: int) -> int:
     """sum_i coeffs[i] x^i y^(d - i), d = len(coeffs) - 1: the polynomial at
     x / y times y^d, by Horner's rule in integers."""
     total, power = 0, 1
@@ -140,7 +141,7 @@ def radial_ratio(kernel: KernelExpansion, n: int, m: int, d: int) -> Tuple[int, 
         # band * fourier * t^t_exp / (scale d^d_exp)
         t_exp = low - 2 * beta + 1
         d_exp = low + len(coeffs) - 2 * beta + len(fourier) - 1
-        bands.append((_horner(coeffs, t, d) * _horner(fourier, m, d), t_exp, d_exp))
+        bands.append((horner(coeffs, t, d) * horner(fourier, m, d), t_exp, d_exp))
     t_low = min([0, *(e for _, e, _ in bands)])
     d_top = max([0, *(e for _, _, e in bands)])
     total = sum(num * t ** (t_exp - t_low) * d ** (d_top - d_exp) for num, t_exp, d_exp in bands)
@@ -180,7 +181,7 @@ def dirichlet_ratio(gamma: int, kind: str, n: int, m: int, d: int) -> Tuple[int,
         return base, 1
     table = _ode_table(gamma, n)
     top = d ** (gamma + 1)
-    drop = table.total * top - m * _horner(table.a, m, d)
+    drop = table.total * top - m * horner(table.a, m, d)
     den = 2 * table.lcm * top
     return base * den + mult * table.slope * drop, den
 

@@ -254,23 +254,21 @@ def _build_parser() -> argparse.ArgumentParser:
 # subcommands
 
 
-def cmd_gen(gamma: int, kind: str, fmt: str, out=None) -> int:
-    out = sys.stdout if out is None else out
+def cmd_gen(gamma: int, kind: str, fmt: str) -> int:
     kernel = build(KernelSpec(gamma=gamma, kind=kind))
     if fmt == "json":
         # build raises unless the kernel passes both checks.
         # One write: json.dump would make thousands of small ones.
         doc = to_document(kernel, kind, ("biharmonic-zero", "boundary-exact"))
-        out.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     elif fmt == "latex":
-        out.write("\n".join(latex_lines(kernel, kind)) + "\n")
+        sys.stdout.write("\n".join(latex_lines(kernel, kind)) + "\n")
     else:
-        out.write(text_line(kernel, kind) + "\n")
+        sys.stdout.write(text_line(kernel, kind) + "\n")
     return 0
 
 
-def cmd_verify(gamma_max: int, jobs: int, deep: bool, out=None) -> int:
-    out = sys.stdout if out is None else out
+def cmd_verify(gamma_max: int, jobs: int, deep: bool) -> int:
     work = [(g, deep) for g in range(gamma_max + 1)]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
@@ -280,35 +278,32 @@ def cmd_verify(gamma_max: int, jobs: int, deep: bool, out=None) -> int:
         results = [_verify_one(w) for w in work]
     failures = 0
     for gamma, verdict, deep_ok in sorted(results, key=lambda r: r[0]):
-        out.write(_report_line(gamma, verdict, deep, deep_ok) + "\n")
+        sys.stdout.write(_report_line(gamma, verdict, deep, deep_ok) + "\n")
         if not verdict.all_passed or not deep_ok:
             failures += 1
-    out.write(f"checked={gamma_max + 1}\tfailures={failures}\n")
+    sys.stdout.write(f"checked={gamma_max + 1}\tfailures={failures}\n")
     return 0 if failures == 0 else 1
 
 
-def cmd_eval(gamma: int, kind: str, r: float, theta: float, out=None) -> int:
-    out = sys.stdout if out is None else out
+def cmd_eval(gamma: int, kind: str, r: float, theta: float) -> int:
     kernel = checked_kernel(gamma, kind)
     value = eval_kernel(kernel, DiscPoint(r=r, theta=theta))
-    out.write(f"{value:.17g}\n")
+    sys.stdout.write(f"{value:.17g}\n")
     return 0
 
 
-def cmd_l1check(gamma: int, kind: str, r_grid: Iterable[float], out=None) -> int:
-    out = sys.stdout if out is None else out
+def cmd_l1check(gamma: int, kind: str, r_grid: Iterable[float]) -> int:
     kernel = checked_kernel(gamma, kind)
     rows = ["r\tl1\tl1_over_1mr\n"]
     for r in r_grid:
         value = l1_norm(kernel, r)
         rows.append(f"{r:.10g}\t{value:.10g}\t{value / (1.0 - r):.10g}\n")
     # Written only once every radius has succeeded: no partial table on failure.
-    out.write("".join(rows))
+    sys.stdout.write("".join(rows))
     return 0
 
 
-def cmd_means(gamma: int, kind: str, r_grid: Iterable[float], out=None) -> int:
-    out = sys.stdout if out is None else out
+def cmd_means(gamma: int, kind: str, r_grid: Iterable[float]) -> int:
     kernel = checked_kernel(gamma, kind)
     bd = expansion_boundary(kernel)
     rows = ["r\tmean\tpredicted\tabs_err\n"]
@@ -316,7 +311,7 @@ def cmd_means(gamma: int, kind: str, r_grid: Iterable[float], out=None) -> int:
         mean = integral_mean(kernel, r)
         predicted = float(bd.a) + float(bd.b) * (1.0 - r)
         rows.append(f"{r:.10g}\t{mean:.10g}\t{predicted:.10g}\t{abs(mean - predicted):.3g}\n")
-    out.write("".join(rows))
+    sys.stdout.write("".join(rows))
     return 0
 
 

@@ -57,7 +57,9 @@ with positive weights, symmetric in i and j.  So both kernels read
 
 F with the one term d = gamma + 1, P_d = 1, and H with
 P_d(u) = eps_d / (2 (gamma+1)) sum_l w_(l+d,l) u^l, eps_0 = 1 and eps_d = 2
-for d >= 1.  ``ab_expansion`` expands a form into bands exactly: a^d + b^d
+for d >= 1.  ``ab_form`` returns a form as one record (``ABForm``): the
+p_(d,l) as ints over one scale, laid out as numeric sums them, with their
+floats.  ``ab_expansion`` expands a form into bands exactly: a^d + b^d
 is a polynomial in a + b = 1 + t u and a b = u by Lucas-Waring, with the
 coefficients c_k of F at gamma = d - 1.  ``certified_ab_form`` gives a
 kernel its form only where that expansion is == to the kernel, so H's
@@ -68,11 +70,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .builder import build_pair, grid_geometry, kernel_checks
-from .exact import LaurentPoly, Rational, binom
+from .exact import LaurentPoly, binom
 from .operators import (
     KERNEL_KINDS,
     KernelExpansion,
@@ -87,37 +88,37 @@ from .boundary import expansion_boundary  # noqa: F401
 from .operators import biharmonic  # noqa: F401
 
 
-def solve_ck(gamma: int, kind: str) -> Tuple[Rational, ...]:
-    """The c_k displayed above: T_(gamma+1)'s (F) or U_gamma's (H); c_0 = 1."""
+def solve_ck(gamma: int, kind: str) -> Tuple[int, ...]:
+    """The c_k displayed above, as ints: T_(gamma+1)'s (F), with
+    n/(n-k) C(n-k, k) = C(n-k, k) + C(n-k-1, k-1), or U_gamma's (H);
+    c_0 = 1."""
     check_gamma(gamma)
     check_kind(kind)
     if kind == "H":
-        return tuple(Fraction((-1) ** k * binom(gamma - k, k)) for k in range(gamma // 2 + 1))
+        return tuple((-1) ** k * binom(gamma - k, k) for k in range(gamma // 2 + 1))
     n = gamma + 1
-    return tuple(Fraction((-1) ** k * n * binom(n - k, k), n - k) for k in range(n // 2 + 1))
+    return tuple((-1) ** k * (binom(n - k, k) + binom(n - k - 1, k - 1)) for k in range(n // 2 + 1))
 
 
 def conjectured_kernel(gamma: int, kind: str) -> KernelExpansion:
     """The expansion displayed above; make_expansion drops its zero entries.
 
-    The coefficients are integers over one scale, lcm_k den(c_k) times
-    the lcm of the bands' 2 (F) or 2 beta (H), which make_expansion
-    reduces once: (-1)^k n C(n-k, k) C(n-2k, beta-1-k) over 2 (n-k) for F
-    (n = gamma + 1), (-1)^k C(gamma-k, k) C(gamma-2k, beta-1-k) over
-    2 beta for H.  Where the kernel is == to the builder's, the two are
-    alike down to repr.
+    The coefficients are integers over one scale, the lcm of the bands'
+    2 (F) or 2 beta (H), which make_expansion reduces once:
+    c_k C(gamma+1-2k, beta-1-k) over 2 for F, c_k C(gamma-2k, beta-1-k)
+    over 2 beta for H.  Where the kernel is == to the builder's, the two
+    are alike down to repr.
     """
     c = solve_ck(gamma, kind)
     row = gamma + 1 if kind == "F" else gamma
     _, floor = grid_geometry(gamma, kind)
     band_den = {beta: 2 if kind == "F" else 2 * beta for beta in floor}
-    scale = math.lcm(*(ck.denominator for ck in c)) * math.lcm(*band_den.values())
-    lifted = [ck.numerator * (scale // ck.denominator) for ck in c]  # scale c_k, a multiple of each band_den
+    scale = math.lcm(*band_den.values())
     terms: Dict[int, LaurentPoly] = {}
     for beta, lo in floor.items():
+        lift = scale // band_den[beta]
         terms[beta] = {
-            beta + gamma + 1 - k: lifted[k] // band_den[beta] * binom(row - 2 * k, beta - 1 - k)
-            for k in range(beta + gamma + 2 - lo)
+            beta + gamma + 1 - k: c[k] * lift * binom(row - 2 * k, beta - 1 - k) for k in range(beta + gamma + 2 - lo)
         }
     return make_expansion(gamma, terms, scale)
 
@@ -135,49 +136,81 @@ def checked_kernel(gamma: int, kind: str) -> KernelExpansion:
     return kernel
 
 
-def ab_form(gamma: int, kind: str) -> Dict[int, Tuple[Rational, ...]]:
-    """The (a, b) form displayed above as {d: (p_(d,0), p_(d,1), ...)}, the
-    coefficients of P_d(u), with p_(d,l) = eps_d w_(l+d,l) / (2 (gamma+1))
-    for H."""
+class ABForm(NamedTuple):
+    """An (a, b) form laid out as numeric sums it, in c = t a and
+    v = |c|^2 = t^2 u, where the terms are p_(d,l) Re(c^d) v^l t^(gamma+2-d-2l).
+
+    rows holds one entry per d, d falling by one from the top:
+    (d, base, (scale p_(d,L), ..., scale p_(d,0))), base = gamma + 2 - d - 2L
+    the least power of t in P_d's terms, and scale >= 1 shares no factor
+    with all the ints.  floats is rows with each int / scale rounded, l_max
+    the largest L, and floor the least |sum| numeric keeps in floats.
+    """
+
+    rows: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
+    scale: int
+    floats: Tuple[Tuple[int, int, Tuple[float, ...]], ...]
+    l_max: int
+    floor: float
+
+
+def ab_form(gamma: int, kind: str) -> ABForm:
+    """The (a, b) form displayed above: P_d = 1 at d = gamma + 1 for F, and
+    p_(d,l) = eps_d w_(l+d,l) / (2 (gamma+1)) = eps_d C(gamma-d-l, l) /
+    (2 (gamma+1) C(gamma, l)) for H, over the lcm of those denominators
+    until the common factor is divided out."""
     check_gamma(gamma)
     check_kind(kind)
     if kind == "F":
-        return {gamma + 1: (Fraction(1),)}
-    return {
-        d: tuple(
-            Fraction((2 if d else 1) * binom(gamma - d - l, l), 2 * (gamma + 1) * binom(gamma, l))
-            for l in range((gamma - d) // 2 + 1)
-        )
-        for d in range(gamma + 1)
-    }
+        rows, scale = [(gamma + 1, 1, [1])], 1
+    else:
+        dens = [2 * (gamma + 1) * binom(gamma, l) for l in range(gamma // 2 + 1)]
+        scale = math.lcm(*dens)
+        rows = []
+        for d in range(gamma, -1, -1):
+            top = (gamma - d) // 2
+            ps = [(2 if d else 1) * binom(gamma - d - l, l) * (scale // dens[l]) for l in range(top, -1, -1)]
+            rows.append((d, gamma + 2 - d - 2 * top, ps))
+    common = math.gcd(scale, *(p for _, _, ps in rows for p in ps))
+    scale //= common
+    rows = tuple((d, base, tuple(p // common for p in ps)) for d, base, ps in rows)
+    return ABForm(
+        rows=rows,
+        scale=scale,
+        # int / int rounds correctly: each float is float() of its p_(d,l).
+        floats=tuple((d, base, tuple(p / scale for p in ps)) for d, base, ps in rows),
+        l_max=max(len(ps) for _, _, ps in rows) - 1,
+        # Past 2^(3 gamma - 1000) the underflow of a power or a term cannot
+        # reach 1e-18 of the sum (numeric._eval_ab_form).
+        floor=2.0 ** min(3 * gamma - 1000, 1023),
+    )
 
 
-def ab_expansion(gamma: int, form: Dict[int, Tuple[Rational, ...]]) -> KernelExpansion:
+def ab_expansion(gamma: int, form: ABForm) -> KernelExpansion:
     """An (a, b) form at gamma (``ab_form``) expanded into bands, exactly.
 
     Re(a^d) = (a^d + b^d) / 2 = sum_k c_k (1 + t u)^(d-2k) u^k / 2, the c_k
     of F at gamma = d - 1, and (1 + t u)^m by the binomial theorem; the
-    sums run in integers over the lcm of the p_(d,l)'s denominators.
+    sums run on the form's ints, over its scale.
     """
-    lcm = math.lcm(*(p.denominator for ps in form.values() for p in ps))
-    # acc[j][beta]: 2 lcm times the coefficient of t^(gamma+2+j) u^beta
+    # acc[j][beta]: 2 scale times the coefficient of t^(gamma+2+j) u^beta
     acc = [[0] * (gamma + 3) for _ in range(gamma + 2)]
-    for d, ps in form.items():
-        lucas = [int(c) for c in solve_ck(d - 1, "F")] if d else [2]
+    for d, _, ps in form.rows:
+        lucas = solve_ck(d - 1, "F") if d else (2,)
         for k, c in enumerate(lucas):
             row = [binom(d - 2 * k, j) for j in range(d - 2 * k + 1)]
-            for l, p in enumerate(ps):
-                scaled = c * p.numerator * (lcm // p.denominator)
+            for l, p in enumerate(reversed(ps)):
+                scaled = c * p
                 for j, b in enumerate(row):
                     acc[j][1 + l + k + j] += scaled * b
     return make_expansion(
         gamma,
         {beta: {gamma + 2 + j: acc[j][beta] for j in range(gamma + 2)} for beta in range(1, gamma + 3)},
-        2 * lcm,
+        2 * form.scale,
     )
 
 
-def certified_ab_form(kernel: KernelExpansion) -> Optional[Dict[int, Tuple[Rational, ...]]]:
+def certified_ab_form(kernel: KernelExpansion) -> Optional[ABForm]:
     """The ab_form of the kind whose top band the kernel has (grid_geometry),
     if its ab_expansion is == to the kernel; otherwise None."""
     for kind in KERNEL_KINDS:

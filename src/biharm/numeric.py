@@ -2,16 +2,18 @@
 
 Exact expansions become numbers here.  Scalar ``eval_kernel`` evaluates F
 and H only, by their (a, b) form, K = t^(gamma+2) u sum_d Re(a^d) P_d(u)
-with a = 1/(1 - z) (``conjecture``), certified once per kernel against its
-terms (``float_ab_form``); any other expansion raises ValueError.  F's sum
-has one term, and H's terms cancel little where the band sum's cancel by
-up to 1e30.  One Horner body sums the form (``_ab_sum``): in Python floats,
-kept where an error estimate and an underflow floor allow, and otherwise
-in mpmath on the exact coefficients, with digits sized from that estimate.
+with a = 1/(1 - z) (``conjecture.ABForm``), certified once per kernel
+against its terms (``float_ab_form``); any other expansion raises
+ValueError.  F's sum has one term, and H's terms cancel little where the
+band sum's cancel by up to 1e30.  One Horner body sums the form
+(``_ab_sum``): on the form's floats, kept where an error estimate and an
+underflow floor allow, and otherwise in mpmath on its ints, with digits
+sized from that estimate.
 
 Batch values come from the band sum sum_beta f_beta(t) u^beta, Horner's
-rule in u = 1/|1 - z|^2 on float64 arrays (``values_at``, ``l1_norm``),
-from each kernel's coefficients rounded once (``float_bands``).
+rule in u = 1/|1 - z|^2 on float64 arrays (``values_at``, ``l1_norm``).
+Each call rounds the kernel's coefficients by int / int, one float per
+term, and sums each band f_beta(t) to one float before the array pass.
 
 Integral means and Dirichlet solves use no quadrature: Fourier
 coefficients on |z| = r are exact rationals in r^2, computed as an integer
@@ -50,15 +52,15 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Mapping, Optional
 
 import mpmath
 import numpy as np
 
-from .boundary import dirichlet_ratio, radial_ratio
+from .boundary import dirichlet_ratio, horner, radial_ratio
+from .conjecture import ABForm
 from .exact import bernstein_coefficients, isolate_roots
-from .operators import FloatABForm, KernelExpansion, check_gamma
+from .operators import KernelExpansion, check_gamma
 
 # eval_kernel keeps a closed-form value whose error estimate sum_d (d + 1)
 # |c|^d Q_d is at most this many times |sum|.  At 12480 seeded points with
@@ -121,28 +123,15 @@ def inv_abs1mz_sq(r, theta):
     return u
 
 
-def _horner(bands: list, u):
-    """sum_beta (sum of band terms) u^beta, u = 1/|1 - z|^2 a float64 array
-    or scalar, by Horner's rule from the top band down; bands holds the
-    terms of each band, top band first, None for an absent band.
-
-    No power of u is formed, and the updates are in place: u costs the
-    array total, which starts as u times the top band, and no temporary
-    per band.
-    """
-    bands = iter(bands)
-    total = u * sum(next(bands, None) or ())
-    for b in bands:
-        if b is not None:
-            total += sum(b)
-        total *= u
-    return total
-
-
 def values_at(kernel: KernelExpansion, r: float, thetas: np.ndarray) -> np.ndarray:
     """Vectorized float64 kernel values at fixed radius, arbitrary angles;
     ValueError where the kernel's highest power of t = 1 - r^2 underflows,
-    so that the sum would be finite and wrong."""
+    so that the sum would be finite and wrong.
+
+    Each band f_beta(t) is one float, its terms (c / scale) t^k summed in
+    ascending k (int / int rounds correctly); Horner's rule in u then runs
+    in place from the top band down, with no temporary array per band.
+    """
     _require_radius("values_at", r)
     thetas = np.asarray(thetas, dtype=float)
     # A nan or an infinity reaches min or max, which allocate nothing, unlike
@@ -154,13 +143,21 @@ def values_at(kernel: KernelExpansion, r: float, thetas: np.ndarray) -> np.ndarr
     if t**kernel.t_degree < sys.float_info.min:
         raise ValueError(f"values_at: t^{kernel.t_degree} underflows float64 at r={r} (gamma={kernel.gamma})")
     u = inv_abs1mz_sq(r, thetas)
-    return _horner([[c * t**k for k, c in band] if band else None for band in kernel.float_bands], u)
+    scale, top = kernel.scale, kernel.max_beta()
+    bands = {beta: sum(c / scale * t**k for k, c in enumerate(cs, low) if c) for beta, low, cs in kernel.bands}
+    total = u * bands.get(top, 0)
+    for beta in range(top - 1, 0, -1):
+        if beta in bands:
+            total += bands[beta]
+        total *= u
+    return total
 
 
-def _ab_sum(terms, l_max: int, r, theta, sin, sqrt, cplx):
+def _ab_sum(rows, l_max: int, r, theta, sin, sqrt, cplx):
     """(Re S, estimate, q) with K = Re S / q, S = sum_d c^d Q_d, in the number
     type of r and theta, whose sine, square root and complex constructor
-    the caller passes; terms is laid out as ``FloatABForm.terms``.
+    the caller passes; rows is laid out as ``ABForm.rows``, in ints or
+    floats.
 
     1 - z = x - i y with x = (1 - r) + 2 r sin^2(theta/2), which does not
     cancel near z = 1, so a = (x + i y) / q with q = x^2 + y^2.  The powers
@@ -185,7 +182,7 @@ def _ab_sum(terms, l_max: int, r, theta, sin, sqrt, cplx):
     for _ in range(l_max - 1):
         powers.append(powers[-1] * s)
     total = size = 0.0
-    for d, base, coefficients in terms:
+    for d, base, coefficients in rows:
         # p_(d,L) takes no power of s, so an int one stays exact in mpmath.
         coefficients = iter(coefficients)
         band = next(coefficients)
@@ -202,8 +199,8 @@ def _ab_sum(terms, l_max: int, r, theta, sin, sqrt, cplx):
 
 def _eval_extended(kernel: KernelExpansion, r: float, theta: float) -> float:
     """``_ab_sum`` in mpmath on the exact p_(d,l), to 1e-12 relative: on the
-    ints scale p_(d,l) (``FloatABForm.exact``), which mpmath multiplies
-    without converting, divided by scale once.  A pass with dps digits,
+    ints scale p_(d,l) (``ABForm.rows``), which mpmath multiplies without
+    converting, divided by scale once.  A pass with dps digits,
     _GUARD_DIGITS + 17 at first, keeps its value once the estimate times
     10^(_GUARD_DIGITS - dps) is below |Re S| or below the smallest float
     times q scale (0.0 at an exact zero); otherwise it retries with
@@ -214,7 +211,7 @@ def _eval_extended(kernel: KernelExpansion, r: float, theta: float) -> float:
     while True:
         with mpmath.workdps(dps):
             rm, th = mpmath.mpf(r), mpmath.mpf(theta)
-            real, size, q = _ab_sum(form.exact, form.l_max, rm, th, mpmath.sin, mpmath.sqrt, mpmath.mpc)
+            real, size, q = _ab_sum(form.rows, form.l_max, rm, th, mpmath.sin, mpmath.sqrt, mpmath.mpc)
             floor = max(abs(real), math.ulp(0.0) * q * form.scale)
             if size <= floor * mpmath.mpf(10) ** (dps - _GUARD_DIGITS):
                 return float(real / (q * form.scale))
@@ -222,7 +219,7 @@ def _eval_extended(kernel: KernelExpansion, r: float, theta: float) -> float:
         dps = max(needed, 2 * dps)
 
 
-def _eval_ab_form(form: FloatABForm, r: float, theta: float) -> Optional[float]:
+def _eval_ab_form(form: ABForm, r: float, theta: float) -> Optional[float]:
     """``_ab_sum`` in Python floats, or None where it may miss 1e-12: kept
     where the estimate is at most _ESTIMATE_MAX |Re S|, |Re S| >= form.floor
     and the value is finite.
@@ -233,7 +230,7 @@ def _eval_ab_form(form: FloatABForm, r: float, theta: float) -> Optional[float]:
     more in the estimate.  Over fewer than (gamma + 3)^2 operations that
     stays below 2^-60 of any |Re S| >= form.floor = 2^(3 gamma - 1000).
     """
-    real, size, q = _ab_sum(form.terms, form.l_max, r, theta, math.sin, math.sqrt, complex)
+    real, size, q = _ab_sum(form.floats, form.l_max, r, theta, math.sin, math.sqrt, complex)
     value = real / q
     if form.floor <= abs(real) and size <= _ESTIMATE_MAX * abs(real) and abs(value) < math.inf:
         return value
@@ -277,16 +274,16 @@ def _circle_bernstein(kernel: KernelExpansion, r: float) -> List[int]:
     positive.
     """
     top = kernel.max_beta()
-    m, den = Fraction(r).as_integer_ratio()
+    m, den = r.as_integer_ratio()
     d = den * den
     t = d - m * m
     k_min = min(low for _, low, _ in kernel.bands)
     k_max = kernel.t_degree
     p = [0] * top
     for beta, low, coeffs in kernel.bands:
-        p[top - beta] = sum(
-            c * t ** (k - k_min) * d ** (k_max - k) for k, c in enumerate(coeffs, low) if c
-        )
+        # sum_k c t^(k - k_min) d^(k_max - k), from the band's integer Horner sum
+        high = low + len(coeffs) - 1
+        p[top - beta] = horner(coeffs, t, d) * t ** (low - k_min) * d ** (k_max - high)
     return bernstein_coefficients(p, (den - m) ** 2, (den + m) ** 2, d)
 
 

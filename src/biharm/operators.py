@@ -5,8 +5,10 @@ A kernel candidate on the unit disc is stored as a finite sum
     u(z) = sum_beta f_beta(x) / |1 - z|^(2 beta),        x = |z|^2,
 
 with each ``f_beta`` a polynomial in ``t = 1 - x``, held exactly as integers
-over one scale (``KernelExpansion``).  The Laplacian ``D = d^2/(dz dzbar)``
-maps the band ``beta`` term to a pair of neighbouring bands:
+over one scale (``KernelExpansion``), whose other views (``terms``,
+``t_degree``, the certified (a, b) form) are made on first use and kept; no
+float view is kept.  The Laplacian ``D = d^2/(dz dzbar)`` maps the band
+``beta`` term to a pair of neighbouring bands:
 
     D(f / |1-z|^(2 beta)) = (P_beta f) / |1-z|^(2 beta)
                             + (Q_beta f) / |1-z|^(2 (beta+1)),
@@ -38,32 +40,17 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .exact import LaurentPoly
+
+if TYPE_CHECKING:
+    from .conjecture import ABForm
 
 # Band-indexed coefficient sequence: beta -> polynomial in t.  The same shape
 # as KernelExpansion.terms, but entries may be genuinely Laurent (negative
 # exponents) after division by the weight.
 CoeffSequence = Dict[int, LaurentPoly]
-
-
-class FloatABForm(NamedTuple):
-    """A kernel's certified (a, b) form, K = t^(gamma+2) u sum_d Re(a^d) P_d(u).
-
-    numeric evaluates it in c = t a and v = |c|^2 = t^2 u, where the terms
-    are p_(d,l) Re(c^d) v^l t^(gamma+2-d-2l).  terms holds one entry per d,
-    d falling by one from the top: (d, base, (p_(d,L), ..., p_(d,0))) in
-    floats, base = gamma + 2 - d - 2L the least power of t in P_d's terms;
-    exact holds scale p_(d,l) in ints, scale the lcm of their denominators.
-    l_max is the largest L, and floor the least |sum| kept in floats.
-    """
-
-    terms: Tuple[Tuple[int, int, Tuple[float, ...]], ...]
-    exact: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
-    scale: int
-    l_max: int
-    floor: float
 
 
 # One band of a kernel: (beta, low, (scale c_low, ..., scale c_high)), c_k
@@ -95,44 +82,19 @@ class KernelExpansion:
         return {beta: {k: Fraction(c, scale) for k, c in enumerate(cs, low) if c} for beta, low, cs in self.bands}
 
     @functools.cached_property
-    def float_bands(self) -> Tuple[Optional[Tuple[Tuple[int, float], ...]], ...]:
-        """The float image of the kernel: one entry per band, top band first,
-        a tuple of (k, c) pairs in ascending k with c the coefficient of t^k
-        rounded to float, or None for an absent band.  int / int rounds
-        correctly, so c is float() of the exact coefficient."""
-        scale = self.scale
-        floats = {beta: tuple((k, c / scale) for k, c in enumerate(cs, low) if c) for beta, low, cs in self.bands}
-        return tuple(map(floats.get, range(self.max_beta(), 0, -1)))
-
-    @functools.cached_property
     def t_degree(self) -> int:
         """The largest power of t (0 for none), found once."""
         return max((low + len(coeffs) - 1 for _, low, coeffs in self.bands), default=0)
 
     @functools.cached_property
-    def float_ab_form(self) -> Optional[FloatABForm]:
-        """The kernel's (a, b) form, in floats and exactly, or None unless
-        that form expands to terms exactly (``conjecture.certified_ab_form``).
-        Decided on first use and kept, like float_bands, so a point that
-        needs the exact coefficients never certifies the form again."""
+    def float_ab_form(self) -> Optional[ABForm]:
+        """The kernel's (a, b) form, or None unless that form expands to
+        terms exactly (``conjecture.certified_ab_form``).  Decided on first
+        use and kept, so a kernel's form is certified once."""
         # Imported here: conjecture builds on this module.
         from .conjecture import certified_ab_form
 
-        form = certified_ab_form(self)
-        if form is None:
-            return None
-        gamma = self.gamma
-        rows = [(d, gamma + 2 - d - 2 * (len(p) - 1), p[::-1]) for d, p in sorted(form.items(), reverse=True)]
-        scale = math.lcm(*(c.denominator for _, _, p in rows for c in p))
-        return FloatABForm(
-            terms=tuple((d, base, tuple(map(float, p))) for d, base, p in rows),
-            exact=tuple((d, base, tuple(c.numerator * (scale // c.denominator) for c in p)) for d, base, p in rows),
-            scale=scale,
-            l_max=max(map(len, form.values())) - 1,
-            # Past 2^(3 gamma - 1000) the underflow of a power or a term cannot
-            # reach 1e-18 of the sum (numeric._eval_ab_form).
-            floor=2.0 ** min(3 * gamma - 1000, 1023),
-        )
+        return certified_ab_form(self)
 
 
 def check_gamma(gamma: int) -> None:

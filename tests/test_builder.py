@@ -368,14 +368,12 @@ def test_built_kernel_invariants(kind, gamma):
 @pytest.mark.parametrize("kind", ("F", "H"))
 def test_built_kernel_terms_are_in_ascending_order(kind, gamma):
     # The solve runs in diagonal order; build stores the bands, and each
-    # band's exponents, in ascending order, so repr and the float layout
-    # (float_bands) do not follow the solver's column numbering.
+    # band's exponents, in ascending order, so repr does not follow the
+    # solver's column numbering.
     kernel = build(KernelSpec(gamma=gamma, kind=kind))
     assert list(kernel.terms) == sorted(kernel.terms)
     for poly in kernel.terms.values():
         assert list(poly) == sorted(poly)
-    for band in kernel.float_bands:
-        assert [k for k, _ in band] == sorted(k for k, _ in band)
 
 
 @pytest.mark.parametrize("gamma", range(0, 9))

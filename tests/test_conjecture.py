@@ -1,6 +1,7 @@
 """Tests for the closed-form coefficient scheme and its verification."""
 
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -48,10 +49,50 @@ def test_solve_ck_small_values(gamma, kind, expected):
 
 
 def test_ab_form_small_values():
-    # H_2 = t^4 u / 6 (1 + a + b + a^2 + b^2 + a b / 2): the weights w_ij.
-    assert ab_form(2, "H") == {0: (F(1, 6), F(1, 12)), 1: (F(1, 3),), 2: (F(1, 3),)}
-    assert ab_form(0, "H") == {0: (F(1, 2),)}
-    assert ab_form(3, "F") == {4: (F(1),)}
+    # H_2 = t^4 u / 6 (1 + a + b + a^2 + b^2 + a b / 2): the weights w_ij,
+    # p_(2,0) = p_(1,0) = 1/3 and (p_(0,1), p_(0,0)) = (1/12, 1/6), over 12.
+    h2 = ab_form(2, "H")
+    assert h2.rows == ((2, 2, (4,)), (1, 3, (4,)), (0, 2, (1, 2)))
+    assert (h2.scale, h2.l_max) == (12, 1)
+    assert h2.floats == ((2, 2, (1 / 3,)), (1, 3, (1 / 3,)), (0, 2, (1 / 12, 1 / 6)))
+    h0 = ab_form(0, "H")
+    assert (h0.rows, h0.scale, h0.floats) == (((0, 2, (1,)),), 2, ((0, 2, (0.5,)),))
+    f3 = ab_form(3, "F")
+    assert (f3.rows, f3.scale, f3.l_max) == (((4, 1, (1,)),), 1, 0)
+
+
+def _displayed_ab_rows(gamma, kind):
+    """The rows of ab_form(gamma, kind) in Fractions, from the displayed
+    p_(d,l) = eps_d C(gamma-d-l, l) / (2 (gamma+1) C(gamma, l)) for H."""
+    if kind == "F":
+        return [(gamma + 1, 1, (F(1),))]
+    rows = []
+    for d in range(gamma, -1, -1):
+        top = (gamma - d) // 2
+        ps = tuple(
+            F((2 if d else 1) * binom(gamma - d - l, l), 2 * (gamma + 1) * binom(gamma, l)) for l in range(top, -1, -1)
+        )
+        rows.append((d, gamma + 2 - d - 2 * top, ps))
+    return rows
+
+
+def test_ab_form_is_canonical():
+    # Ints over a scale >= 1 that shares no factor with all of them, their
+    # floats int / scale bit for bit, and the displayed p_(d,l).  gamma 0..40,
+    # 0..80 with BIHARM_ACCEPT_EXTENDED=1 (H_80 has 1681 coefficients).
+    gamma_max = 80 if os.environ.get("BIHARM_ACCEPT_EXTENDED") else 40
+    for gamma in range(gamma_max + 1):
+        for kind in ("F", "H"):
+            form = ab_form(gamma, kind)
+            ints = [p for _, _, ps in form.rows for p in ps]
+            assert form.scale >= 1 and math.gcd(form.scale, *ints) == 1, (gamma, kind)
+            assert all(type(p) is int for p in ints), (gamma, kind)
+            assert [row[:2] for row in form.floats] == [row[:2] for row in form.rows]
+            floats = [x.hex() for _, _, xs in form.floats for x in xs]
+            assert floats == [float(F(p, form.scale)).hex() for p in ints], (gamma, kind)
+            got = [(d, base, tuple(F(p, form.scale) for p in ps)) for d, base, ps in form.rows]
+            assert got == _displayed_ab_rows(gamma, kind), (gamma, kind)
+            assert form.l_max == max(len(ps) for _, _, ps in form.rows) - 1
 
 
 def test_certified_ab_form_follows_the_top_band():
@@ -111,9 +152,8 @@ def test_solve_ck_satisfies_defining_relations():
         for kind, row_top, target in (("F", gamma + 1, 0), ("H", gamma, 1)):
             c = solve_ck(gamma, kind)
             # Integer relations with a unit diagonal and c_0 = 1 force
-            # integer c_k, so the sums can run in ints.
-            assert all(v.denominator == 1 for v in c), (gamma, kind)
-            c = [v.numerator for v in c]
+            # integer c_k, which solve_ck returns as ints.
+            assert all(type(v) is int for v in c), (gamma, kind)
             assert c[0] == 1 and len(c) == row_top // 2 + 1, (gamma, kind)
             for j in range(1, len(c)):
                 total = sum(c[k] * binom(row_top - 2 * k, j - k) for k in range(j + 1))

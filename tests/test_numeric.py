@@ -16,7 +16,7 @@ import biharm.builder
 import biharm.numeric
 from biharm.boundary import dirichlet_factor, radial_ratio
 from biharm.builder import KernelSpec, build, build_pair
-from biharm.conjecture import conjectured_kernel
+from biharm.conjecture import ABForm, conjectured_kernel
 from biharm.exact import bernstein_coefficients, isolate_roots
 from biharm.numeric import (
     DiscPoint,
@@ -31,7 +31,7 @@ from biharm.numeric import (
     solve_dirichlet,
     values_at,
 )
-from biharm.operators import FloatABForm, make_expansion
+from biharm.operators import make_expansion
 from exact_references import (
     bisect_root_in,
     expansion_scale,
@@ -229,51 +229,27 @@ def test_band_sum_on_sparse_bands(kernel):
             assert value == pytest.approx(want, rel=1e-13, abs=0.0), (r, theta)
 
 
-# Each kernel's float image: bands top first, None where a band is absent,
-# each band's terms in ascending k whatever the order of the dict given.
-FLOAT_IMAGES = [
-    (((1, 1 / 9), (5, 5 / 4)), None, ((0, 2 / 7), (2, 1 / 3))),
-    (((3, 7 / 5), (6, 1 / 11)), None, None, None),
-    (),
-]
+def _plain_band_sum(kernel, r, thetas):
+    """Horner's rule in u over kernel.terms from the top band down, each
+    band's terms float(c) t^k summed in ascending k."""
+    t = (1.0 - r) * (1.0 + r)
+    u = inv_abs1mz_sq(r, np.array(thetas, dtype=float))
+    total = np.zeros_like(u)
+    for beta in range(kernel.max_beta(), 0, -1):
+        band = sorted(kernel.terms.get(beta, {}).items())
+        total = (total + sum(float(c) * t**k for k, c in band)) * u
+    return total
 
 
-@pytest.mark.parametrize("kernel, bands, k_max", zip(SPARSE_EXPANSIONS, FLOAT_IMAGES, (5, 6, 0)))
-def test_float_image_of_sparse_bands(kernel, bands, k_max):
-    assert kernel.float_bands == bands
-    # Every power of t is kept, the largest (0 for no band) included.
-    assert max((k for band in kernel.float_bands if band for k, _ in band), default=0) == k_max
-
-
-def test_float_image_of_f8_rounds_every_coefficient():
-    f8 = conjectured_kernel(8, "F")
-    twin = make_expansion(8, f8.terms)
-    eval_kernel(f8, DiscPoint(r=0.5, theta=1.0))
-    image = f8.float_bands
-    assert len(image) == f8.max_beta() == 10
-    for beta, band in zip(range(10, 0, -1), image):
-        poly = f8.terms[beta]
-        assert [k for k, _ in band] == list(poly)
-        for k, c in band:
-            assert type(c) is float and c == poly[k].numerator / poly[k].denominator
-    # The cached image is no dataclass field: equality still sees the terms.
-    assert "float_bands" in vars(f8) and "float_bands" not in vars(twin)
-    assert f8 == twin and repr(f8) == repr(twin)
-
-
-def test_coefficients_are_rounded_once_per_kernel():
-    f4 = conjectured_kernel(4, "F")  # a new expansion, never evaluated
-    assert "float_bands" not in vars(f4)
-    thetas = np.linspace(0.1, 3.0, 100)
-    values_at(f4, 0.6, thetas)
-    image = vars(f4)["float_bands"]
-    for theta in thetas:
-        eval_kernel(f4, DiscPoint(r=0.6, theta=float(theta)))
-    values_at(f4, 0.6, thetas)
-    assert f4.float_bands is image
-    assert sorted(c for band in image for _, c in band) == sorted(
-        c.numerator / c.denominator for poly in f4.terms.values() for c in poly.values()
-    )
+@pytest.mark.parametrize("kernel", [*SPARSE_EXPANSIONS, conjectured_kernel(8, "H")])
+def test_values_at_is_the_plain_float_band_sum(kernel):
+    # Absent bands, the empty kernel and a closed form: values_at rounds
+    # each coefficient and sums the bands as a plain Horner sum does.
+    rng = random.Random(29)
+    thetas = [0.0, 1e-9, math.pi, *(rng.uniform(-7.0, 7.0) for _ in range(40))]
+    for r in (0.0, 0.3, 0.9, 0.998):
+        got, want = values_at(kernel, r, np.array(thetas)), _plain_band_sum(kernel, r, thetas)
+        assert got.tobytes() == want.tobytes(), r
 
 
 def test_band_sum_of_empty_expansion_is_zero(sized_calls):
@@ -293,10 +269,10 @@ def test_eval_kernel_exact_zero_ends_digit_loop(sized_calls):
     # the mpmath pass doubles its digits until the error bound falls below
     # the smallest float.
     kernel = make_expansion(0, {1: {1: Fraction(1)}})
-    kernel.__dict__["float_ab_form"] = FloatABForm(
-        terms=((1, 0, (1.0,)), (0, 0, (-1.5,))),
-        exact=((1, 0, (2,)), (0, 0, (-3,))),
+    kernel.__dict__["float_ab_form"] = ABForm(
+        rows=((1, 0, (2,)), (0, 0, (-3,))),
         scale=2,
+        floats=((1, 0, (1.0,)), (0, 0, (-1.5,))),
         l_max=0,
         floor=0.0,
     )
