@@ -1,4 +1,4 @@
-"""Floating-point evaluation, Fourier multipliers and L1 quadrature.
+"""Floating-point evaluation, Fourier multipliers and L1 norms.
 
 Exact expansions become numbers here.  Scalar ``eval_kernel`` evaluates F
 and H only, by their (a, b) form, K = t^(gamma+2) u sum_d Re(a^d) P_d(u)
@@ -11,7 +11,8 @@ underflow floor allow, and otherwise in mpmath on its ints, with digits
 sized from that estimate.
 
 Batch values come from the band sum sum_beta f_beta(t) u^beta, Horner's
-rule in u = 1/|1 - z|^2 on float64 arrays (``values_at``, ``l1_norm``).
+rule in u = 1/|1 - z|^2 on float64 arrays (``values_at``, and ``l1_norm``
+on kernels other than F).
 Each call rounds the kernel's coefficients by int / int, one float per
 term, and sums each band f_beta(t) to one float before the array pass.
 
@@ -27,14 +28,19 @@ trigonometric boundary data is a finite sum of data coefficients times
 multipliers, with one exact multiplier and one rounding per (kind, |n|),
 shared by the harmonics n and -n.
 
-Only the L1 norm, where |K| is not linear in K, is a quadrature.  On
-|z| = r the kernel is P_r(q) / q^B in q = |1 - z|^2, and a float r is a
-dyadic rational, so the sign changes of K are the roots of an exact
-polynomial: ``exact.isolate_roots`` isolates them in P_r's Bernstein form,
-and bracketed false position finds each one in float64 (``_root_in``).
-Between them, and on pieces graded towards the peak at theta = 0, |K| is
-analytic, and Gauss-Legendre rules of 40 and 80 nodes per piece check each
-other.
+The L1 norm of F has a closed form.  F = dG/dtheta for G = Im Phi,
+Phi = sum_(j=1..gamma+1) c^j / j + log(c - 1) with c = t a, and F keeps one
+sign between its explicit zeros (``_f_zeros``), so the norm is
+(1/pi) sum_k |G(theta_(k+1)) - G(theta_k)| over them (``_f_l1_norm``).
+
+Only the L1 norm of any other kernel, where |K| is not linear in K, is a
+quadrature.  On |z| = r the kernel is P_r(q) / q^B in q = |1 - z|^2, and a
+float r is a dyadic rational, so the sign changes of K are the roots of an
+exact polynomial: ``exact.isolate_roots`` isolates them in P_r's Bernstein
+form, and bracketed false position finds each one in float64
+(``_root_in``).  Between them, and on pieces graded towards the peak at
+theta = 0, |K| is analytic, and Gauss-Legendre rules of 40 and 80 nodes per
+piece check each other.
 
 The float band sum takes u = 1/|1 - z|^2 as
 (1 + T^2) / ((1 - r)^2 + (1 + r)^2 T^2) with T = tan(theta/2)
@@ -71,10 +77,14 @@ _ESTIMATE_MAX = 1000
 _GUARD_DIGITS = 20
 # l1_norm's 40- and 80-node Gauss-Legendre sums agree to this, or it raises.
 _L1_RTOL = 1e-10
+# F's L1 norm keeps its float sum where the rounding bound is at most this
+# relative, and is otherwise summed in mpmath to this.
+_F_L1_RTOL = 1e-12
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """l1_norm's 40- and 80-node Gauss-Legendre sums differ beyond _L1_RTOL."""
+    """l1_norm's 40- and 80-node Gauss-Legendre sums differ beyond _L1_RTOL
+    (not raised for F, whose norm is a closed form)."""
 
 
 @dataclass(frozen=True)
@@ -375,6 +385,118 @@ def _sign_changes(kernel: KernelExpansion, r: float) -> List[float]:
     return thetas
 
 
+def _f_zeros(gamma: int, r: float) -> List[float]:
+    """The zeros of F_gamma on |z| = r in (0, pi), ascending.
+
+    F_gamma is proportional to cos((gamma+1) psi), psi = arg 1/(1-z)
+    (``conjecture``), which vanishes at psi_j = (2j-1) pi / (2 gamma + 2).
+    On |z| = r the angle psi stays below asin r, and the law of sines in the
+    triangle 0, 1, z puts each psi_j < asin r at theta = x - psi_j and
+    pi - x - psi_j, where x = asin(sin psi_j / r); the ratio is clamped to 1
+    against its rounding where psi_j is next to asin r.
+    """
+    zeros = []
+    limit = math.asin(r)
+    j = 1
+    while (psi := (2 * j - 1) * math.pi / (2 * gamma + 2)) < limit:
+        x = math.asin(min(math.sin(psi) / r, 1.0))
+        zeros += [x - psi, math.pi - x - psi]
+        j += 1
+    return sorted(zeros)
+
+
+def _f_l1_sum(gamma: int, r, zeros, one, pi, sin, atan2, cplx):
+    """((1/pi) sum_k |G(theta_(k+1)) - G(theta_k)|, sum_k S_k) over the cuts
+    0, zeros and pi, in the number type of r, zeros, one and pi, whose sine,
+    atan2 and complex constructor the caller passes.
+
+    G = Im Phi, Phi = sum_(j=1..gamma+1) c^j / j + log(c - 1), c = t / (1 - z)
+    with t = 1 - r^2 and z = r e^(i theta): dPhi/dtheta = i t^(gamma+2) /
+    ((1 - z)^(gamma+2) (1 - conj z)), so dG/dtheta = F.  Its sum is taken
+    by Horner's rule in c, with c from x and y as in ``_ab_sum``, and
+    S_k = sum_j |c|^j / j at the cut by the same rule in |c|.  The log is
+    log(z - r^2) - log(1 - z), each branch continuous on [0, pi], where
+    sin theta >= 0: arg(z - r^2) = atan2(sin theta, (1 - r) - 2 sin^2(theta/2))
+    and arg(1 - z) = atan2(-y, x), so nothing cancels as r -> 1.  At 0 and
+    pi, c is real and G is 0 and pi exactly.
+    """
+    coefficients = [one / j for j in range(gamma + 1, 0, -1)]
+    previous = total = size = 0.0
+    for theta in zeros:
+        h = sin(0.5 * theta)
+        h2 = 2.0 * h * h
+        s = sin(theta)
+        x = (1.0 - r) + r * h2
+        y = r * s
+        g = (1.0 - r) * (1.0 + r) / (x * x + y * y)
+        c = cplx(x * g, y * g)
+        rho = abs(c)
+        phi = part = 0.0
+        for a in coefficients:
+            phi = phi * c + a
+            part = part * rho + a
+        value = (phi * c).imag + atan2(s, (1.0 - r) - h2) - atan2(-y, x)
+        total += abs(value - previous)
+        size += part * rho
+        previous = value
+    total += abs(pi - previous)
+    return total / pi, size
+
+
+def _f_l1_extended(gamma: int, r: float, zeros: List[float], bits: int) -> float:
+    """``_f_l1_sum`` in mpmath at bits of precision on the same cuts;
+    ValueError where the norm overflows float64."""
+    with mpmath.workprec(bits):
+        mp_zeros = [mpmath.mpf(theta) for theta in zeros]
+        total, _ = _f_l1_sum(gamma, mpmath.mpf(r), mp_zeros, mpmath.mpf(1), +mpmath.pi, mpmath.sin, mpmath.atan2, mpmath.mpc)
+    value = float(total)
+    if not value < math.inf:
+        raise ValueError(f"l1_norm: the L1 norm of F_{gamma} at r={r} overflows float64")
+    return value
+
+
+def _f_l1_norm(gamma: int, r: float) -> float:
+    """F_gamma's L1 norm on |z| = r from its antiderivative between its zeros
+    (``_f_l1_sum``), to _F_L1_RTOL relative: in Python floats where a
+    rounding bound allows, otherwise in mpmath (``_f_l1_extended``) with the
+    precision sized from that bound; ValueError where the float sum
+    overflows.
+
+    The bound: c is within 28 u of c relative (u = eps / 2), which moves
+    the sum by 28 u sum_j |c|^j <= 28 (gamma + 1) u S_k, and Horner's rule
+    in complex floats adds (sqrt 5 + 1)(gamma + 2) u S_k, so G is within
+    16 (gamma + 2) eps S_k of itself at a cut, plus 32 eps for the two
+    atan2.  Each G_k enters two differences, and the sum over them rounds
+    by (cuts + 1) eps of itself.  A cut rounded to float moves G only
+    quadratically, since dG/dtheta = F = 0 there.  The bound is absolute;
+    it is relative because the norm is at least |mean| = 1, and at least
+    the float value less the bound.
+    """
+    zeros = _f_zeros(gamma, r)
+    value, size = _f_l1_sum(gamma, r, zeros, 1.0, math.pi, math.sin, math.atan2, complex)
+    eps = sys.float_info.epsilon
+    bound = eps * (2.0 / math.pi * (16 * (gamma + 2) * size + 32 * len(zeros)) + (len(zeros) + 3) * value)
+    floor = max(1.0, value - bound)
+    if bound <= _F_L1_RTOL * floor:
+        return value
+    # Also where the float sum overflowed, to inf or nan.
+    if not bound < math.inf:
+        raise ValueError(f"l1_norm: the antiderivative of F_{gamma} at r={r} overflows float64")
+    # The bound scales with the unit roundoff: 53 bits give it, 10 more spare.
+    bits = 63 + math.ceil(math.log2(bound / (_F_L1_RTOL * floor)))
+    return _f_l1_extended(gamma, r, zeros, bits)
+
+
+def _is_f(kernel: KernelExpansion) -> bool:
+    """Whether the kernel is F_gamma: its top band is F's, gamma + 2, and its
+    certified (a, b) form is F's one term.  An H never reaches its own
+    certification here."""
+    if kernel.max_beta() != kernel.gamma + 2:
+        return False
+    form = kernel.float_ab_form
+    return form is not None and form.rows == ((kernel.gamma + 1, 1, (1,)),)
+
+
 @functools.cache
 def _gauss_legendre(n: int) -> tuple:
     # Built on first use: importing numpy.polynomial costs milliseconds.
@@ -384,26 +506,35 @@ def _gauss_legendre(n: int) -> tuple:
 
 
 def l1_norm(kernel: KernelExpansion, r: float) -> float:
-    """(1/2 pi) integral of |kernel| over the circle |z| = r, to 1e-10
-    relative (_L1_RTOL) or QuadratureConvergenceError.
+    """(1/2 pi) integral of |kernel| over the circle |z| = r.
 
-    The kernel is even in theta, so this is (1/pi) times the integral over
-    [0, pi].  That interval is split at the kernel's sign changes, where |K|
-    has kinks (``_sign_changes``, exact root isolation of P_r), and at
-    (1 - r) 4^j, which grades the pieces towards the peak of width 1 - r at
-    theta = 0.  |K| is analytic on each piece, so Gauss-Legendre rules
-    converge geometrically there: 40 and 80 nodes per piece run on the
-    values of one values_at call.  The 80-node sum is returned, unless the
-    two sums differ by more than _L1_RTOL relative.
+    F, closed-form or built (``_is_f``), by its antiderivative between its
+    explicit zeros (``_f_l1_norm``): to 1e-12 relative (_F_L1_RTOL) at
+    every gamma by a rounding bound, with no quadrature and never
+    QuadratureConvergenceError; ValueError only where the norm or its
+    antiderivative overflows float64, at gamma in the thousands.
+
+    Any other kernel, H among them, to 1e-10 relative (_L1_RTOL) or
+    QuadratureConvergenceError.  The kernel is even in theta, so this is
+    (1/pi) times the integral over [0, pi].  That interval is split at the
+    kernel's sign changes, where |K| has kinks (``_sign_changes``, exact
+    root isolation of P_r), and at (1 - r) 4^j, which grades the pieces
+    towards the peak of width 1 - r at theta = 0.  |K| is analytic on each
+    piece, so Gauss-Legendre rules converge geometrically there: 40 and 80
+    nodes per piece run on the values of one values_at call.  The 80-node
+    sum is returned, unless the two sums differ by more than _L1_RTOL
+    relative.
 
     The node values are values_at's float64 band sums, whose rounding grows
-    with gamma: the result is within 2e-14 of an mpmath reference for the
-    kernels up to gamma 8 at r <= 0.999, 8e-11 off for F_20 at 0.99,
-    and F_40 raises at r = 0.5, its two sums 2e-7 to 1e-5 apart.  From
-    gamma 24 on it can be wrong without raising (F_80 at r = 0.3: 8.5e21,
-    not 1.1e8) until values come from the closed forms (ROADMAP.md).
+    with gamma, and the two sums can agree on an error that every node
+    makes alike: the result is within 2e-14 of an mpmath reference for the
+    kernels up to gamma 8 at r <= 0.999, but H_20 at r = 0.99 is 3e-11 off
+    and H_24 at r = 0.5 is 8.5e-11 off, while H_24 at r = 0.9 and 0.99 and
+    H_40 and H_80 at r = 0.3 raise.
     """
     _require_radius("l1_norm", r)
+    if _is_f(kernel):
+        return _f_l1_norm(kernel.gamma, r)
     cuts = {0.0, math.pi, *_sign_changes(kernel, r)}
     width = 1.0 - r
     while width < math.pi:

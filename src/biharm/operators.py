@@ -122,6 +122,9 @@ def make_expansion(gamma: int, terms: Dict[int, LaurentPoly], scale: int = 1) ->
     if type(scale) is bool or not isinstance(scale, int) or scale < 1:
         raise ValueError(f"scale must be an int >= 1, got {scale!r}")
     kept = []
+    # The denominators other than 1; the builder and the closed forms pass
+    # plain ints, which skip as_integer_ratio and the lcm.
+    dens = []
     for beta in sorted(terms):
         # A bool index or coefficient would be == to an int but not its repr.
         if type(beta) is bool or not isinstance(beta, int) or beta < 1:
@@ -130,19 +133,26 @@ def make_expansion(gamma: int, terms: Dict[int, LaurentPoly], scale: int = 1) ->
         for k, c in terms[beta].items():
             if type(k) is bool or not isinstance(k, int):
                 raise ValueError(f"exponent must be an int, got k={k!r} in band beta={beta}")
+            if type(c) is int:
+                if c:
+                    poly.append((k, c, 1))
+                continue
             # A float would make a kernel that the exact consumers fail on.
             if type(c) is bool or not isinstance(c, (int, Fraction)):
                 raise ValueError(f"coefficient of t^{k}, beta={beta}, must be an int or a Fraction, got {c!r}")
             num, den = c.as_integer_ratio()
             if num:
                 poly.append((k, num, den))
+                if den > 1:
+                    dens.append(den)
         if poly:
             kept.append((beta, poly))
-    lcm = math.lcm(*(den for _, poly in kept for _, _, den in poly))
+    lcm = math.lcm(*dens)
     rows = []
     for beta, poly in kept:
-        low = min(k for k, _, _ in poly)
-        row = [0] * (max(k for k, _, _ in poly) - low + 1)
+        # The exponents are distinct, so the tuples order by k alone.
+        low = min(poly)[0]
+        row = [0] * (max(poly)[0] - low + 1)
         for k, num, den in poly:
             row[k - low] = num * (lcm // den)
         rows.append((beta, low, row))

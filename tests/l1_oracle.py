@@ -1,10 +1,13 @@
-"""mpmath oracle for the L1 norm of a kernel on a circle.
+"""mpmath oracles for the L1 norm of a kernel on a circle.
 
 ``l1_reference`` integrates |K| over |z| = r by mpmath quadrature, split at
 the sign changes of K, which it finds by sampling and bisection.  It sums
 each kernel value directly in 40-digit mpmath, term by term, so it shares
 no code with the package's root isolation, its evaluators or its
-quadrature.
+quadrature.  ``f_l1_reference`` does the same for F_gamma on its closed
+form t^(gamma+2) cos((gamma+1) psi) / |1 - z|^(gamma+3), whose values cost
+a few operations at any gamma, so it shares neither the package's
+antiderivative nor its zeros.
 """
 
 import mpmath
@@ -55,15 +58,38 @@ def _roots(value):
     return roots
 
 
+def _f_circle_value(gamma: int, r: float):
+    """theta -> F_gamma on |z| = r by its closed form, psi = arg 1/(1 - z)."""
+    rm = mpmath.mpf(r)
+    t = 1 - rm * rm
+
+    def value(theta):
+        q = (1 - rm) ** 2 + 4 * rm * mpmath.sin(theta / 2) ** 2
+        psi = mpmath.atan2(rm * mpmath.sin(theta), 1 - rm * mpmath.cos(theta))
+        return t ** (gamma + 2) * mpmath.cos((gamma + 1) * psi) / q ** (mpmath.mpf(gamma + 3) / 2)
+
+    return value
+
+
+def _l1(value, r: float) -> float:
+    """(1/pi) times the integral of |value| over [0, pi], split at its roots
+    and at (1 - r) 2^j, which grade the pieces towards the peak at theta = 0."""
+    cuts = {mpmath.mpf(0), mpmath.pi, *_roots(value)}
+    width = mpmath.mpf(1 - r)
+    while width < mpmath.pi:
+        cuts.add(width)
+        width *= 2
+    return float(mpmath.quad(lambda th: abs(value(th)), sorted(cuts)) / mpmath.pi)
+
+
 def l1_reference(kernel: KernelExpansion, r: float) -> float:
     """(1/2 pi) integral of |K| over |z| = r: K is even in theta, so (1/pi)
-    times the integral over [0, pi], split at the roots of K and at
-    (1 - r) 2^j, which grade the pieces towards the peak at theta = 0."""
+    times the integral over [0, pi]."""
     with mpmath.workdps(_DPS):
-        value = _circle_value(kernel, r)
-        cuts = {mpmath.mpf(0), mpmath.pi, *_roots(value)}
-        width = mpmath.mpf(1 - r)
-        while width < mpmath.pi:
-            cuts.add(width)
-            width *= 2
-        return float(mpmath.quad(lambda th: abs(value(th)), sorted(cuts)) / mpmath.pi)
+        return _l1(_circle_value(kernel, r), r)
+
+
+def f_l1_reference(gamma: int, r: float) -> float:
+    """l1_reference of F_gamma, on its closed form."""
+    with mpmath.workdps(_DPS):
+        return _l1(_f_circle_value(gamma, r), r)

@@ -2,10 +2,12 @@
 FD validation."""
 
 import cmath
+import json
 import math
 import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -22,6 +24,7 @@ from biharm.numeric import (
     DiscPoint,
     QuadratureConvergenceError,
     _circle_bernstein,
+    _f_zeros,
     _root_in,
     _sign_changes,
     eval_kernel,
@@ -40,7 +43,7 @@ from exact_references import (
     poly_eval,
 )
 from fd_oracle import StencilOutOfDomainError, fd_biharmonic_residual
-from l1_oracle import l1_reference
+from l1_oracle import f_l1_reference, l1_reference
 
 F0 = build(KernelSpec(gamma=0, kind="F"))
 H0 = build(KernelSpec(gamma=0, kind="H"))
@@ -619,26 +622,12 @@ def test_l1_norm_with_a_root_at_the_split_point():
     assert l1_norm(kernel, 0.5) == pytest.approx(l1_reference(kernel, 0.5), rel=1e-12, abs=0.0)
 
 
-def _f_zeros(gamma, r):
-    # F_gamma is proportional to cos((gamma+1) psi), psi = arg 1/(1-z), which
-    # vanishes at psi_j = (2j-1) pi / (2 gamma + 2).  On |z| = r the angle psi
-    # stays below asin r, and the law of sines in the triangle 0, 1, z puts
-    # each psi_j < asin r at theta = x - psi_j and pi - x - psi_j, where
-    # x = asin(sin psi_j / r).
-    zeros = []
-    j = 1
-    while (psi := (2 * j - 1) * math.pi / (2 * gamma + 2)) < math.asin(r):
-        x = math.asin(math.sin(psi) / r)
-        zeros += [x - psi, math.pi - x - psi]
-        j += 1
-    return sorted(zeros)
-
-
 @pytest.mark.parametrize(
     "gamma, r, count",
     [(8, 0.9, 6), (20, 0.99, 20), (24, 0.999, 24), (12, 0.99999, 12), (40, 0.998, 40), (80, 0.99, 74)],
 )
 def test_sign_changes_of_f_are_its_explicit_zeros(gamma, r, count):
+    # The root isolation that H's L1 norm takes, against F's explicit zeros.
     zeros = _f_zeros(gamma, r)
     assert len(zeros) == count
     got = sorted(_sign_changes(conjectured_kernel(gamma, "F"), r))
@@ -695,7 +684,8 @@ def test_l1_norm_of_positive_f0_is_its_mean(r):
 
 
 def test_l1_norm_raises_where_the_rules_disagree(monkeypatch):
-    # Noise at the nodes makes the 40- and 80-node sums differ.
+    # Noise at the nodes makes the 40- and 80-node sums differ.  H takes the
+    # quadrature; F's norm is a closed form, which no node reaches.
     rng = np.random.default_rng(0)
     plain_values_at = biharm.numeric.values_at
     monkeypatch.setattr(
@@ -704,7 +694,79 @@ def test_l1_norm_raises_where_the_rules_disagree(monkeypatch):
         lambda kernel, r, thetas: plain_values_at(kernel, r, thetas) * (1 + 1e-6 * rng.standard_normal(len(thetas))),
     )
     with pytest.raises(QuadratureConvergenceError, match="differ"):
-        l1_norm(F2, 0.9)
+        l1_norm(H2, 0.9)
+
+
+# F's L1 norm by an independent mpmath quadrature of its closed form between
+# its zeros (ROADMAP.md, item 11).  With BIHARM_ACCEPT_EXTENDED=1, cells
+# past the table join against f_l1_reference.
+F_L1_TABLE = [
+    (8, 0.9, 53.2256439178346),
+    (24, 0.3, 85.0071656943848),
+    (24, 0.99, 2977426.2530028),
+    (80, 0.3, 113532925.149028),
+    (80, 0.5, 10953323884609.0),
+    (80, 0.9, 2.13741504550822e21),
+]
+F_L1_EXTENDED = [(120, 0.3, None), (160, 0.3, None), (160, 0.5, None)]
+
+
+@pytest.mark.parametrize("gamma, r, want", F_L1_TABLE + (F_L1_EXTENDED if os.environ.get("BIHARM_ACCEPT_EXTENDED") else []))
+def test_l1_norm_of_f_at_high_gamma(gamma, r, want):
+    if want is None:
+        want = f_l1_reference(gamma, r)
+    assert l1_norm(conjectured_kernel(gamma, "F"), r) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma", range(9))
+def test_l1_norm_of_f_matches_the_oracle(gamma):
+    kernel = conjectured_kernel(gamma, "F")
+    for r in (0.1, 0.5, 0.9, 0.99, 0.999):
+        assert l1_norm(kernel, r) == pytest.approx(l1_reference(kernel, r), rel=1e-12, abs=0.0), r
+
+
+@pytest.mark.parametrize("gamma", [0, 3, 8, 24])
+def test_l1_norm_of_built_f_is_the_closed_forms(gamma):
+    built, closed = build(KernelSpec(gamma=gamma, kind="F")), conjectured_kernel(gamma, "F")
+    for r in (0.0, 0.3, 0.9, 0.999):
+        assert l1_norm(built, r) == l1_norm(closed, r), r
+
+
+@pytest.mark.parametrize("gamma, r", [(48, 0.0325), (60, 0.03)])
+def test_l1_norm_of_f_sums_in_mpmath_past_its_float_bound(gamma, r, monkeypatch):
+    # Two zeros near theta = pi/2, a norm near 1 and |c| up to 1 + r: the
+    # float rounding bound misses 1e-12 of the norm there.
+    calls = []
+    extended = biharm.numeric._f_l1_extended
+
+    def record(*args):
+        calls.append(args[:2])
+        return extended(*args)
+
+    monkeypatch.setattr(biharm.numeric, "_f_l1_extended", record)
+    got = l1_norm(conjectured_kernel(gamma, "F"), r)
+    assert calls == [(gamma, r)]
+    assert got == pytest.approx(f_l1_reference(gamma, r), rel=1e-12, abs=0.0)
+
+
+def test_l1_norm_of_f_raises_where_its_antiderivative_overflows():
+    # |c|^(gamma+1) reaches 1.99^1101, past the float range.
+    with pytest.raises(ValueError, match="overflows float64"):
+        biharm.numeric._f_l1_norm(1100, 0.99)
+
+
+QUADRATURE_L1_GOLDEN = json.loads((Path(__file__).parent / "golden" / "l1_quadrature.json").read_text())
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.9, 0.99])
+def test_l1_norm_of_other_kernels_keeps_its_quadrature(r):
+    # H and the sparse expansions take the quadrature as before, bit for bit:
+    # the golden values are float.hex of what it returned before F's closed
+    # form.
+    kernels = {f"H_{gamma}": conjectured_kernel(gamma, "H") for gamma in range(9)}
+    kernels.update((f"sparse_{i}", kernel) for i, kernel in enumerate(SPARSE_EXPANSIONS))
+    for name, kernel in kernels.items():
+        assert l1_norm(kernel, r).hex() == QUADRATURE_L1_GOLDEN[f"{name} {r}"], name
 
 
 @pytest.mark.parametrize("gamma", range(25))

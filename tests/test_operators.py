@@ -255,13 +255,14 @@ def test_make_expansion_refuses_inexact_coefficients():
             make_expansion(2, {1: {3: 1}}, scale)
 
 
-# One kernel given three ways: in Fractions, in ints over a scale (not the
-# least one), and in descending order with a zero coefficient at a band's
-# end, a zero band and an empty band.
+# One kernel given four ways: in Fractions, in ints over a scale (not the
+# least one), in descending order with a zero coefficient at a band's end, a
+# zero band and an empty band, and in ints and Fractions mixed over a scale.
 ONE_KERNEL = [
     ({1: {2: Fraction(1, 6), 5: Fraction(-3, 4)}, 3: {7: Fraction(2, 9)}}, 1),
     ({1: {2: 12, 5: -54}, 3: {7: 16}}, 72),
     ({4: {}, 3: {7: Fraction(2, 9)}, 2: {4: 0}, 1: {9: Fraction(0), 5: Fraction(-3, 4), 2: Fraction(1, 6)}}, 1),
+    ({1: {2: 2, 5: Fraction(-9)}, 3: {7: Fraction(8, 3)}}, 12),
 ]
 
 
