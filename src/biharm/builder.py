@@ -5,34 +5,35 @@ biharmonic operator D w^-1 D, with distributional boundary data
 (delta_1, 0) for F and (0, delta_1) for H.  The construction is:
 
   1. grid: place unknown coefficients on every monomial t^k / |1-z|^(2 beta)
-     for 1 <= beta <= beta_0, with k ranging over
-         [max(2 beta - 1, gamma + 2), beta + gamma + 1]   (F-type, beta_0 = gamma + 2)
-         [max(2 beta,     gamma + 2), beta + gamma + 1]   (H-type, beta_0 = gamma + 1);
-     at beta_0 the two ends meet, so the top band is a single monomial;
+     of F's tight grid, 1 <= beta <= beta_0 = gamma + 2, with k ranging over
+         [max(2 beta - 1, gamma + 2), beta + gamma + 1];
+     at beta_0 the two ends meet, so the top band is a single monomial.
+     Both kernels are solved on this grid.  It holds H's own, smaller grid,
+     k in [max(2 beta, gamma + 2), beta + gamma + 1] for 1 <= beta <=
+     gamma + 1, outside which H vanishes (``grid_geometry`` gives both);
   2. rows: require the biharmonic image to vanish identically.  Each
      (band, exponent) pair of the image contributes one homogeneous exact
      linear equation, a sparse row of integers: the columns are generated
      by the closed monomial image, whose coefficients are integers.  Two
      boundary rows follow, a and b, since the boundary pair (a, b) is
      linear in the coefficients (``boundary.term_boundary``); each target
-     pair, (1, 0) for F and (0, 1) for H, is one right-hand side of them.
-     H's grid has no t^(2 beta - 1) term, so its a-row is empty;
+     pair, (1, 0) for F and (0, 1) for H, is one right-hand side of them;
   3. one solve: fraction-free forward elimination and back substitution
      in integers (``exact.solve_linear``) gives each normalized kernel
      directly from its own right-hand side, as integer coefficients over
      one scale, which ``make_expansion`` takes as they are: no
-     ``Fraction`` is formed.  ``build`` solves one kernel on its own grid.
-     ``build_pair`` solves both on F's grid, which holds H's: one
-     assembly and one elimination carry both right-hand sides, then one
-     back substitution per kernel, and H comes out zero on F's extra
-     columns, so it is the H ``build`` gives, down to ``repr``.  The
-     columns are numbered along the grid diagonals delta = 2 beta - k: a
-     column on diagonal delta reaches only image rows (band b, exponent e)
-     with 2 b - e in delta + gamma + 2 .. delta + gamma + 4, and the
-     boundary rows hold only delta = 0 and 1.  In that order the system is
+     ``Fraction`` is formed.  ``build`` passes its kind's target as the
+     one right-hand side; ``build_pair`` passes both, so one assembly and
+     one elimination carry the pair, then one back substitution per
+     kernel.  H comes out zero on F's extra columns, so it is the H that a
+     solve on H's own grid gives, down to ``repr``.  The columns are
+     numbered along the grid diagonals delta = 2 beta - k: a column on
+     diagonal delta reaches only image rows (band b, exponent e) with
+     2 b - e in delta + gamma + 2 .. delta + gamma + 4, and the boundary
+     rows hold only delta = 0 and 1.  In that order the system is
      block-banded, so the solver's fill-in and integer growth stay small
-     (at gamma 80, widest intermediate integer 287 bits, against 12896 in
-     (beta, k) order);
+     (widest intermediate integer 287 bits at gamma 80 and 564 at gamma
+     160, against 12896 at gamma 80 in (beta, k) order);
   4. check: each solved kernel is biharmonic-zero by the generic
      composition (``operators.biharmonic``), independent of the closed form
      that assembled the rows, and has its target boundary pair.  The two
@@ -148,13 +149,13 @@ def kernel_checks(kernel: KernelExpansion, kind: str) -> Tuple[bool, bool]:
     return not biharmonic(kernel), (bd.a, bd.b) == BOUNDARY_TARGETS[kind]
 
 
-def _solve(spec: KernelSpec, kinds: Sequence[str]) -> Tuple[KernelExpansion, ...]:
-    """The normalized kernels of kinds at spec.gamma, from one assembly and
-    one solve on spec's grid, one boundary right-hand side per kind.  Each
-    kernel comes from its own right-hand side and gets its own check."""
-    gamma = spec.gamma
+def _solve(gamma: int, kinds: Sequence[str]) -> Tuple[KernelExpansion, ...]:
+    """The normalized kernels of kinds at gamma, from one assembly and one
+    solve on F's grid, which holds H's, one boundary right-hand side per
+    kind.  Each kernel comes from its own right-hand side and gets its own
+    check."""
     columns, system = assemble_system(
-        gamma, ansatz_grid(spec), [BOUNDARY_TARGETS[kind] for kind in kinds]
+        gamma, ansatz_grid(KernelSpec(gamma=gamma, kind="F")), [BOUNDARY_TARGETS[kind] for kind in kinds]
     )
     solutions = solve_linear(system)
     if solutions is None:
@@ -179,12 +180,13 @@ def _solve(spec: KernelSpec, kinds: Sequence[str]) -> Tuple[KernelExpansion, ...
 
 
 def build(spec: KernelSpec) -> KernelExpansion:
-    """The normalized kernel for spec, on its own grid: boundary (1,0) for
-    F, (0,1) for H."""
-    return _solve(spec, (spec.kind,))[0]
+    """The normalized kernel for spec: boundary (1,0) for F, (0,1) for H,
+    the one right-hand side of a solve on F's grid."""
+    return _solve(spec.gamma, (spec.kind,))[0]
 
 
 def build_pair(gamma: int) -> Tuple[KernelExpansion, KernelExpansion]:
     """The normalized pair (F, H) at gamma, from one elimination on F's
-    grid, which holds H's."""
-    return _solve(KernelSpec(gamma=gamma, kind="F"), ("F", "H"))
+    grid with both boundary right-hand sides; gamma is checked as
+    ``KernelSpec`` checks it."""
+    return _solve(gamma, ("F", "H"))

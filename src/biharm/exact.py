@@ -94,21 +94,20 @@ def solve_linear(system: RationalLinearSystem) -> Optional[Tuple[Tuple[Tuple[int
     Once the columns before j are eliminated, the rows that still hold
     column j are exactly the rows that lead with it, so the rows without a
     pivot are kept in buckets by their leading column, and a row moves to
-    its new bucket once per update.  Within a column the pivot row is the
-    sparsest row of its bucket (ties broken by row index), which keeps
-    fill-in low on banded systems.  Fill-in and integer growth therefore
-    follow the caller's column numbering: a caller whose system is banded
-    in some order of its columns numbers them in that order (the builder
-    numbers its columns along the grid diagonals).
+    its new bucket once per update.  A column's pivot row is the first row
+    of its bucket, the earliest to lead with it.  Fill-in and integer
+    growth therefore follow the caller's column numbering: a caller whose
+    system is banded in some order of its columns numbers them in that
+    order (the builder numbers its columns along the grid diagonals).
 
     Elimination is fraction-free.  A row chosen as pivot is divided by its
     content, the gcd of its entries, right-hand sides included; then, with
     pivot entry p, row i's entry f and g = gcd(p, f), each update is
     row_i <- (p/g) row_i - (f/g) pivot_row.  (Bareiss's exact division
-    needs a fixed pivot sequence, which sparsest-row pivoting does not give.
-    Removing the content once per pivot row, not after every update, spends
-    fewer gcds than the entry growth it lets through costs.)  A pivot row is
-    never reduced against later pivots; the unknowns are recovered by back
+    would also scale every row a pivot does not reach.  Removing the
+    content once per pivot row, not after every update, spends fewer gcds
+    than the entry growth it lets through costs.)  A pivot row is never
+    reduced against later pivots; the unknowns are recovered by back
     substitution from the last column, over one common scale per
     right-hand side that grows only when an unknown needs it.
     """
@@ -138,8 +137,7 @@ def solve_linear(system: RationalLinearSystem) -> Optional[Tuple[Tuple[Tuple[int
         bucket = leading.pop(j, None)
         if bucket is None:
             return None  # no pivot: the solution is not unique
-        p = bucket[0] if len(bucket) == 1 else min(bucket, key=lambda i: (len(rows[i]), i))
-        prow = rows[p]
+        prow = rows[bucket[0]]
         pivot_rows.append(prow)
         content = math.gcd(*prow.values())
         if content > 1:
@@ -148,9 +146,7 @@ def solve_linear(system: RationalLinearSystem) -> Optional[Tuple[Tuple[Tuple[int
         pivot = prow[j]
 
         # Eliminate column j from the other rows that lead with it.
-        for i in bucket:
-            if i == p:
-                continue
+        for i in bucket[1:]:
             target = rows[i]
             g = math.gcd(pivot, target[j])
             mult, factor = pivot // g, target[j] // g

@@ -21,6 +21,10 @@ one-term expansions), ``boundary.fourier_poly`` and the two biharmonic
 passes of ``operators`` against a second derivation.
 ``expansion_add`` and ``expansion_scale`` form linear combinations of
 kernel expansions, such as the paper's unnormalized weight-two solutions.
+``builder_system`` and ``solved_expansions`` assemble and solve the
+builder's system on a spec's own grid.  The builder solves every kernel
+on F's grid, so a single solve on H's own grid is the oracle of the H
+that ``build`` and ``build_pair`` return.
 ``fraction_fourier_poly``, ``fraction_radial_factor`` and
 ``fraction_dirichlet_factor`` are the exact Fourier multipliers of
 ``boundary`` in ``Fraction`` arithmetic, one rational operation per Horner
@@ -36,7 +40,8 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from biharm.boundary import BoundaryData
-from biharm.exact import LaurentPoly, binom
+from biharm.builder import BOUNDARY_TARGETS, ansatz_grid, assemble_system
+from biharm.exact import LaurentPoly, RationalLinearSystem, binom, solve_linear
 from biharm.operators import KernelExpansion, check_gamma, check_kind, make_expansion
 
 
@@ -98,6 +103,30 @@ def expansion_add(u: KernelExpansion, v: KernelExpansion) -> KernelExpansion:
 
 def expansion_scale(c: Fraction | int, u: KernelExpansion) -> KernelExpansion:
     return make_expansion(u.gamma, {b: poly_scale(c, p) for b, p in u.terms.items()})
+
+
+def builder_system(spec, targets=None, drop=None):
+    """spec's columns and system on spec's grid, with one right-hand side
+    per boundary pair in ``targets`` (spec's own pair if not given), and
+    the boundary row ``drop`` left out, if given."""
+    if targets is None:
+        targets = (BOUNDARY_TARGETS[spec.kind],)
+    columns, system = assemble_system(spec.gamma, ansatz_grid(spec), targets)
+    rows = list(system.rows)
+    if drop is not None:
+        del rows[drop]
+    return columns, RationalLinearSystem(rows=rows, unknowns=system.unknowns)
+
+
+def solved_expansions(spec, columns, system):
+    """One expansion per right-hand side of the system."""
+    expansions = []
+    for values, scale in solve_linear(system):
+        terms = {}
+        for (beta, k), v in zip(columns, values):
+            terms.setdefault(beta, {})[k] = v
+        expansions.append(make_expansion(spec.gamma, terms, scale))
+    return expansions
 
 
 def poly_diff(p: LaurentPoly) -> LaurentPoly:

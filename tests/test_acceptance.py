@@ -3,8 +3,8 @@
 Run with `pytest -v tests/test_acceptance.py` to get one pass/fail line per
 item.  Setting BIHARM_ACCEPT_EXTENDED=1 widens the re-derivation sweep from
 gamma <= 40 to gamma <= 80 (about 4 s of exact arithmetic on a 2-core
-x86 machine with Python 3.11), and checks build_pair against build at
-gamma 60 and 80 too.
+x86 machine with Python 3.11), and checks build and build_pair against a
+single solve on H's own grid at gamma 60 and 80 too.
 """
 
 import math
@@ -21,7 +21,7 @@ from biharm.conjecture import ab_expansion, ab_form, checked_kernel, conjectured
 from biharm.exact import binom
 from biharm.numeric import DiscPoint, integral_mean, l1_norm, solve_dirichlet
 from biharm.operators import biharmonic, make_expansion, monomial_image
-from exact_references import ab_sums, expansion_add, expansion_scale
+from exact_references import ab_sums, builder_system, expansion_add, expansion_scale, solved_expansions
 from fd_oracle import fd_biharmonic_residual
 from kernel_fixtures import KNOWN_KERNELS, RAW_F2, RAW_H2
 
@@ -71,17 +71,22 @@ def test_ab_forms_expand_to_closed_forms():
 
 def test_build_pair_matches_build_at_high_gamma():
     """build_pair == (build F, build H), down to repr, at gamma 40 by
-    default and also at 60 and 80 with BIHARM_ACCEPT_EXTENDED=1: the pair
-    solves H on F's grid, build on H's own.  The checked closed form is ==
-    to each, with an equal hash, and its scale shares no factor with all
-    of its integers."""
+    default and also at 60 and 80 with BIHARM_ACCEPT_EXTENDED=1.  Both
+    solve F's grid, so the H of each is also compared, down to repr, with
+    a single solve on H's own grid.  The checked closed form is == to each
+    kernel, with an equal hash, and its scale shares no factor with all of
+    its integers."""
     extended = bool(os.environ.get("BIHARM_ACCEPT_EXTENDED"))
     gammas = (40, 60, 80) if extended else (40,)
     for gamma in gammas:
+        h_spec = KernelSpec(gamma=gamma, kind="H")
+        (own,) = solved_expansions(h_spec, *builder_system(h_spec))
         pair = build_pair(gamma)
-        single = (build(KernelSpec(gamma=gamma, kind="F")), build(KernelSpec(gamma=gamma, kind="H")))
+        single = (build(KernelSpec(gamma=gamma, kind="F")), build(h_spec))
         assert pair == single, gamma
         assert repr(pair) == repr(single), gamma
+        for h in (single[1], pair[1]):
+            assert h == own and repr(h) == repr(own), gamma
         for kind, built in zip(("F", "H"), pair):
             closed = checked_kernel(gamma, kind)
             assert closed == built and hash(closed) == hash(built), (gamma, kind)

@@ -18,38 +18,14 @@ from biharm.builder import (
     grid_geometry,
 )
 from biharm.exact import RationalLinearSystem, solve_linear
-from biharm.operators import biharmonic, make_expansion
-from exact_references import expansion_add, expansion_scale
+from biharm.operators import biharmonic
+from exact_references import builder_system, expansion_add, expansion_scale, solved_expansions
 from kernel_fixtures import KNOWN_KERNELS, RAW_F2, RAW_H2
 
 F = Fraction
 
 # Positions of the boundary rows at the end of every builder system.
 A_ROW, B_ROW = -2, -1
-
-
-def builder_system(spec, targets=None, drop=None):
-    """spec's columns and system on spec's grid, with one right-hand side
-    per boundary pair in ``targets`` (spec's own pair if not given), and
-    the boundary row ``drop`` left out, if given."""
-    if targets is None:
-        targets = (BOUNDARY_TARGETS[spec.kind],)
-    columns, system = assemble_system(spec.gamma, ansatz_grid(spec), targets)
-    rows = list(system.rows)
-    if drop is not None:
-        del rows[drop]
-    return columns, RationalLinearSystem(rows=rows, unknowns=system.unknowns)
-
-
-def solved_expansions(spec, columns, system):
-    """One expansion per right-hand side of the system."""
-    expansions = []
-    for values, scale in solve_linear(system):
-        terms = {}
-        for (beta, k), v in zip(columns, values):
-            terms.setdefault(beta, {})[k] = v
-        expansions.append(make_expansion(spec.gamma, terms, scale))
-    return expansions
 
 
 # ---------------------------------------------------------------------------
@@ -63,10 +39,12 @@ def test_kernel_spec_validation():
         KernelSpec(gamma=0, kind="G")
 
 
-@pytest.mark.parametrize("gamma", [True, False, 2.5, 2.0, "2", None, -1])
+@pytest.mark.parametrize("gamma", [True, False, 2.5, 2.0, "2", "3", None, -1])
 def test_kernel_spec_gamma_is_a_nonnegative_int(gamma):
-    with pytest.raises(ValueError, match="gamma must be an int >= 0"):
-        KernelSpec(gamma=gamma, kind="H")
+    # build_pair takes a bare gamma, not a KernelSpec, and checks it alike.
+    for make in (lambda g: KernelSpec(gamma=g, kind="H"), build_pair):
+        with pytest.raises(ValueError, match="gamma must be an int >= 0"):
+            make(gamma)
 
 
 @pytest.mark.parametrize(
@@ -213,6 +191,8 @@ def test_infeasible_pair_system_fails_loudly(monkeypatch):
 
 @pytest.mark.parametrize("kind", ("F", "H"))
 def test_build_solves_once(kind, monkeypatch):
+    # One solve on F's grid, 12 unknowns at gamma 4 for either kind, with
+    # the kind's own boundary target as the one right-hand side.
     calls = []
 
     def counted(system):
@@ -222,7 +202,10 @@ def test_build_solves_once(kind, monkeypatch):
     monkeypatch.setattr(biharm.builder, "solve_linear", counted)
     assert build(KernelSpec(gamma=4, kind=kind)).terms == KNOWN_KERNELS[kind, 4]
     assert len(calls) == 1
-    assert all(b in ((0,), (1,)) for _, b in calls[0].rows)
+    (system,) = calls
+    assert system.ncols() == sum(map(len, ansatz_grid(KernelSpec(gamma=4, kind="F")).values())) == 12
+    assert all(b in ((0,), (1,)) for _, b in system.rows)
+    assert [b for _, b in system.rows[A_ROW:]] == [(a,) for a in BOUNDARY_TARGETS[kind]]
 
 
 def test_build_pair_solves_once(monkeypatch):
@@ -396,9 +379,29 @@ def test_h_kernel_values_at_origin(gamma):
 
 @pytest.mark.parametrize("gamma", range(0, 9))
 def test_build_pair_matches_build(gamma):
-    # H solved on F's grid is H solved on its own, down to repr: the same
-    # bands, exponents and Fractions in the same order.
+    # build and build_pair both solve F's grid.  H solved there is H solved
+    # on its own grid, a single solve assembled here, down to repr: the
+    # same bands, exponents and integers in the same order.
+    h_spec = KernelSpec(gamma=gamma, kind="H")
+    (own,) = solved_expansions(h_spec, *builder_system(h_spec))
     pair = build_pair(gamma)
-    single = (build(KernelSpec(gamma=gamma, kind="F")), build(KernelSpec(gamma=gamma, kind="H")))
+    single = (build(KernelSpec(gamma=gamma, kind="F")), build(h_spec))
     assert pair == single
     assert repr(pair) == repr(single)
+    for h in (single[1], pair[1]):
+        assert h == own
+        assert repr(h) == repr(own)
+
+
+@pytest.mark.parametrize("gamma", range(0, 9))
+def test_solve_is_independent_of_row_order(gamma):
+    # The pivot row of a column is the first row that leads with it, so
+    # shuffling the rows changes the pivots, but never the unique solution
+    # of either boundary right-hand side.
+    _, system = builder_system(KernelSpec(gamma=gamma, kind="F"), ((1, 0), (0, 1)))
+    solutions = solve_linear(system)
+    rng = random.Random(4000 + gamma)
+    for _ in range(3):
+        rows = list(system.rows)
+        rng.shuffle(rows)
+        assert solve_linear(RationalLinearSystem(rows=rows, unknowns=system.unknowns)) == solutions
