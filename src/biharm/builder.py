@@ -13,11 +13,13 @@ biharmonic operator D w^-1 D, with distributional boundary data
      gamma + 1, outside which H vanishes (``grid_geometry`` gives both);
   2. rows: require the biharmonic image to vanish identically.  Each
      (band, exponent) pair of the image contributes one homogeneous exact
-     linear equation, a sparse row of integers: the columns are generated
-     by the closed monomial image, whose coefficients are integers.  Two
-     boundary rows follow, a and b, since the boundary pair (a, b) is
-     linear in the coefficients (``boundary.term_boundary``); each target
-     pair, (1, 0) for F and (0, 1) for H, is one right-hand side of them;
+     linear equation, a sparse row of integers: each column's entries are
+     the six flat (band, exponent, int) entries of the closed monomial
+     image (``operators.monomial_terms``), read straight into the rows,
+     zeros skipped.  Two boundary rows follow, a and b, since the boundary
+     pair (a, b) is linear in the coefficients (``boundary.term_boundary``,
+     nonzero only for k <= 2 beta); each target pair, (1, 0) for F and
+     (0, 1) for H, is one right-hand side of them;
   3. one solve: fraction-free forward elimination and back substitution
      in integers (``exact.solve_linear``) gives each normalized kernel
      directly from its own right-hand side, as integer coefficients over
@@ -62,7 +64,7 @@ from .operators import (
     check_gamma,
     check_kind,
     make_expansion,
-    monomial_image,
+    monomial_terms,
 )
 
 # Boundary pair (a, b) of each kernel: F carries the boundary value, H the
@@ -110,12 +112,14 @@ def assemble_system(
     with zero right-hand sides, then the a-row and the b-row, whose
     right-hand sides are the targets' a and b.
 
-    ``monomial_image`` sends the column t^k / |1-z|^(2 beta) on diagonal
-    delta = 2 beta - k to the rows (b, e) with 2 b - e = delta + gamma + 2,
-    + 3 or + 4 only, so each image row spans at most three neighbouring
-    diagonals.  ``solve_linear`` eliminates columns in index order, so
-    numbering them along the diagonals keeps its elimination within that
-    band.
+    Each column's nonzero entries of ``monomial_terms`` go straight into
+    their rows, and ``term_boundary`` is asked only for k <= 2 beta, the
+    only k where it is nonzero.  ``monomial_terms`` sends the column
+    t^k / |1-z|^(2 beta) on diagonal delta = 2 beta - k to the rows (b, e)
+    with 2 b - e = delta + gamma + 2, + 3 or + 4 only, so each image row
+    spans at most three neighbouring diagonals.  ``solve_linear``
+    eliminates columns in index order, so numbering them along the
+    diagonals keeps its elimination within that band.
     """
     columns = sorted(
         ((beta, k) for beta, ks in grid.items() for k in ks),
@@ -123,15 +127,22 @@ def assemble_system(
     )
 
     coeff: Dict[Tuple[int, int], Dict[int, int]] = {}
+    get = coeff.get
     boundary_rows: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
     for j, (beta, k) in enumerate(columns):
-        # A column's image lands in distinct bands, so no entry is written twice.
-        for band, img in monomial_image(gamma, beta, k).items():
-            for e, c in img.items():
-                coeff.setdefault((band, e), {})[j] = c
-        for row, c in zip(boundary_rows, term_boundary(beta, k)):
+        # A column's entries are at distinct (band, exponent) pairs, so no
+        # entry is written twice.
+        for band, e, c in monomial_terms(gamma, beta, k):
             if c:
-                row[j] = c
+                row = get((band, e))
+                if row is None:
+                    coeff[band, e] = {j: c}
+                else:
+                    row[j] = c
+        if k <= 2 * beta:  # above, term_boundary is (0, 0)
+            for row, c in zip(boundary_rows, term_boundary(beta, k)):
+                if c:
+                    row[j] = c
 
     zeros = (0,) * len(targets)
     rows = [(coeff[key], zeros) for key in sorted(coeff)]

@@ -15,7 +15,8 @@ check needs an independent solve.  ``eval``, ``l1check`` and ``means`` take
 own two checks (biharmonic-zero and boundary-exact), so they run no
 elimination; a closed form that failed them would exit 1.
 
-Exit codes: 0 success, 1 mathematical failure, 2 usage error.  `eval`
+Exit codes: 0 success, 1 mathematical failure, 2 usage error, 141 (128 +
+SIGPIPE) when the reader closes stdout early, with nothing on stderr.  `eval`
 prints float64 values of the checked kernel's certified (a, b) form:
 summed in floats where its error estimate allows, otherwise in mpmath (see
 ``numeric.eval_kernel``).
@@ -72,6 +73,43 @@ def to_document(kernel: KernelExpansion, kind: str, checks_passed: Sequence[str]
             "checks_passed": list(checks_passed),
         },
     }
+
+
+# One coefficient entry of to_document as json.dumps(doc, indent=2) lays it
+# out, four levels deep: its k is an int, its num and den decimal strings of
+# ints, which json writes as they are.
+_COEFF_JSON = '        {{\n          "k": {},\n          "num": "{}",\n          "den": "{}"\n        }}'
+
+
+def _json_at(value, depth: int) -> str:
+    """json.dumps(value, indent=2) as it reads depth levels deep."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _document_json(doc: Dict) -> str:
+    """Exactly json.dumps(doc, indent=2) for a document of ``to_document``,
+    whose coefficient entries are laid out by one format string; every
+    other key and value goes through json.dumps.  json.dumps with indent
+    runs CPython's pure-Python encoder, several times slower."""
+    fields = []
+    for key, value in doc.items():
+        if key == "terms" and value:
+            terms = []
+            for term in value:
+                entries = []
+                for name, item in term.items():
+                    if name == "coeffs" and item:
+                        coeffs = ",\n".join([_COEFF_JSON.format(c["k"], c["num"], c["den"]) for c in item])
+                        text = "[\n" + coeffs + "\n      ]"
+                    else:
+                        text = _json_at(item, 3)
+                    entries.append(f"      {json.dumps(name)}: {text}")
+                terms.append("    {\n" + ",\n".join(entries) + "\n    }")
+            text = "[\n" + ",\n".join(terms) + "\n  ]"
+        else:
+            text = _json_at(value, 1)
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}"
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +298,7 @@ def cmd_gen(gamma: int, kind: str, fmt: str) -> int:
         # build raises unless the kernel passes both checks.
         # One write: json.dump would make thousands of small ones.
         doc = to_document(kernel, kind, ("biharmonic-zero", "boundary-exact"))
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(_document_json(doc) + "\n")
     elif fmt == "latex":
         sys.stdout.write("\n".join(latex_lines(kernel, kind)) + "\n")
     else:
@@ -319,19 +357,32 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "gen":
-            return cmd_gen(args.gamma, args.kernel, args.format)
-        if args.command == "verify":
-            return cmd_verify(args.gamma_max, args.jobs, args.deep)
-        if args.command == "eval":
-            return cmd_eval(args.gamma, args.kernel, args.r, args.theta)
-        if args.command == "l1check":
-            return cmd_l1check(args.gamma, args.kernel, args.r_grid)
-        if args.command == "means":
-            return cmd_means(args.gamma, args.kernel, args.r_grid)
-        raise AssertionError(f"unhandled command {args.command!r}")
+            code = cmd_gen(args.gamma, args.kernel, args.format)
+        elif args.command == "verify":
+            code = cmd_verify(args.gamma_max, args.jobs, args.deep)
+        elif args.command == "eval":
+            code = cmd_eval(args.gamma, args.kernel, args.r, args.theta)
+        elif args.command == "l1check":
+            code = cmd_l1check(args.gamma, args.kernel, args.r_grid)
+        elif args.command == "means":
+            code = cmd_means(args.gamma, args.kernel, args.r_grid)
+        else:
+            raise AssertionError(f"unhandled command {args.command!r}")
+        # Flushed here rather than at exit, so that a reader gone by then
+        # meets the BrokenPipeError clause below too.
+        sys.stdout.flush()
+        return code
     except (ValueError, RuntimeError) as exc:
         print(f"biharm: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader closed stdout (``biharm verify | head``).  Point stdout
+        # at devnull, so that the interpreter's last flush of what is still
+        # buffered cannot raise again, and exit as SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
 
 
 if __name__ == "__main__":

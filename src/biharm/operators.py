@@ -26,10 +26,12 @@ Since d/dx = -d/dt, both act on one monomial t^k by a coefficient form:
 Iterating the band map through division by the weight
 ``w(x) = (1 - x)^gamma`` gives the weighted biharmonic image of an
 expansion.  The module computes that image two ways: one closed form,
-``monomial_image``, for a single monomial ``t^k``, whose three two-step
-compositions collapse to integer products (the builder's columns), and
-one generic composition, ``biharmonic``, for any expansion (every check),
-which applies the coefficient forms one Laplacian step at a time on the
+``monomial_terms``, for a single monomial ``t^k``, whose three two-step
+compositions collapse to six integer products, returned as flat (band,
+exponent, int) entries that the builder reads straight into its rows
+(``monomial_image`` is their dict view, zeros dropped), and one generic
+composition, ``biharmonic``, for any expansion (every check), which
+applies the coefficient forms one Laplacian step at a time on the
 kernel's integers, laid out as dense rows.  The two agree on every
 monomial (see the operator tests and ``verify --deep``).
 """
@@ -168,8 +170,9 @@ def make_expansion(gamma: int, terms: Dict[int, LaurentPoly], scale: int = 1) ->
 # closed-form monomial image
 
 
-def monomial_image(gamma: int, beta: int, k: int) -> Dict[int, Dict[int, int]]:
-    """Biharmonic image of t^k / |1-z|^(2 beta), banded: band -> polynomial.
+def monomial_terms(gamma: int, beta: int, k: int) -> Tuple[Tuple[int, int, int], ...]:
+    """Biharmonic image of t^k / |1-z|^(2 beta) as six (band, exponent,
+    int) entries, zeros included, bands ascending.
 
     The monomial reaches three bands through the two-step compositions
 
@@ -178,8 +181,8 @@ def monomial_image(gamma: int, beta: int, k: int) -> Dict[int, Dict[int, int]]:
       beta + 2 : Q_(beta+1) w^-1 Q_beta
 
     whose closed forms below absorb all telescoping.  Each band holds at
-    most three terms with plain ``int`` coefficients; exponents may be
-    negative for small k.  Zero terms and bands are dropped.
+    most three terms, at distinct exponents, with plain ``int``
+    coefficients; exponents may be negative for small k.
     """
     pp1 = k * (beta - k) * (k - gamma - 1) * (beta + gamma + 1 - k)
     pp2 = k * (k - gamma - 2) * (
@@ -194,16 +197,23 @@ def monomial_image(gamma: int, beta: int, k: int) -> Dict[int, Dict[int, int]]:
         + (beta - k) * (k - gamma) * (k - gamma - 1)
     )
     qq = beta * (beta + 1) * (beta - k) * (beta + gamma + 1 - k)
-    bands = {
-        beta: ((k - gamma - 2, pp1), (k - gamma - 3, pp2), (k - gamma - 4, pp3)),
-        beta + 1: ((k - gamma - 1, pq1), (k - gamma - 2, pq2)),
-        beta + 2: ((k - gamma, qq),),
-    }
+    e = k - gamma
+    return (
+        (beta, e - 2, pp1),
+        (beta, e - 3, pp2),
+        (beta, e - 4, pp3),
+        (beta + 1, e - 1, pq1),
+        (beta + 1, e - 2, pq2),
+        (beta + 2, e, qq),
+    )
+
+
+def monomial_image(gamma: int, beta: int, k: int) -> Dict[int, Dict[int, int]]:
+    """``monomial_terms`` as band -> polynomial, zero terms and bands dropped."""
     out: Dict[int, Dict[int, int]] = {}
-    for band, terms in bands.items():
-        poly = {e: c for e, c in terms if c}  # the exponents are distinct
-        if poly:
-            out[band] = poly
+    for band, e, c in monomial_terms(gamma, beta, k):
+        if c:
+            out.setdefault(band, {})[e] = c
     return out
 
 

@@ -22,7 +22,8 @@ passes of ``operators`` against a second derivation.
 ``expansion_add`` and ``expansion_scale`` form linear combinations of
 kernel expansions, such as the paper's unnormalized weight-two solutions.
 ``builder_system`` and ``solved_expansions`` assemble and solve the
-builder's system on a spec's own grid.  The builder solves every kernel
+builder's system on a spec's own grid; ``dict_image_system`` assembles it
+from the dict view ``monomial_image``, the oracle of the builder's rows.  The builder solves every kernel
 on F's grid, so a single solve on H's own grid is the oracle of the H
 that ``build`` and ``build_pair`` return.
 ``fraction_fourier_poly``, ``fraction_radial_factor`` and
@@ -39,10 +40,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from biharm.boundary import BoundaryData
+from biharm.boundary import BoundaryData, term_boundary
 from biharm.builder import BOUNDARY_TARGETS, ansatz_grid, assemble_system
 from biharm.exact import LaurentPoly, RationalLinearSystem, binom, solve_linear
-from biharm.operators import KernelExpansion, check_gamma, check_kind, make_expansion
+from biharm.operators import KernelExpansion, check_gamma, check_kind, make_expansion, monomial_image
 
 
 def poly_from_terms(terms: Sequence[Tuple[int, Fraction | int]]) -> LaurentPoly:
@@ -116,6 +117,30 @@ def builder_system(spec, targets=None, drop=None):
     if drop is not None:
         del rows[drop]
     return columns, RationalLinearSystem(rows=rows, unknowns=system.unknowns)
+
+
+def dict_image_system(gamma, grid, targets):
+    """The builder's columns and system over grid, assembled as the builder
+    once did it from the dict view ``monomial_image`` and a
+    ``term_boundary`` call for every column: the oracle of
+    ``assemble_system``, which reads ``monomial_terms``' flat entries."""
+    columns = sorted(
+        ((beta, k) for beta, ks in grid.items() for k in ks),
+        key=lambda col: (2 * col[0] - col[1], col[0]),
+    )
+    coeff = {}
+    boundary_rows = ({}, {})
+    for j, (beta, k) in enumerate(columns):
+        for band, img in monomial_image(gamma, beta, k).items():
+            for e, c in img.items():
+                coeff.setdefault((band, e), {})[j] = c
+        for row, c in zip(boundary_rows, term_boundary(beta, k)):
+            if c:
+                row[j] = c
+    zeros = (0,) * len(targets)
+    rows = [(coeff[key], zeros) for key in sorted(coeff)]
+    rows += zip(boundary_rows, zip(*targets))
+    return columns, RationalLinearSystem(rows=rows, unknowns=len(columns))
 
 
 def solved_expansions(spec, columns, system):

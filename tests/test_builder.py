@@ -19,7 +19,13 @@ from biharm.builder import (
 )
 from biharm.exact import RationalLinearSystem, solve_linear
 from biharm.operators import biharmonic
-from exact_references import builder_system, expansion_add, expansion_scale, solved_expansions
+from exact_references import (
+    builder_system,
+    dict_image_system,
+    expansion_add,
+    expansion_scale,
+    solved_expansions,
+)
 from kernel_fixtures import KNOWN_KERNELS, RAW_F2, RAW_H2
 
 F = Fraction
@@ -105,6 +111,20 @@ def test_system_is_banded_along_grid_diagonals(kind, gamma):
         assert max(diagonals) - min(diagonals) <= 2
     for row, _ in system.rows[A_ROW:]:
         assert {diagonal(columns[j]) for j in row} <= {0, 1}
+
+
+@pytest.mark.parametrize("gamma", range(0, 13))
+def test_assemble_system_rows_match_the_dict_image(gamma):
+    # The builder reads monomial_terms' flat entries straight into its rows;
+    # an assembly from the dict view monomial_image gives the same columns
+    # and the same rows in the same order, on F's grid with both targets.
+    grid = ansatz_grid(KernelSpec(gamma=gamma, kind="F"))
+    targets = (BOUNDARY_TARGETS["F"], BOUNDARY_TARGETS["H"])
+    columns, system = assemble_system(gamma, grid, targets)
+    ref_columns, ref_system = dict_image_system(gamma, grid, targets)
+    assert columns == ref_columns
+    assert system.rows == ref_system.rows
+    assert system.unknowns == ref_system.unknowns
 
 
 @pytest.mark.parametrize(
@@ -279,16 +299,13 @@ def test_build_check_is_independent_of_the_closed_form(gamma, kind, monkeypatch)
     # whose solution is not biharmonic-zero.  The check runs the generic
     # composition, not the closed form that assembled the rows, so it
     # raises instead of returning that solution.
-    image = biharm.operators.monomial_image
+    terms = biharm.operators.monomial_terms
 
     def scaled(gamma, beta, k):
-        return {
-            band: {e: (k + 1) * c for e, c in poly.items()}
-            for band, poly in image(gamma, beta, k).items()
-        }
+        return tuple((band, e, (k + 1) * c) for band, e, c in terms(gamma, beta, k))
 
-    monkeypatch.setattr(biharm.builder, "monomial_image", scaled)
-    monkeypatch.setattr(biharm.operators, "monomial_image", scaled)
+    monkeypatch.setattr(biharm.builder, "monomial_terms", scaled)
+    monkeypatch.setattr(biharm.operators, "monomial_terms", scaled)
     with pytest.raises(RuntimeError, match=f"internal error.*gamma={gamma}, kind={kind}"):
         build(KernelSpec(gamma=gamma, kind=kind))
 

@@ -94,6 +94,24 @@ def test_document_layout():
     }
 
 
+def _writer_cases():
+    for gamma in [*range(9), 24]:
+        for kind in ("F", "H"):
+            kernel = build(KernelSpec(gamma=gamma, kind=kind))
+            yield f"{kind}{gamma}", to_document(kernel, kind, ["biharmonic-zero", "boundary-exact"])
+    # No terms: json writes "terms": [].
+    yield "empty", to_document(make_expansion(0, {}), "F", ["biharmonic-zero"])
+    yield "negative", to_document(make_expansion(3, {2: {5: Fraction(-7, 4), 6: 3}}), "H", ["x"])
+    yield "no-checks", to_document(build(KernelSpec(gamma=2, kind="F")), "F", [])
+
+
+def test_document_writer_is_json_dumps():
+    # gen's writer lays out the coefficient entries itself; the bytes are
+    # json.dumps(doc, indent=2)'s.
+    for label, doc in _writer_cases():
+        assert cli._document_json(doc) == json.dumps(doc, indent=2), label
+
+
 # ---------------------------------------------------------------------------
 # formatters
 
@@ -356,6 +374,43 @@ def test_math_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "l1_norm", boom)
     assert main(["l1check", "--gamma", "0", "--kernel", "F", "--r-grid", "0.5"]) == 1
     assert "quadrature fell over" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_141_quietly(capsys, monkeypatch):
+    # A reader that closes the pipe early (biharm verify | head): every
+    # write raises BrokenPipeError.  main writes nothing to stderr, points
+    # stdout at devnull, so that the last flush of what is still buffered
+    # does not raise, and returns 128 + SIGPIPE.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", buffering=1) as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["verify", "--gamma-max", "1"]) == 141
+        closed.write("still buffered")
+        monkeypatch.undo()
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_at_exit_is_quiet():
+    # The same in a process of its own, whose stdout is block-buffered: gen
+    # at gamma 0 writes once, and that write meets the closed pipe in main,
+    # not in the interpreter's flush at exit.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(biharm.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "biharm.cli", "gen", "--gamma", "0", "--kernel", "F"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**env, "PYTHONPATH": src},
+            check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 def _separate_run(argv):

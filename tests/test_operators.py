@@ -16,6 +16,7 @@ from biharm.operators import (
     check_kind,
     make_expansion,
     monomial_image,
+    monomial_terms,
 )
 from exact_references import (
     apply_P,
@@ -182,6 +183,9 @@ def test_monomial_image_band_support():
         beta = rng.randint(1, gamma + 3)
         k = rng.randint(0, 3 * gamma + 6)
         img = monomial_image(gamma, beta, k)
+        terms = monomial_terms(gamma, beta, k)
+        assert len(terms) == 6
+        assert img == {b: {e: c for b2, e, c in terms if b2 == b and c} for b, _, c in terms if c}
         assert set(img) <= {beta, beta + 1, beta + 2}
         assert all(type(c) is int for p in img.values() for c in p.values())
         assert img == one_term_image(gamma, beta, k), (gamma, beta, k)
