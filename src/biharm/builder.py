@@ -23,11 +23,13 @@ biharmonic operator D w^-1 D, with distributional boundary data
   3. one solve: fraction-free forward elimination and back substitution
      in integers (``exact.solve_linear``) gives each normalized kernel
      directly from its own right-hand side, as integer coefficients over
-     one scale, which ``make_expansion`` takes as they are: no
-     ``Fraction`` is formed.  ``build`` passes its kind's target as the
-     one right-hand side; ``build_pair`` passes both, so one assembly and
-     one elimination carry the pair, then one back substitution per
-     kernel.  H comes out zero on F's extra columns, so it is the H that a
+     one scale.  Each band is read out of them through the columns'
+     (beta, k) index and put in the kernel's one form by
+     ``operators.expansion_from_bands``: no ``Fraction`` is formed.
+     ``build`` passes its kind's target as the one right-hand side;
+     ``build_pair`` passes both, so one assembly and one elimination
+     carry the pair, then one back substitution per kernel.  H comes out
+     zero on F's extra columns, so it is the H that a
      solve on H's own grid gives, down to ``repr``.  The columns are
      numbered along the grid diagonals delta = 2 beta - k: a column on
      diagonal delta reaches only image rows (band b, exponent e) with
@@ -57,13 +59,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .boundary import expansion_boundary, term_boundary
-from .exact import LaurentPoly, RationalLinearSystem, solve_linear
+from .exact import RationalLinearSystem, solve_linear
 from .operators import (
     KernelExpansion,
     biharmonic,
     check_gamma,
     check_kind,
-    make_expansion,
+    expansion_from_bands,
     monomial_terms,
 )
 
@@ -121,10 +123,13 @@ def assemble_system(
     eliminates columns in index order, so numbering them along the
     diagonals keeps its elimination within that band.
     """
-    columns = sorted(
-        ((beta, k) for beta, ks in grid.items() for k in ks),
-        key=lambda col: (2 * col[0] - col[1], col[0]),
-    )
+    # Each (beta, k) goes to its diagonal's list, beta ascending; the
+    # diagonals then follow in order.
+    diagonals: Dict[int, List[Tuple[int, int]]] = {}
+    for beta in sorted(grid):
+        for k in grid[beta]:
+            diagonals.setdefault(2 * beta - k, []).append((beta, k))
+    columns = [col for delta in sorted(diagonals) for col in diagonals[delta]]
 
     coeff: Dict[Tuple[int, int], Dict[int, int]] = {}
     get = coeff.get
@@ -165,22 +170,22 @@ def _solve(gamma: int, kinds: Sequence[str]) -> Tuple[KernelExpansion, ...]:
     solve on F's grid, which holds H's, one boundary right-hand side per
     kind.  Each kernel comes from its own right-hand side and gets its own
     check."""
-    columns, system = assemble_system(
-        gamma, ansatz_grid(KernelSpec(gamma=gamma, kind="F")), [BOUNDARY_TARGETS[kind] for kind in kinds]
-    )
+    grid = ansatz_grid(KernelSpec(gamma=gamma, kind="F"))
+    columns, system = assemble_system(gamma, grid, [BOUNDARY_TARGETS[kind] for kind in kinds])
     solutions = solve_linear(system)
     if solutions is None:
         raise RuntimeError(
             f"no unique biharmonic-zero expansion on the tight grid "
             f"(gamma={gamma}, kind={' and '.join(kinds)})"
         )
+    # Each band's columns, k ascending, by their index in the solve's
+    # diagonal order.
+    index = {col: j for j, col in enumerate(columns)}
+    layout = [(beta, ks[0], [index[beta, k] for k in ks]) for beta, ks in grid.items()]
     kernels = []
     for kind, (values, scale) in zip(kinds, solutions):
-        terms: Dict[int, LaurentPoly] = {}
-        # make_expansion orders the bands, whatever the solve's column order.
-        for (beta, k), v in zip(columns, values):
-            terms.setdefault(beta, {})[k] = v
-        kernel = make_expansion(gamma, terms, scale)
+        bands = [(beta, low, [values[j] for j in js]) for beta, low, js in layout]
+        kernel = expansion_from_bands(gamma, bands, scale)
         if not all(kernel_checks(kernel, kind)):
             raise RuntimeError(
                 f"internal error: solved expansion is not biharmonic-zero or misses "

@@ -33,7 +33,6 @@ import argparse
 import functools
 import json
 import math
-import multiprocessing
 import os
 import sys
 from fractions import Fraction
@@ -310,6 +309,10 @@ def cmd_verify(gamma_max: int, jobs: int, deep: bool) -> int:
     work = [(g, deep) for g in range(gamma_max + 1)]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
+        # Imported here: it pulls in socket and more, which no other
+        # command needs.
+        import multiprocessing
+
         with multiprocessing.Pool(processes=jobs) as pool:
             results = pool.map(_verify_one, work, chunksize=1)
     else:

@@ -70,16 +70,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .builder import build_pair, grid_geometry, kernel_checks
-from .exact import LaurentPoly, binom
+from .exact import binom
 from .operators import (
     KERNEL_KINDS,
     KernelExpansion,
     check_gamma,
     check_kind,
-    make_expansion,
+    expansion_from_bands,
 )
 
 # Not called here: both checks run in builder.kernel_checks.  The benchmark
@@ -101,26 +101,29 @@ def solve_ck(gamma: int, kind: str) -> Tuple[int, ...]:
 
 
 def conjectured_kernel(gamma: int, kind: str) -> KernelExpansion:
-    """The expansion displayed above; make_expansion drops its zero entries.
+    """The expansion displayed above, laid out band by band.
 
     The coefficients are integers over one scale, the lcm of the bands'
-    2 (F) or 2 beta (H), which make_expansion reduces once:
-    c_k C(gamma+1-2k, beta-1-k) over 2 for F, c_k C(gamma-2k, beta-1-k)
-    over 2 beta for H.  Where the kernel is == to the builder's, the two
-    are alike down to repr.
+    2 (F) or 2 beta (H): c_k C(gamma+1-2k, beta-1-k) over 2 for F,
+    c_k C(gamma-2k, beta-1-k) over 2 beta for H.  Band beta holds the
+    exponents floor[beta] .. beta + gamma + 1, t^(beta+gamma+1-k) taking
+    c_k lift C(n, m) from its Pascal column, n = row - 2k and m = beta-1-k;
+    on the grid 0 <= m and 0 <= n, and ``math.comb`` is 0 where m > n.
+    ``expansion_from_bands`` trims those zeros and reduces the scale once.
+    Where the kernel is == to the builder's, the two are alike down to repr.
     """
     c = solve_ck(gamma, kind)
     row = gamma + 1 if kind == "F" else gamma
     _, floor = grid_geometry(gamma, kind)
-    band_den = {beta: 2 if kind == "F" else 2 * beta for beta in floor}
-    scale = math.lcm(*band_den.values())
-    terms: Dict[int, LaurentPoly] = {}
+    scale = 2 if kind == "F" else 2 * math.lcm(*floor)
+    bands = []
     for beta, lo in floor.items():
-        lift = scale // band_den[beta]
-        terms[beta] = {
-            beta + gamma + 1 - k: c[k] * lift * binom(row - 2 * k, beta - 1 - k) for k in range(beta + gamma + 2 - lo)
-        }
-    return make_expansion(gamma, terms, scale)
+        lift = scale // (2 if kind == "F" else 2 * beta)
+        top = beta + gamma + 1
+        # Ascending exponents e = top - k, so k descends.
+        ints = [c[k] * lift * math.comb(row - 2 * k, beta - 1 - k) for k in range(top - lo, -1, -1)]
+        bands.append((beta, lo, ints))
+    return expansion_from_bands(gamma, bands, scale)
 
 
 def checked_kernel(gamma: int, kind: str) -> KernelExpansion:
@@ -193,8 +196,9 @@ def ab_expansion(gamma: int, form: ABForm) -> KernelExpansion:
     of F at gamma = d - 1, and (1 + t u)^m by the binomial theorem; the
     sums run on the form's ints, over its scale.
     """
-    # acc[j][beta]: 2 scale times the coefficient of t^(gamma+2+j) u^beta
-    acc = [[0] * (gamma + 3) for _ in range(gamma + 2)]
+    # acc[beta][j]: 2 scale times the coefficient of t^(gamma+2+j) u^beta,
+    # so acc[beta] is band beta from t^(gamma+2).
+    acc = [[0] * (gamma + 2) for _ in range(gamma + 3)]
     for d, _, ps in form.rows:
         lucas = solve_ck(d - 1, "F") if d else (2,)
         for k, c in enumerate(lucas):
@@ -202,12 +206,8 @@ def ab_expansion(gamma: int, form: ABForm) -> KernelExpansion:
             for l, p in enumerate(reversed(ps)):
                 scaled = c * p
                 for j, b in enumerate(row):
-                    acc[j][1 + l + k + j] += scaled * b
-    return make_expansion(
-        gamma,
-        {beta: {gamma + 2 + j: acc[j][beta] for j in range(gamma + 2)} for beta in range(1, gamma + 3)},
-        2 * form.scale,
-    )
+                    acc[1 + l + k + j][j] += scaled * b
+    return expansion_from_bands(gamma, [(beta, gamma + 2, acc[beta]) for beta in range(1, gamma + 3)], 2 * form.scale)
 
 
 def certified_ab_form(kernel: KernelExpansion) -> Optional[ABForm]:

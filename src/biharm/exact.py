@@ -14,7 +14,8 @@ Everything downstream of this module is built from four ingredients:
   * ``solve_linear`` — exact solving of a sparse integer linear system
     with one or more right-hand sides, carried as extra columns of the
     augmented rows: one fraction-free forward elimination (each pivot row
-    divided by its content, pivot rows found by their leading column),
+    that eliminates another divided by its content, pivot rows found by
+    their leading column),
     then one back substitution per right-hand side over one common scale.
     It forms no rationals: it returns the unique solution of each as
     integer numerators over a scale, or ``None`` when one has none;
@@ -100,13 +101,19 @@ def solve_linear(system: RationalLinearSystem) -> Optional[Tuple[Tuple[Tuple[int
     system is banded in some order of its columns numbers them in that
     order (the builder numbers its columns along the grid diagonals).
 
-    Elimination is fraction-free.  A row chosen as pivot is divided by its
-    content, the gcd of its entries, right-hand sides included; then, with
-    pivot entry p, row i's entry f and g = gcd(p, f), each update is
+    Elimination is fraction-free.  A row chosen as pivot, if its bucket
+    holds other rows to eliminate, is divided by its content, the gcd of its
+    entries, right-hand sides included; then, with pivot entry p, row i's
+    entry f and g = gcd(p, f), each update is
     row_i <- (p/g) row_i - (f/g) pivot_row.  (Bareiss's exact division
     would also scale every row a pivot does not reach.  Removing the
     content once per pivot row, not after every update, spends fewer gcds
-    than the entry growth it lets through costs.)  A pivot row is never
+    than the entry growth it lets through costs.)  The pivot row of a
+    one-row bucket keeps its content: it eliminates nothing, and back
+    substitution gives the same (numerators, scale) for any positive
+    multiple of a pivot row, since scaling the row scales both the pivot
+    entry a and the sum S it divides, which leaves S // a and the lift
+    |a| / gcd(S, a) as they are.  A pivot row is never
     reduced against later pivots; the unknowns are recovered by back
     substitution from the last column, over one common scale per
     right-hand side that grows only when an unknown needs it.
@@ -122,7 +129,9 @@ def solve_linear(system: RationalLinearSystem) -> Optional[Tuple[Tuple[Tuple[int
         if coeffs and not (min(coeffs) >= 0 and max(coeffs) < ncols):
             bad = min(coeffs) if min(coeffs) < 0 else max(coeffs)
             raise ValueError(f"column index {bad} out of range for {ncols} unknowns")
-        row = {j: c for j, c in coeffs.items() if c}
+        row = dict(coeffs)
+        if 0 in row.values():
+            row = {j: c for j, c in coeffs.items() if c}
         if any(rhs):
             row.update((ncols + r, b) for r, b in enumerate(rhs) if b)
         rows.append(row)
@@ -139,10 +148,11 @@ def solve_linear(system: RationalLinearSystem) -> Optional[Tuple[Tuple[Tuple[int
             return None  # no pivot: the solution is not unique
         prow = rows[bucket[0]]
         pivot_rows.append(prow)
-        content = math.gcd(*prow.values())
-        if content > 1:
-            for k in prow:
-                prow[k] //= content
+        if len(bucket) > 1:
+            content = math.gcd(*prow.values())
+            if content > 1:
+                for k in prow:
+                    prow[k] //= content
         pivot = prow[j]
 
         # Eliminate column j from the other rows that lead with it.

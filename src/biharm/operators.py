@@ -7,8 +7,14 @@ A kernel candidate on the unit disc is stored as a finite sum
 with each ``f_beta`` a polynomial in ``t = 1 - x``, held exactly as integers
 over one scale (``KernelExpansion``), whose other views (``terms``,
 ``t_degree``, the certified (a, b) form) are made on first use and kept; no
-float view is kept.  The Laplacian ``D = d^2/(dz dzbar)`` maps the band
-``beta`` term to a pair of neighbouring bands:
+float view is kept.  Every kernel reaches that form through one
+normalizer, ``expansion_from_bands``, which the package's producers (the
+closed forms and the builder) call on integer bands they lay out
+themselves; ``make_expansion`` checks any other input, dicts of ints or
+Fractions, and then calls it.
+
+The Laplacian ``D = d^2/(dz dzbar)`` maps the band ``beta`` term to a pair
+of neighbouring bands:
 
     D(f / |1-z|^(2 beta)) = (P_beta f) / |1-z|^(2 beta)
                             + (Q_beta f) / |1-z|^(2 (beta+1)),
@@ -42,7 +48,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exact import LaurentPoly
 
@@ -66,7 +72,7 @@ class KernelExpansion:
     form: integers over one scale.  bands holds one Band per nonzero
     f_beta, beta ascending, and scale > 0 shares no factor with all their
     integers, so == compares integers and the repr is canonical
-    (``make_expansion`` builds it).  Instances are treated as immutable,
+    (``expansion_from_bands`` builds it).  Instances are treated as immutable,
     so each view below is made on first use and kept; none is a field.
     """
 
@@ -119,13 +125,17 @@ def check_kind(kind: str) -> None:
 def make_expansion(gamma: int, terms: Dict[int, LaurentPoly], scale: int = 1) -> KernelExpansion:
     """The expansion with coefficients terms[beta][k] / scale, ints or
     Fractions in any order, in its one form (``KernelExpansion``); zero
-    coefficients and empty bands drop.  Anything else raises ValueError."""
+    coefficients and empty bands drop.  Anything else raises ValueError.
+
+    Once checked, the coefficients are laid out as rows over the lcm of
+    their denominators and put in the one form by ``expansion_from_bands``,
+    which the package's own producers call directly."""
     check_gamma(gamma)
     if type(scale) is bool or not isinstance(scale, int) or scale < 1:
         raise ValueError(f"scale must be an int >= 1, got {scale!r}")
     kept = []
-    # The denominators other than 1; the builder and the closed forms pass
-    # plain ints, which skip as_integer_ratio and the lcm.
+    # The denominators other than 1; plain int coefficients skip
+    # as_integer_ratio and the lcm.
     dens = []
     for beta in sorted(terms):
         # A bool index or coefficient would be == to an int but not its repr.
@@ -158,12 +168,34 @@ def make_expansion(gamma: int, terms: Dict[int, LaurentPoly], scale: int = 1) ->
         for k, num, den in poly:
             row[k - low] = num * (lcm // den)
         rows.append((beta, low, row))
-    scale *= lcm
-    common = math.gcd(scale, *(c for _, _, row in rows for c in row))
+    return expansion_from_bands(gamma, rows, scale * lcm)
+
+
+def expansion_from_bands(gamma: int, rows: Iterable[Tuple[int, int, Sequence[int]]], scale: int) -> KernelExpansion:
+    """The expansion with rows (beta, low, ints), ints[i] / scale the
+    coefficient of t^(low + i) in band beta, in its one form
+    (``KernelExpansion``): zero ends trimmed, all-zero bands dropped, and
+    the gcd of scale and every int divided out.
+
+    The one normalizer of the package.  It checks nothing: its callers pass
+    plain ints, scale >= 1 and distinct bands beta >= 1 in ascending order
+    (``make_expansion`` checks outside input, then calls it).
+    """
+    bands = []
+    for beta, low, ints in rows:
+        lo, hi = 0, len(ints)
+        while lo < hi and not ints[lo]:
+            lo += 1
+        if lo == hi:
+            continue
+        while not ints[hi - 1]:
+            hi -= 1
+        bands.append((beta, low + lo, ints[lo:hi]))
+    common = math.gcd(scale, *(c for _, _, ints in bands for c in ints))
     if common > 1:
-        rows = [(beta, low, [c // common for c in row]) for beta, low, row in rows]
-    bands = tuple((beta, low, tuple(row)) for beta, low, row in rows)
-    return KernelExpansion(gamma=gamma, scale=scale // common, bands=bands)
+        scale //= common
+        bands = [(beta, low, [c // common for c in ints]) for beta, low, ints in bands]
+    return KernelExpansion(gamma=gamma, scale=scale, bands=tuple((beta, low, tuple(ints)) for beta, low, ints in bands))
 
 
 # ---------------------------------------------------------------------------

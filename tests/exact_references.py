@@ -26,6 +26,10 @@ builder's system on a spec's own grid; ``dict_image_system`` assembles it
 from the dict view ``monomial_image``, the oracle of the builder's rows.  The builder solves every kernel
 on F's grid, so a single solve on H's own grid is the oracle of the H
 that ``build`` and ``build_pair`` return.
+``dict_route_kernel`` is the closed form as the package once made it, one
+``binom`` call per entry into a dict of dicts and then ``make_expansion``:
+the oracle of ``conjecture.conjectured_kernel``, which lays out each band
+from its Pascal column.
 ``fraction_fourier_poly``, ``fraction_radial_factor`` and
 ``fraction_dirichlet_factor`` are the exact Fourier multipliers of
 ``boundary`` in ``Fraction`` arithmetic, one rational operation per Horner
@@ -41,7 +45,8 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from biharm.boundary import BoundaryData, term_boundary
-from biharm.builder import BOUNDARY_TARGETS, ansatz_grid, assemble_system
+from biharm.builder import BOUNDARY_TARGETS, ansatz_grid, assemble_system, grid_geometry
+from biharm.conjecture import solve_ck
 from biharm.exact import LaurentPoly, RationalLinearSystem, binom, solve_linear
 from biharm.operators import KernelExpansion, check_gamma, check_kind, make_expansion, monomial_image
 
@@ -152,6 +157,25 @@ def solved_expansions(spec, columns, system):
             terms.setdefault(beta, {})[k] = v
         expansions.append(make_expansion(spec.gamma, terms, scale))
     return expansions
+
+
+def dict_route_kernel(gamma: int, kind: str) -> KernelExpansion:
+    """The closed form of ``conjecture``, each entry c_k C(row-2k, beta-1-k)
+    over 2 (F) or 2 beta (H) written into {beta: {k: int}} over the lcm of
+    those denominators, zeros included, and put in its one form by
+    ``make_expansion``."""
+    c = solve_ck(gamma, kind)
+    row = gamma + 1 if kind == "F" else gamma
+    _, floor = grid_geometry(gamma, kind)
+    band_den = {beta: 2 if kind == "F" else 2 * beta for beta in floor}
+    scale = math.lcm(*band_den.values())
+    terms: Dict[int, LaurentPoly] = {}
+    for beta, lo in floor.items():
+        lift = scale // band_den[beta]
+        terms[beta] = {
+            beta + gamma + 1 - k: c[k] * lift * binom(row - 2 * k, beta - 1 - k) for k in range(beta + gamma + 2 - lo)
+        }
+    return make_expansion(gamma, terms, scale)
 
 
 def poly_diff(p: LaurentPoly) -> LaurentPoly:

@@ -94,6 +94,17 @@ def test_assemble_system_columns_in_diagonal_order():
 
 @pytest.mark.parametrize("kind", ["F", "H"])
 @pytest.mark.parametrize("gamma", range(0, 13))
+def test_assemble_system_groups_columns_by_diagonal(kind, gamma):
+    # The columns, grouped by diagonal and by beta within one, are the
+    # grid's (beta, k) sorted by (2 beta - k, beta).
+    grid = ansatz_grid(KernelSpec(gamma=gamma, kind=kind))
+    columns, _ = assemble_system(gamma, grid, (BOUNDARY_TARGETS[kind],))
+    expected = sorted(((beta, k) for beta, ks in grid.items() for k in ks), key=lambda c: (2 * c[0] - c[1], c[0]))
+    assert columns == expected
+
+
+@pytest.mark.parametrize("kind", ["F", "H"])
+@pytest.mark.parametrize("gamma", range(0, 13))
 def test_system_is_banded_along_grid_diagonals(kind, gamma):
     # A column on diagonal d reaches image rows (band b, exponent e) on the
     # diagonals 2b - e = d + gamma + 2 .. d + gamma + 4 only, so an image

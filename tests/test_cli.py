@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -221,9 +222,25 @@ def test_verify_jobs_clamped_to_cpu_count(monkeypatch, capsys):
             return [fn(w) for w in work]
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+    # cli imports multiprocessing only when it starts a pool.
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     assert main(["verify", "--gamma-max", "1", "--jobs", "64"]) == 0
     assert started == [2]
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # Only verify --jobs > 1 needs a pool, so importing the CLI, as every
+    # command's start does, loads no multiprocessing.
+    src = str(Path(biharm.__file__).resolve().parents[1])
+    probe = "import sys, biharm.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert done.stdout == "False\n"
 
 
 def test_verify_deep(capsys):

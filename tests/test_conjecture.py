@@ -20,6 +20,7 @@ from biharm.conjecture import (
 )
 from biharm.operators import biharmonic, make_expansion
 from biharm.exact import binom
+from exact_references import dict_route_kernel
 
 F = Fraction
 
@@ -241,6 +242,18 @@ def test_conjectured_kernel_matches_builder(kind, gamma):
     assert conjectured_kernel(gamma, kind).terms == build(
         KernelSpec(gamma=gamma, kind=kind)
     ).terms
+
+
+def test_closed_form_bands_match_the_dict_route():
+    # The bands laid out from their Pascal columns are the kernel that one
+    # binom call per entry and make_expansion give, down to repr: gamma
+    # <= 40 by default, <= 200 with BIHARM_ACCEPT_EXTENDED=1.
+    gamma_max = 200 if os.environ.get("BIHARM_ACCEPT_EXTENDED") else 40
+    for gamma in range(gamma_max + 1):
+        for kind in ("F", "H"):
+            banded, reference = conjectured_kernel(gamma, kind), dict_route_kernel(gamma, kind)
+            assert banded == reference, (gamma, kind)
+            assert repr(banded) == repr(reference), (gamma, kind)
 
 
 @pytest.mark.parametrize("gamma", range(0, 13))

@@ -271,7 +271,8 @@ def test_solve_parametric_free_column_is_last():
 
 def test_solve_ragged_rejected():
     # A column index outside 0 .. unknowns - 1 has no unknown to stand for.
-    for row in ({2: 1}, {-1: 1}):
+    # A zero entry there is out of range all the same.
+    for row in ({2: 1}, {-1: 1}, {2: 0}, {-1: 0}):
         system = RationalLinearSystem(rows=[({0: 1}, (0,)), (row, (0,))], unknowns=2)
         with pytest.raises(ValueError):
             solve_linear(system)
@@ -346,6 +347,42 @@ def test_solve_random_consistent_systems():
             unique += 1
         else:
             assert sol is None
+    assert 0 < unique < 200
+
+
+def scaled_rows(rng, system):
+    """system with each row, right-hand sides included, times its own
+    random integer in 2..97."""
+    rows = []
+    for row, rhs in system.rows:
+        m = rng.randint(2, 97)
+        rows.append(({j: m * c for j, c in row.items()}, tuple(m * b for b in rhs)))
+    return RationalLinearSystem(rows=rows, unknowns=system.unknowns)
+
+
+def test_solve_is_independent_of_row_scaling():
+    # A positive multiple of any row leaves every (numerators, scale) as it
+    # is, whether or not its content is divided out: the pivot rows of
+    # one-row buckets keep theirs.  On the builder's systems (F's grid, both
+    # boundary right-hand sides) and on random consistent ones.
+    rng = random.Random(1012)
+    targets = (BOUNDARY_TARGETS["F"], BOUNDARY_TARGETS["H"])
+    for gamma in range(9):
+        _, system = assemble_system(gamma, ansatz_grid(KernelSpec(gamma=gamma, kind="F")), targets)
+        plain = solve_linear(system)
+        assert plain is not None
+        for _ in range(3):
+            assert solve_linear(scaled_rows(rng, system)) == plain, gamma
+    unique = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, n + 2)
+        den = rng.randint(1, 4)
+        x0 = [Fraction(rng.randint(-4, 4), den) for _ in range(n)]
+        system = sparse(consistent_rows(rng, n, m, [x0], den))
+        plain = solve_linear(system)
+        unique += plain is not None
+        assert solve_linear(scaled_rows(rng, system)) == plain
     assert 0 < unique < 200
 
 

@@ -14,6 +14,7 @@ from biharm.operators import (
     _laplacian_rows,
     biharmonic,
     check_kind,
+    expansion_from_bands,
     make_expansion,
     monomial_image,
     monomial_terms,
@@ -285,6 +286,26 @@ def test_make_expansion_gives_one_form():
     # A Fraction over a scale is divided by it too.
     assert make_expansion(0, {1: {2: Fraction(1, 3)}}, 2).bands == ((1, 2, (1,)),)
     assert make_expansion(0, {}, 5) == make_expansion(0, {})
+    # The band normalizer that make_expansion ends in gives the same form,
+    # down to repr, from the kernel's own bands and from rows with zero
+    # ends, a longer zero run inside a band, all-zero and empty bands, and
+    # a common factor of the scale and every int.
+    rows_cases = [
+        ([(1, 2, (6, 0, 0, -27)), (3, 7, (8,))], 36),
+        ([(1, 0, [0, 0, 6, 0, 0, -27, 0]), (3, 6, [0, 8, 0, 0])], 36),
+        ([(1, 2, [6, 0, 0, -27]), (2, 3, [0, 0, 0]), (3, 7, [8]), (4, 1, [])], 36),
+        ([(1, -1, [0, 0, 0, 30, 0, 0, -135, 0]), (3, 7, [40, 0])], 180),
+    ]
+    for rows, scale in rows_cases:
+        banded = expansion_from_bands(2, rows, scale)
+        assert repr(banded) == repr(kernels[0])
+        terms = {beta: dict(enumerate(ints, low)) for beta, low, ints in rows}
+        assert repr(make_expansion(2, terms, scale)) == repr(banded)
+    # A zero run inside a band that is not the kernel's, with a factor 3.
+    rows = [(2, -2, [0, 3, 0, 0, 0, -9, 0]), (5, 4, [0, 0])]
+    assert repr(expansion_from_bands(1, rows, 6)) == "KernelExpansion(gamma=1, scale=2, bands=((2, -1, (1, 0, 0, 0, -3)),))"
+    assert repr(make_expansion(1, {2: {-1: 3, 3: -9}}, 6)) == repr(expansion_from_bands(1, rows, 6))
+    assert expansion_from_bands(0, [(1, 0, [0])], 5) == make_expansion(0, {})
 
 
 def test_expansion_add_requires_same_gamma():
