@@ -87,7 +87,7 @@ class QuadratureConvergenceError(RuntimeError):
     (not raised for F, whose norm is a closed form)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscPoint:
     r: float
     theta: float
@@ -116,12 +116,13 @@ def inv_abs1mz_sq(r, theta):
     and u rounds to 1/(1 + r)^2.  numpy's float64 tan took 75 us on 2^15
     angles where its sine took 525 us (2-core x86 with AVX-512, numpy 2.4).
 
-    An array's steps run in theta/2's buffer and one more.  A scalar theta,
-    which is what values_at's 0-d input becomes, goes through the same numpy
-    operations on np.float64 scalars, so it rounds exactly as the same
-    angle in an array.
+    theta/2 is taken as theta * 0.5, exact as the division is and about
+    half its cost on an array.  An array's steps run in that product's
+    buffer and one more.  A scalar theta, which is what values_at's 0-d
+    input becomes, goes through the same numpy operations on np.float64
+    scalars, so it rounds exactly as the same angle in an array.
     """
-    half = theta / 2.0
+    half = np.multiply(theta, 0.5)
     # In place on an array; on a scalar each augmented operation below
     # rebinds instead.
     t2 = np.tan(half, out=half if isinstance(half, np.ndarray) else None)
@@ -177,6 +178,12 @@ def _ab_sum(rows, l_max: int, r, theta, sin, sqrt, cplx):
     cancel; only the sum over d does.  Horner's rule in c sums it, and in
     |c| the estimate sum_d (d + 1) |c|^d Q_d of its rounding error in units
     of the working precision.
+
+    This one body serves both passes: ``_eval_ab_form`` on the floats and
+    ``_eval_extended`` on the ints in mpmath.  A row of one coefficient,
+    every row of F and the top two of H, is its own band sum and skips the
+    Horner loop; the powers (t^2)^j are formed only for a form with a
+    longer row (l_max > 0).
     """
     h = sin(0.5 * theta)
     x = (1.0 - r) + 2.0 * r * h * h
@@ -187,17 +194,22 @@ def _ab_sum(rows, l_max: int, r, theta, sin, sqrt, cplx):
     c = cplx(x * g, y * g)
     v = g * t
     rho = sqrt(v)
-    s = t * t
-    powers = [s]
-    for _ in range(l_max - 1):
-        powers.append(powers[-1] * s)
+    powers = []
+    if l_max:
+        s = t * t
+        powers.append(s)
+        for _ in range(l_max - 1):
+            powers.append(powers[-1] * s)
     total = size = 0.0
     for d, base, coefficients in rows:
         # p_(d,L) takes no power of s, so an int one stays exact in mpmath.
-        coefficients = iter(coefficients)
-        band = next(coefficients)
-        for p, power in zip(coefficients, powers):
-            band = band * v + p * power
+        if len(coefficients) == 1:
+            band = coefficients[0]
+        else:
+            coefficients = iter(coefficients)
+            band = next(coefficients)
+            for p, power in zip(coefficients, powers):
+                band = band * v + p * power
         band *= t**base
         total = total * c + band
         size = size * rho + (d + 1) * band

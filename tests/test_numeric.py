@@ -2,9 +2,12 @@
 FD validation."""
 
 import cmath
+import copy
+import dataclasses
 import json
 import math
 import os
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -64,6 +67,14 @@ def test_disc_point_validation():
     for r, theta in ((math.nan, 0.0), (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf)):
         with pytest.raises(ValueError):
             DiscPoint(r=r, theta=theta)
+    # Frozen and slotted: equal by value and hashable, through a pickle round
+    # trip and a deep copy too, with no instance __dict__.
+    point = DiscPoint(r=0.5, theta=-2.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        point.r = 0.25
+    for twin in (pickle.loads(pickle.dumps(point)), copy.deepcopy(point), DiscPoint(0.5, -2.0)):
+        assert twin == point and hash(twin) == hash(point)
+    assert not hasattr(point, "__dict__")
 
 
 def test_inv_abs1mz_sq_values():
@@ -480,6 +491,42 @@ def test_eval_kernel_matches_direct_sum_at_uniform_points(gamma, kind, sized_cal
     # Measured: 5 to 15 of the 220 points fall back at gamma 24 and 80.
     if gamma >= 24:
         assert len(sized_calls) >= 3
+
+
+EVAL_GOLDEN = Path(__file__).parent / "golden" / "eval_values.json"
+
+
+def eval_golden_values():
+    """float.hex of eval_kernel on F and H at gamma 0..8, 24 and 80, and of
+    values_at on the gamma <= 8 kernels, at seeded points, keyed as in
+    tests/golden/eval_values.json; json.dump(eval_golden_values(), f,
+    indent=1) writes that file.
+
+    32 seeded points with r <= 0.999, 8 of them in the corner r > 0.99,
+    |theta| < 1e-2, and F_8's near-zero point of the CI smoke step; 40
+    seeded angles for values_at.
+    """
+    rng = random.Random(36)
+    points = [(rng.uniform(0.0, 0.999), rng.uniform(-math.pi, math.pi)) for _ in range(24)]
+    points += [(rng.uniform(0.99, 0.999), rng.uniform(-1e-2, 1e-2)) for _ in range(8)]
+    points.append((0.9, 1.25073682138))
+    angles = np.array([rng.uniform(-math.pi, math.pi) for _ in range(40)])
+    golden = {"points": [[r.hex(), theta.hex()] for r, theta in points], "angles": [a.hex() for a in angles]}
+    for gamma in [*range(9), 24, 80]:
+        for kind in ("F", "H"):
+            kernel = conjectured_kernel(gamma, kind)
+            golden[f"eval_kernel {kind}_{gamma}"] = [eval_kernel(kernel, DiscPoint(r, theta)).hex() for r, theta in points]
+            if gamma <= 8:
+                for r in (0.3, 0.9, 0.99):
+                    golden[f"values_at {kind}_{gamma} {r}"] = [float(v).hex() for v in values_at(kernel, r, angles)]
+    return golden
+
+
+def test_evaluators_keep_their_golden_bits(sized_calls):
+    # Both evaluators' outputs, bit for bit, against the values they gave
+    # when the file was written; some points take eval_kernel's mpmath pass.
+    assert eval_golden_values() == json.loads(EVAL_GOLDEN.read_text())
+    assert sized_calls
 
 
 # ---------------------------------------------------------------------------
